@@ -4,6 +4,7 @@ from .client import CloudClient, CloudUnreachableError
 from .httpd import CloudStoreHTTPServer, parse_multipart
 from .service import (
     AuthToken,
+    BadRequestError,
     ClientAccount,
     CloudError,
     CloudStoreService,
@@ -21,6 +22,7 @@ from .service import (
 
 __all__ = [
     "AuthToken",
+    "BadRequestError",
     "ClientAccount",
     "CloudClient",
     "CloudError",

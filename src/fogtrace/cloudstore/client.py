@@ -13,6 +13,7 @@ import time
 import requests
 
 from .service import (
+    BadRequestError,
     CloudError,
     ForbiddenError,
     InvalidCredentialsError,
@@ -38,6 +39,7 @@ _ERROR_TYPES = {
         TokenExpiredError,
         ForbiddenError,
         NotFoundError,
+        BadRequestError,
         MissingPartError,
         ManifestInvalidError,
         StorageFullError,

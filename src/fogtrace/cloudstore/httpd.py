@@ -14,11 +14,11 @@ import base64
 import email.parser
 import email.policy
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
-from .service import CloudError, CloudStoreService, MissingPartError
+from ..served import ServedHttp
+from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError
 
 _TRACES_PATH = "/api/v1/traces"
 _TOKEN_PATH = "/api/v1/token"
@@ -45,7 +45,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     @property
     def service(self) -> CloudStoreService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.owner.service  # type: ignore[attr-defined]
 
     def do_POST(self):
         path = urlparse(self.path).path
@@ -79,9 +79,7 @@ class _Handler(BaseHTTPRequestHandler):
             client_id = body["client_id"]
             client_secret = body["client_secret"]
         except (ValueError, KeyError, UnicodeDecodeError):
-            return self._send_json(
-                400, {"error": "bad-request", "detail": "body must be JSON with client_id/client_secret"}
-            )
+            raise BadRequestError("body must be JSON with client_id/client_secret") from None
         token = self.service.issue_token(client_id, client_secret)
         ttl_s = (token.expires_at_ms - self.service.clock.now_ms()) / 1000.0
         self._send_json(
@@ -112,7 +110,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_list(self, query: dict[str, list[str]]):
         def _int_param(name):
             values = query.get(name)
-            return int(values[0]) if values else None
+            if not values:
+                return None
+            try:
+                return int(values[0])
+            except ValueError:
+                raise BadRequestError(f"{name} must be an integer, got {values[0]!r}") from None
 
         listed = self.service.list_traces(
             self._bearer(),
@@ -148,37 +151,9 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-class CloudStoreHTTPServer:
+class CloudStoreHTTPServer(ServedHttp):
     """Threaded HTTP front end over a :class:`CloudStoreService`."""
 
     def __init__(self, service: CloudStoreService, host: str = "127.0.0.1", port: int = 0):
         self.service = service
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.service = service  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "CloudStoreHTTPServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "CloudStoreHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(_Handler, host, port)

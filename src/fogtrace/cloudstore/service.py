@@ -70,6 +70,11 @@ class NotFoundError(CloudError):
     http_status = 404
 
 
+class BadRequestError(CloudError):
+    code = "bad-request"
+    http_status = 400
+
+
 class MissingPartError(CloudError):
     code = "missing-part"
     http_status = 400

@@ -8,12 +8,12 @@ the underlying services.
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from .clock import SystemClock
 from .external import FlowService, InvalidCoordinatesError, WeatherService
+from .served import ServedHttp
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -50,7 +50,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-class ContextStubServer:
+class ContextStubServer(ServedHttp):
     def __init__(
         self,
         flow: FlowService | None = None,
@@ -63,32 +63,4 @@ class ContextStubServer:
         self.flow = flow or FlowService(seed=seed)
         self.weather = weather or WeatherService(seed=seed)
         self.clock = clock if clock is not None else SystemClock()
-        self._httpd = ThreadingHTTPServer((host, port), _StubHandler)
-        self._httpd.owner = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "ContextStubServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "ContextStubServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(_StubHandler, host, port)

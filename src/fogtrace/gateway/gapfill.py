@@ -25,13 +25,18 @@ def fill_gaps(rows: list[TraceRow], channel: str, nominal_period_ms: float) -> l
     Returns a new, sorted list containing the originals plus any inserted
     rows. Rows of other channels pass through untouched.
     """
-    if channel not in NUMERIC_CHANNELS or not nominal_period_ms or nominal_period_ms <= 0:
-        return sort_rows(list(rows))
+    return sort_rows(list(rows) + _stream_gap_rows(rows, channel, nominal_period_ms))
+
+
+def _stream_gap_rows(rows: list[TraceRow], channel: str, period: float | None) -> list[TraceRow]:
+    """The interpolated rows for the real ``channel`` samples in ``rows``, in order."""
+    if channel not in NUMERIC_CHANNELS or not period or period <= 0:
+        return []
     stream = [r for r in rows if r.channel == channel and r.interpolated == 0]
     inserted: list[TraceRow] = []
     for prev, nxt in zip(stream, stream[1:]):
-        inserted.extend(_fill_one_gap(prev, nxt, channel, nominal_period_ms))
-    return sort_rows(list(rows) + inserted)
+        inserted.extend(_fill_one_gap(prev, nxt, channel, period))
+    return inserted
 
 
 def _fill_one_gap(prev: TraceRow, nxt: TraceRow, channel: str, period: float) -> list[TraceRow]:
@@ -67,18 +72,16 @@ def fill_session_gaps(
     rows: list[TraceRow],
     period_for: Callable[[str, str], float | None],
 ) -> list[TraceRow]:
-    """Apply gap filling per (source, channel) using the supplied period map."""
+    """Apply gap filling per (source, channel) using the supplied period map.
+
+    Returns ``rows`` followed by the inserted rows, unsorted: the caller
+    sorts the whole trace once.
+    """
     by_source: dict[str, list[TraceRow]] = {}
     for row in rows:
         by_source.setdefault(row.source, []).append(row)
     inserted: list[TraceRow] = []
     for source, source_rows in by_source.items():
-        channels = {r.channel for r in source_rows if r.channel in NUMERIC_CHANNELS}
-        for channel in channels:
-            period = period_for(source, channel)
-            if not period:
-                continue
-            stream = [r for r in source_rows if r.channel == channel and r.interpolated == 0]
-            for prev, nxt in zip(stream, stream[1:]):
-                inserted.extend(_fill_one_gap(prev, nxt, channel, period))
-    return sort_rows(rows + inserted)
+        for channel in {r.channel for r in source_rows}:
+            inserted.extend(_stream_gap_rows(source_rows, channel, period_for(source, channel)))
+    return rows + inserted

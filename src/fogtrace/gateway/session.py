@@ -20,8 +20,8 @@ from pathlib import Path
 from ..clock import SystemClock
 from ..config import Config
 from ..external import FlowSegment, WeatherObservation
-from ..obd import PID_TABLE, ObdResponse, VehicleReading
-from ..wearables import HeartSample, RespirationSample, WearableDevice
+from ..obd import PID_TABLE, ObdResponse
+from ..wearables import HeartSample, RespirationSample
 from .alerts import AlertEngine, AlertEvent, AlertRule, default_rules
 from .gapfill import fill_session_gaps
 from .records import (
@@ -155,9 +155,6 @@ class Gateway:
         self.pairings[device.device_id] = pairing
         self.devices[device.device_id] = device
         return pairing
-
-    def register_service(self, name: str) -> None:
-        self.services.add(name)
 
     def start_session(self, driver_id: str, vehicle_id: str, alert_rules: list[AlertRule] | None = None) -> "Session":
         with self._control:
@@ -303,11 +300,6 @@ class Session:
         return csv_bytes, manifest
 
 
-def pair_device(gateway: Gateway, device: WearableDevice | LocalSource) -> Pairing:
-    """Module-level convenience mirroring ``Gateway.pair_device``."""
-    return gateway.pair_device(device)
-
-
 def _fan_out(sample, source: str, arrival_ms: int) -> list[TraceRow]:
     if isinstance(sample, ObdResponse):
         definition = PID_TABLE.get(sample.pid_id.pid)
@@ -315,12 +307,6 @@ def _fan_out(sample, source: str, arrival_ms: int) -> list[TraceRow]:
             raise ValueError(f"no trace channel for PID 0x{sample.pid_id.pid:02X}")
         return [
             TraceRow(arrival_ms, source, definition.channel, fmt_scalar(sample.value), definition.unit)
-        ]
-    if isinstance(sample, VehicleReading):
-        return [
-            TraceRow(arrival_ms, source, "speed_kmh", fmt_scalar(sample.speed_kmh), "km/h"),
-            TraceRow(arrival_ms, source, "rpm", fmt_scalar(sample.rpm), "rpm"),
-            TraceRow(arrival_ms, source, "throttle_pct", fmt_scalar(sample.throttle_pct), "percent"),
         ]
     if isinstance(sample, HeartSample):
         rows = [

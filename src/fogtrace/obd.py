@@ -147,12 +147,6 @@ CORE_PIDS = (PID_RPM, PID_SPEED, PID_THROTTLE)
 
 
 @dataclass(frozen=True)
-class ObdRequest:
-    pid_id: PidId
-    issued_at: float  # monotonic ms
-
-
-@dataclass(frozen=True)
 class ObdResponse:
     pid_id: PidId
     data: bytes

@@ -31,8 +31,8 @@ from .obd import (
     CORE_PIDS,
     NRC_SERVICE_NOT_SUPPORTED,
     NRC_SUBFUNCTION_NOT_SUPPORTED,
+    PID_TABLE,
     MalformedFrameError,
-    ObdRequest,
     ObdResponse,
     PidId,
     UnsupportedModeError,
@@ -44,6 +44,7 @@ from .obd import (
     render_negative_response,
     render_response,
 )
+from .served import ServedThread
 
 IDLE_RPM = 800.0
 MAX_RPM = 6500.0
@@ -312,14 +313,7 @@ class VehicleSimulator:
             return self._state
 
     def measurement(self, pid: int) -> float:
-        state = self.snapshot()
-        if pid == 0x0C:
-            return state.rpm
-        if pid == 0x0D:
-            return state.speed_kmh
-        if pid == 0x11:
-            return state.throttle_pct
-        raise KeyError(f"no measurement for PID 0x{pid:02X}")
+        return getattr(self.snapshot(), PID_TABLE[pid].channel)
 
     def reply_frame(self, raw_request: bytes) -> bytes:
         """Frame in, frame out. Unsupported or broken requests get a 7F frame."""
@@ -388,9 +382,8 @@ class _RequestHelper:
 
     def request(self, pid: int | PidId) -> ObdResponse:
         pid_id = pid if isinstance(pid, PidId) else PidId(pid=pid)
-        req = ObdRequest(pid_id=pid_id, issued_at=self.clock.now_ms())
-        reply = self.transact(encode_request(req.pid_id))
-        return parse_response(reply, req.pid_id, received_at=self.clock.now_ms())
+        reply = self.transact(encode_request(pid_id))
+        return parse_response(reply, pid_id, received_at=self.clock.now_ms())
 
 
 class InProcessObdLink(_RequestHelper):
@@ -474,42 +467,10 @@ class _VehicleHandler(socketserver.BaseRequestHandler):
                     return
 
 
-class _ThreadingTcp(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class VehicleTcpServer:
+class VehicleTcpServer(ServedThread):
     """Serves the OBD framing over loopback TCP, one thread per connection."""
 
     def __init__(self, simulator: VehicleSimulator, host: str = "127.0.0.1", port: int = 0, clock=None):
         self.simulator = simulator
         self.clock = clock if clock is not None else SystemClock()
-        self._tcp = _ThreadingTcp((host, port), _VehicleHandler)
-        self._tcp.owner = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    @property
-    def port(self) -> int:
-        return self._tcp.server_address[1]
-
-    def start(self) -> "VehicleTcpServer":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "VehicleTcpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(_VehicleHandler, host, port)

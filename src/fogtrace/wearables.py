@@ -26,6 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .clock import SystemClock
+from .served import ServedThread
 
 KIND_MIBAND = "miband-m1s"
 KIND_POLAR = "polar-h7"
@@ -373,12 +374,7 @@ class _WearableHandler(socketserver.StreamRequestHandler):
             stream.close()
 
 
-class _ThreadingTcp(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class WearableServer:
+class WearableServer(ServedThread):
     """Line-protocol access to one device over loopback TCP.
 
     Commands: PAIR <id>, UNPAIR <id>, POLL, SUBSCRIBE, ERASE,
@@ -391,28 +387,8 @@ class WearableServer:
         self.device = device
         self.clock = clock if clock is not None else SystemClock()
         self.closing = threading.Event()
-        self._tcp = _ThreadingTcp((host, port), _WearableHandler)
-        self._tcp.owner = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def port(self) -> int:
-        return self._tcp.server_address[1]
-
-    def start(self) -> "WearableServer":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
-        self._thread.start()
-        return self
+        super().__init__(_WearableHandler, host, port)
 
     def stop(self) -> None:
         self.closing.set()
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def __enter__(self) -> "WearableServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().stop()

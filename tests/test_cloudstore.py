@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fogtrace.clock import SimulatedClock
 from fogtrace.cloudstore import (
+    BadRequestError,
     CloudClient,
     CloudStoreService,
     ForbiddenError,
@@ -279,6 +280,19 @@ class TestHttpSurface:
         receipt = uploader.upload_trace(MANIFEST, b"scoped")
         with pytest.raises(ForbiddenError):
             uploader.get_trace(receipt["trace_ref"])
+
+    @pytest.mark.parametrize("name", ["limit", "offset", "from", "to"])
+    def test_malformed_list_query_400(self, store_server, cloud_client, name):
+        response = requests.get(
+            f"{store_server.base_url}/api/v1/traces",
+            params={name: "abc"},
+            headers={"Authorization": f"Bearer {cloud_client._bearer()}"},
+            timeout=10,
+        )
+        assert response.status_code == 400
+        assert response.json() == {"error": "bad-request", "detail": f"{name} must be an integer, got 'abc'"}
+        with pytest.raises(BadRequestError):
+            cloud_client._request("GET", "/api/v1/traces", params={name: "abc"}, auth=True)
 
     def test_list_over_http(self, store_server, cloud_client):
         cloud_client.upload_trace(MANIFEST, b"listed blob")

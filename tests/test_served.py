@@ -1,0 +1,90 @@
+"""The shared lifecycle of the four loopback servers: start, serve, stop."""
+
+from __future__ import annotations
+
+import socket
+import threading
+import time
+
+import pytest
+import requests
+
+from fogtrace.cloudstore import CloudStoreHTTPServer, CloudStoreService
+from fogtrace.external_httpd import ContextStubServer
+from fogtrace.obd import PID_RPM
+from fogtrace.vehicle import LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
+from fogtrace.wearables import Polar, WearableServer
+
+
+def _vehicle(_tmp_path):
+    return VehicleTcpServer(VehicleSimulator(latency=LatencyModel.fixed(5.0), start_ms=time.time() * 1000.0))
+
+
+def _vehicle_request(server):
+    link = TcpObdLink(*server.address)
+    try:
+        assert link.request(PID_RPM).pid_id.pid == PID_RPM
+    finally:
+        link.close()
+
+
+def _wearable_request(server):
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(b"QUIT\n")
+        assert sock.makefile("rb").readline() == b"BYE\n"
+
+
+def _store_request(server):
+    assert requests.get(f"{server.base_url}/nope", timeout=10).status_code == 404
+
+
+def _stub_request(server):
+    response = requests.get(f"{server.base_url}/flow", params={"lat": 52.52, "lon": 13.40}, timeout=10)
+    assert response.status_code == 200
+
+
+SERVERS = {
+    "vehicle": (_vehicle, _vehicle_request),
+    "wearable": (lambda _tmp_path: WearableServer(Polar(seed=1)), _wearable_request),
+    "store": (lambda tmp_path: CloudStoreHTTPServer(CloudStoreService(tmp_path / "store")), _store_request),
+    "context-stub": (lambda _tmp_path: ContextStubServer(seed=4), _stub_request),
+}
+
+
+@pytest.fixture(params=sorted(SERVERS))
+def served(request, tmp_path):
+    make, one_request = SERVERS[request.param]
+    return lambda: make(tmp_path), one_request
+
+
+def test_exit_is_prompt_and_releases_the_port(served):
+    make, one_request = served
+    with make() as server:
+        one_request(server)
+        address = server.address
+        t0 = time.perf_counter()
+    assert time.perf_counter() - t0 < 0.2
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=1).close()
+
+
+def test_stop_before_start_returns(served):
+    make, _ = served
+    server = make()
+    # On a thread, so that a stop that blocks fails the test instead of hanging it.
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert not stopper.is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(server.address, timeout=1).close()
+
+
+def test_second_stop_is_a_no_op(served):
+    make, one_request = served
+    server = make().start()
+    one_request(server)
+    server.stop()
+    t0 = time.perf_counter()
+    server.stop()
+    assert time.perf_counter() - t0 < 0.2

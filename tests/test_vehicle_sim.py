@@ -5,7 +5,7 @@ import statistics
 import pytest
 
 from fogtrace.clock import SimulatedClock
-from fogtrace.obd import PID_RPM, PID_SPEED, NegativeResponseError, PidId, encode_request
+from fogtrace.obd import PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId, encode_request
 from fogtrace.vehicle import (
     AGGRESSIVE_PROFILE,
     CALM_PROFILE,
@@ -139,6 +139,16 @@ class TestHandleRequest:
         delay = clock.now_ms() - t0
         assert 50.0 <= delay <= 200.0
         assert resp.value == 60.0  # encoded to the byte grid at steady state
+
+    def test_measurement_reads_the_pid_channel(self):
+        sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
+        sim.advance_to(30_000.0)
+        state = sim.snapshot()
+        assert sim.measurement(PID_RPM) == state.rpm
+        assert sim.measurement(PID_SPEED) == state.speed_kmh
+        assert sim.measurement(PID_THROTTLE) == state.throttle_pct
+        with pytest.raises(KeyError):
+            sim.measurement(0x99)
 
     def test_unsupported_pid_negative_response(self):
         clock = SimulatedClock()
