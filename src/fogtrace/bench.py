@@ -100,9 +100,8 @@ def run_obd_bench(
     clock,
     duration_ms: float,
     window_ms: float = DEFAULT_WINDOW_MS,
-    pids: tuple[int, ...] = CORE_PIDS,
 ) -> BenchReport:
-    """Poll back to back until the deadline, one window count per reply."""
+    """Poll the core PIDs back to back until the deadline, one window count per reply."""
     reply_times: deque[float] = deque()
     window_counts: list[int] = []
     latencies: list[float] = []
@@ -113,7 +112,7 @@ def run_obd_bench(
     while clock.now_ms() < deadline:
         issued = clock.now_ms()
         try:
-            link.request(pids[index % len(pids)])
+            link.request(CORE_PIDS[index % len(CORE_PIDS)])
         except (ConnectionError, OSError):
             # Emit whatever was measured so far as a partial report.
             interrupted = True

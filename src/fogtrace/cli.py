@@ -47,14 +47,7 @@ from .external_httpd import ContextStubServer
 from .gateway import Gateway, Outbox, SessionRunner, flush_outbox
 from .gateway.envelope import open_envelope
 from .gateway.records import SessionManifest, csv_to_rows, sha256_hex, validate_rows
-from .vehicle import (
-    PROFILES,
-    InProcessObdLink,
-    LatencyModel,
-    TcpObdLink,
-    VehicleSimulator,
-    VehicleTcpServer,
-)
+from .vehicle import PROFILES, InProcessObdLink, TcpObdLink, VehicleSimulator, VehicleTcpServer
 from .wearables import MiBand, PhysioModel, Polar, Spire
 
 DEFAULT_CLIENT_ID = "gateway"
@@ -96,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--driver", default="driver-1")
     run.add_argument("--vehicle", default="vehicle-1")
     run.add_argument("--duration", type=float, default=300.0, help="trip length in seconds")
-    run.add_argument("--profile", choices=sorted(PROFILES), default="calm")
+    run.add_argument("--profile", choices=sorted(PROFILES), help="drive profile (default: calm)")
     run.add_argument("--clock", choices=("sim", "real"), default="sim")
     run.add_argument("--out", default="fogtrace-out", help="artifact directory")
     run.add_argument("--outbox-dir", default=None)
@@ -109,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench-obd", help="OBD throughput/latency benchmark")
     bench.add_argument("--duration", type=float, default=300.0, help="benchmark length in seconds")
-    bench.add_argument("--latency", default="50,80,200", help="min,mode,max reply delay (ms)")
+    bench.add_argument("--latency", help="min,mode,max reply delay in ms (default: 50,80,200)")
     bench.add_argument("--fixed-ms", type=float, default=None, help="constant reply delay (ms)")
     bench.add_argument("--window-s", type=float, default=60.0)
     bench.add_argument("--clock", choices=("sim", "real"), default="sim")
@@ -170,15 +163,28 @@ def entrypoint() -> None:  # console script
 
 
 def _load_config(args) -> Config:
-    if args.config:
-        return Config.load(args.config)
-    return Config()
+    """The ``--config`` file, if any, under the flags that override its keys."""
+    cfg = Config.load(args.config) if args.config else Config()
+    return cfg.merged(_flag_overrides(args))
 
 
-def _seed(args, cfg: Config) -> int:
+def _flag_overrides(args) -> dict[str, object]:
+    """``--seed``, ``--profile``, ``--latency`` and ``--fixed-ms`` as config keys."""
+    overrides: dict[str, object] = {}
     if args.seed is not None:
-        return args.seed
-    return cfg.get_int("seed", 42)
+        overrides["seed"] = args.seed
+    if getattr(args, "profile", None) is not None:
+        overrides["vehicle.profile"] = args.profile
+    latency = getattr(args, "latency", None)
+    if getattr(args, "fixed_ms", None) is not None:
+        latency = ",".join([str(args.fixed_ms)] * 3)
+    if latency is not None:
+        bounds = latency.split(",")
+        if len(bounds) != 3:
+            raise ValueError(f"--latency expects min,mode,max, got {latency!r}")
+        for name, value in zip(("min_ms", "mode_ms", "max_ms"), bounds):
+            overrides[f"vehicle.latency.{name}"] = value
+    return overrides
 
 
 def _make_clock(kind: str):
@@ -250,21 +256,11 @@ def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack, out_dir: Path)
 def cmd_run(args) -> int:
     with _stage("setup"):
         cfg = _load_config(args)
-        seed = _seed(args, cfg)
+        seed = cfg.seed
         clock = _make_clock(args.clock)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        profile = PROFILES[args.profile]
-        latency = LatencyModel(
-            min_ms=cfg.get_float("vehicle.latency.min_ms", 50.0),
-            mode_ms=cfg.get_float("vehicle.latency.mode_ms", 80.0),
-            max_ms=cfg.get_float("vehicle.latency.max_ms", 200.0),
-            seed=seed,
-        )
-        simulator = VehicleSimulator(
-            profile=profile, latency=latency, seed=seed, start_ms=clock.now_ms()
-        )
+        simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
 
         key = _resolve_key(args, cfg, out_dir, generate=not args.no_upload)
         gateway = Gateway(
@@ -374,18 +370,8 @@ def cmd_run(args) -> int:
 
 def cmd_bench_obd(args) -> int:
     with _stage("setup"):
-        cfg = _load_config(args)
-        seed = _seed(args, cfg)
         clock = _make_clock(args.clock)
-        if args.fixed_ms is not None:
-            latency = LatencyModel.fixed(args.fixed_ms, seed=seed)
-        else:
-            try:
-                lo, mode, hi = (float(x) for x in args.latency.split(","))
-            except ValueError as exc:
-                raise ValueError(f"--latency expects min,mode,max, got {args.latency!r}") from exc
-            latency = LatencyModel(min_ms=lo, mode_ms=mode, max_ms=hi, seed=seed)
-        simulator = VehicleSimulator(latency=latency, seed=seed, start_ms=clock.now_ms())
+        simulator = VehicleSimulator.from_config(_load_config(args), start_ms=clock.now_ms())
 
     with contextlib.ExitStack() as stack:
         with _stage("setup"):

@@ -108,22 +108,25 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(blob)
 
     def _handle_list(self, query: dict[str, list[str]]):
-        def _int_param(name):
+        def _int_param(name, default=None, minimum=None):
             values = query.get(name)
             if not values:
-                return None
+                return default
             try:
-                return int(values[0])
+                value = int(values[0])
             except ValueError:
                 raise BadRequestError(f"{name} must be an integer, got {values[0]!r}") from None
+            if minimum is not None and value < minimum:
+                raise BadRequestError(f"{name} must be at least {minimum}, got {value}")
+            return value
 
         listed = self.service.list_traces(
             self._bearer(),
             driver_id=query.get("driver_id", [None])[0],
             from_ms=_int_param("from"),
             to_ms=_int_param("to"),
-            limit=_int_param("limit") or 50,
-            offset=_int_param("offset") or 0,
+            limit=_int_param("limit", 50, minimum=1),
+            offset=_int_param("offset", 0, minimum=0),
         )
         self._send_json(200, [m.to_dict() for m in listed])
 

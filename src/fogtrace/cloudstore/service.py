@@ -151,6 +151,10 @@ class CloudStoreService:
     ):
         self.root = Path(root)
         self.clients = dict(clients or {})
+        for account in self.clients.values():
+            bad = account.scopes - VALID_SCOPES
+            if bad:
+                raise ValueError(f"client {account.client_id!r} has unknown scopes {sorted(bad)}")
         self.clock = clock if clock is not None else SystemClock()
         self.token_ttl_s = token_ttl_s
         self._tokens: dict[str, AuthToken] = {}
@@ -173,12 +177,6 @@ class CloudStoreService:
             conn.close()
 
     # -- authentication ----------------------------------------------------
-
-    def register_client(self, account: ClientAccount) -> None:
-        bad = account.scopes - VALID_SCOPES
-        if bad:
-            raise ValueError(f"unknown scopes {sorted(bad)}")
-        self.clients[account.client_id] = account
 
     def issue_token(self, client_id: str, client_secret: str, ttl_s: int | None = None) -> AuthToken:
         account = self.clients.get(client_id)

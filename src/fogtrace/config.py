@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+DEFAULT_SEED = 42
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 
@@ -43,6 +45,11 @@ class Config:
 
     def as_dict(self) -> dict[str, str]:
         return dict(self._values)
+
+    @property
+    def seed(self) -> int:
+        """The master seed for every generator."""
+        return self.get_int("seed", DEFAULT_SEED)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._values.get(key, default)

@@ -38,11 +38,9 @@ def obd_poll_loop(
     clock,
     source: str,
     duration_ms: float | None = None,
-    pids: tuple[int, ...] = CORE_PIDS,
     on_cycle: Callable[[float], None] | None = None,
-    stop: Callable[[], bool] | None = None,
 ) -> PollStats:
-    """Poll until the deadline, the stop callback, or the session closes.
+    """Poll the core PIDs until the deadline or the session closes.
 
     ``link_factory`` is called for the initial connection and after every
     loss; ``on_cycle`` (if given) runs after each reply so a caller can
@@ -55,11 +53,7 @@ def obd_poll_loop(
     index = 0
 
     def done() -> bool:
-        if session.closed:
-            return True
-        if deadline is not None and clock.now_ms() >= deadline:
-            return True
-        return bool(stop and stop())
+        return session.closed or (deadline is not None and clock.now_ms() >= deadline)
 
     while not done():
         if link is None:
@@ -80,7 +74,7 @@ def obd_poll_loop(
                     )
                 )
         try:
-            response = link.request(pids[index % len(pids)])
+            response = link.request(CORE_PIDS[index % len(CORE_PIDS)])
         except NegativeResponseError:
             stats.negatives += 1
             index += 1

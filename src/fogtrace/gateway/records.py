@@ -59,9 +59,6 @@ NUMERIC_CHANNELS = frozenset(
     }
 )
 
-# Channels whose values carry the device's own measurement timestamp.
-PHYSIO_CHANNELS = frozenset({"bpm", "rr_ms", "breaths_per_min", "resp_state"})
-
 SCHEMA_VERSION = "1"
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..external import ExternalError, TrafficClient, WeatherClient
-from ..obd import CORE_PIDS
 from ..wearables import MiBand, PhysioModel, WearableDevice
 from .alerts import AlertEvent
 from .obd_poller import PollStats, obd_poll_loop
@@ -28,11 +27,9 @@ from .uploader import Outbox, UploadReceipt, finalize_and_upload
 
 log = logging.getLogger(__name__)
 
-DEFAULT_GPS_PERIOD_MS = 1000.0
 # Poll well inside the device's 10 s refresh window; the device throttles
 # and the runner drops cached repeats, so one fresh value lands per window.
 DEFAULT_MIBAND_POLL_MS = 1000.0
-DEFAULT_CONTEXT_PERIOD_MS = 30_000.0
 
 
 @dataclass
@@ -63,7 +60,6 @@ class SessionRunner:
         traffic: TrafficClient | None = None,
         weather: WeatherClient | None = None,
         cloud_client=None,
-        obd_pids: tuple[int, ...] = CORE_PIDS,
     ):
         self.gateway = gateway
         self.clock = clock
@@ -74,11 +70,7 @@ class SessionRunner:
         self.traffic = traffic
         self.weather = weather
         self.cloud_client = cloud_client
-        self.obd_pids = obd_pids
-        cfg = gateway.config
-        self.gps_period_ms = cfg.get_float("gateway.gps_period_ms", DEFAULT_GPS_PERIOD_MS)
-        self.miband_poll_ms = cfg.get_float("gateway.miband_poll_ms", DEFAULT_MIBAND_POLL_MS)
-        self.context_period_ms = cfg.get_float("external.period_ms", DEFAULT_CONTEXT_PERIOD_MS)
+        self.miband_poll_ms = gateway.config.get_float("gateway.miband_poll_ms", DEFAULT_MIBAND_POLL_MS)
 
     def run(self, driver_id: str, vehicle_id: str, duration_s: float, upload: bool = True) -> RunResult:
         for device in self.wearables:
@@ -102,7 +94,6 @@ class SessionRunner:
                     self.clock,
                     source=obd_source,
                     duration_ms=duration_s * 1000.0,
-                    pids=self.obd_pids,
                     on_cycle=state.service,
                 )
             else:
@@ -182,8 +173,8 @@ class _ProducerState:
                 self.streams.append(device.subscribe(start_ms))
         self.gps_active = gps_source is not None and runner.simulator is not None
         self.context_active = runner.traffic is not None or runner.weather is not None
-        self.gps_due = start_ms + runner.gps_period_ms
-        self.context_due = start_ms + runner.context_period_ms
+        self.gps_due = start_ms + runner.gateway.gps_period_ms
+        self.context_due = start_ms + runner.gateway.context_period_ms
         self.context_rounds = 0
         self.context_failures = 0
         self._phys_t = start_ms
@@ -213,10 +204,10 @@ class _ProducerState:
             while self.gps_due <= now:
                 state = sim.snapshot()
                 self.session.ingest(GpsFix(state.lat, state.lon, now), source=self.gps_source)
-                self.gps_due += self.runner.gps_period_ms
+                self.gps_due += self.runner.gateway.gps_period_ms
         if self.context_active and now >= self.context_due:
             self._poll_context(now)
-            self.context_due += self.runner.context_period_ms
+            self.context_due += self.runner.gateway.context_period_ms
 
     def _update_physio(self, now: float) -> None:
         if self.runner.physio is None:

@@ -21,7 +21,7 @@ from ..clock import SystemClock
 from ..config import Config
 from ..external import FlowSegment, WeatherObservation
 from ..obd import PID_TABLE, ObdResponse
-from ..wearables import HeartSample, RespirationSample
+from ..wearables import HeartSample, MiBand, Polar, RespirationSample, Spire
 from .alerts import AlertEngine, AlertEvent, AlertRule, default_rules
 from .gapfill import fill_session_gaps
 from .records import (
@@ -44,6 +44,9 @@ KIND_GPS = "gps"
 SERVICE_TRAFFIC = "traffic"
 SERVICE_WEATHER = "weather"
 SERVICE_ALERTS = "alerts"
+
+DEFAULT_GPS_PERIOD_MS = 1000.0
+DEFAULT_CONTEXT_PERIOD_MS = 30_000.0
 
 
 class GatewayError(Exception):
@@ -100,22 +103,6 @@ class LocalSource:
 
     def erase(self) -> int:
         return 0
-
-
-# Nominal sample periods per device kind, used for gap filling. The OBD
-# channels are intentionally absent: at ~9 rows/s a real void is always far
-# beyond the fill window, so interpolation would only ever add noise.
-_KIND_PERIODS_MS: dict[str, dict[str, float]] = {
-    "polar-h7": {"bpm": 2000.0},
-    "spire": {"breaths_per_min": 5000.0},
-    "miband-m1s": {"bpm": 10_000.0},
-    KIND_GPS: {"lat": 1000.0, "lon": 1000.0},
-}
-
-_SERVICE_PERIODS_MS: dict[str, dict[str, float]] = {
-    SERVICE_TRAFFIC: {"traffic_current_speed": 30_000.0, "traffic_free_flow_speed": 30_000.0},
-    SERVICE_WEATHER: {"weather_temp_c": 30_000.0},
-}
 
 
 class Gateway:
@@ -201,11 +188,37 @@ class Gateway:
         log.info("erase scope=%s result=%s", scope, erased)
         return erased
 
+    @property
+    def gps_period_ms(self) -> float:
+        """Period of the GPS fixes, read when used so schedule and gap fill agree."""
+        return self.config.get_float("gateway.gps_period_ms", DEFAULT_GPS_PERIOD_MS)
+
+    @property
+    def context_period_ms(self) -> float:
+        """Period of the traffic and weather polls, read like ``gps_period_ms``."""
+        return self.config.get_float("external.period_ms", DEFAULT_CONTEXT_PERIOD_MS)
+
     def _gap_period_for(self, source: str, channel: str) -> float | None:
+        """Nominal period of one stream, keyed by device kind or service.
+
+        OBD channels are absent: at ~9 rows/s a real void is always far
+        beyond the fill window, so interpolation would only add noise.
+        Polar ``rr_ms`` is absent too: a push carries 1-4 intervals.
+        """
         pairing = self.pairings.get(source)
-        if pairing is not None:
-            return _KIND_PERIODS_MS.get(pairing.kind, {}).get(channel)
-        return _SERVICE_PERIODS_MS.get(source, {}).get(channel)
+        kind = pairing.kind if pairing is not None else source
+        gps, context = self.gps_period_ms, self.context_period_ms
+        periods = {
+            (Polar.kind, "bpm"): Polar.period_ms,
+            (Spire.kind, "breaths_per_min"): Spire.period_ms,
+            (MiBand.kind, "bpm"): MiBand.min_interval_ms,
+            (KIND_GPS, "lat"): gps,
+            (KIND_GPS, "lon"): gps,
+            (SERVICE_TRAFFIC, "traffic_current_speed"): context,
+            (SERVICE_TRAFFIC, "traffic_free_flow_speed"): context,
+            (SERVICE_WEATHER, "weather_temp_c"): context,
+        }
+        return periods.get((kind, channel))
 
 
 class Session:

@@ -3,8 +3,8 @@
 The envelope is written to the outbox before the first upload attempt, so
 a crash or an unreachable store never loses a trace: the next run (or an
 explicit flush) retries whatever is pending. Uploads are verified against
-the receipt (the store's reference must equal the envelope's sha256) and
-only then removed from the outbox.
+the receipt (the store's reference must equal the envelope's sha256 and its
+size the envelope's length) and only then removed from the outbox.
 """
 
 from __future__ import annotations
@@ -99,11 +99,7 @@ def finalize_and_upload(
     envelope = seal(csv_bytes, manifest_json, key)
     ref = outbox.put(envelope, manifest_json)
     receipt = _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms)
-    if receipt.trace_ref != ref or receipt.size_bytes != len(envelope):
-        raise UploadRejectedError(
-            f"receipt mismatch: stored {receipt.trace_ref} ({receipt.size_bytes} B), "
-            f"sent {ref} ({len(envelope)} B)"
-        )
+    _check_receipt(receipt, ref, envelope)
     outbox.remove(ref)
     return receipt
 
@@ -122,16 +118,23 @@ def flush_outbox(
         envelope, manifest_json = outbox.load(ref)
         try:
             receipt = _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms)
-        except CloudUnreachableError as exc:
+            _check_receipt(receipt, ref, envelope)
+        except (CloudUnreachableError, UploadRejectedError) as exc:
             log.warning("outbox flush: %s still pending (%s)", ref[:12], exc)
             remaining.append(ref)
             continue
-        if receipt.trace_ref == ref:
-            outbox.remove(ref)
-            receipts.append(receipt)
-        else:
-            remaining.append(ref)
+        outbox.remove(ref)
+        receipts.append(receipt)
     return receipts, remaining
+
+
+def _check_receipt(receipt: UploadReceipt, ref: str, envelope: bytes) -> None:
+    """Raise unless the store reports exactly the bytes that were sent."""
+    if receipt.trace_ref != ref or receipt.size_bytes != len(envelope):
+        raise UploadRejectedError(
+            f"receipt mismatch: stored {receipt.trace_ref} ({receipt.size_bytes} B), "
+            f"sent {ref} ({len(envelope)} B)"
+        )
 
 
 def _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms) -> UploadReceipt:

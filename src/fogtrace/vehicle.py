@@ -26,7 +26,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from .clock import SystemClock
-from .config import Config
+from .config import Config, ConfigError
 from .obd import (
     CORE_PIDS,
     NRC_SERVICE_NOT_SUPPORTED,
@@ -263,13 +263,11 @@ class VehicleSimulator:
         tick_ms: float = DEFAULT_TICK_MS,
         start_ms: float = 0.0,
         throttle_params: ThrottleParams | None = None,
-        supported_pids: tuple[int, ...] = CORE_PIDS,
     ):
         self.profile = profile
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.tick_ms = float(tick_ms)
         self.throttle_params = throttle_params or ThrottleParams()
-        self.supported_pids = tuple(supported_pids)
         route = _route_for(profile)
         lat, lon = route.point_at(0.0)
         self._state = VehicleState(lat=lat, lon=lon, sim_time_ms=float(start_ms))
@@ -277,21 +275,23 @@ class VehicleSimulator:
 
     @classmethod
     def from_config(cls, config: Config, start_ms: float = 0.0) -> "VehicleSimulator":
-        profile = PROFILES[config.get_str("vehicle.profile", "calm")]
+        """The simulator ``config`` describes; absent keys take the class defaults."""
         latency = LatencyModel(
-            min_ms=config.get_float("vehicle.latency.min_ms", 50.0),
-            mode_ms=config.get_float("vehicle.latency.mode_ms", 80.0),
-            max_ms=config.get_float("vehicle.latency.max_ms", 200.0),
-            seed=config.get_int("seed", 0),
+            min_ms=config.get_float("vehicle.latency.min_ms", LatencyModel.min_ms),
+            mode_ms=config.get_float("vehicle.latency.mode_ms", LatencyModel.mode_ms),
+            max_ms=config.get_float("vehicle.latency.max_ms", LatencyModel.max_ms),
+            seed=config.seed,
         )
         params = ThrottleParams(
-            k_accel=config.get_float("vehicle.throttle.k_accel", 25.0),
-            k_drag=config.get_float("vehicle.throttle.k_drag", 0.5),
+            k_accel=config.get_float("vehicle.throttle.k_accel", ThrottleParams.k_accel),
+            k_drag=config.get_float("vehicle.throttle.k_drag", ThrottleParams.k_drag),
         )
+        name = config.get_str("vehicle.profile", CALM_PROFILE.name)
+        if name not in PROFILES:
+            raise ConfigError(f"vehicle.profile: unknown profile {name!r}")
         return cls(
-            profile=profile,
+            profile=PROFILES[name],
             latency=latency,
-            seed=config.get_int("seed", 0),
             tick_ms=config.get_float("vehicle.tick_ms", DEFAULT_TICK_MS),
             start_ms=start_ms,
             throttle_params=params,
@@ -324,7 +324,7 @@ class VehicleSimulator:
             return render_negative_response(mode, NRC_SERVICE_NOT_SUPPORTED)
         except MalformedFrameError:
             return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
-        if pid_id.pid not in self.supported_pids:
+        if pid_id.pid not in CORE_PIDS:
             return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
         data = encode_measurement(pid_id.pid, self.measurement(pid_id.pid))
         return render_response(pid_id, data)

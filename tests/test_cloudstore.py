@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fogtrace.clock import SimulatedClock
 from fogtrace.cloudstore import (
     BadRequestError,
+    ClientAccount,
     CloudClient,
     CloudStoreService,
     ForbiddenError,
@@ -80,6 +81,11 @@ class TestTokens:
         with pytest.raises(ForbiddenError):
             service.upload_trace(read_only, MANIFEST, b"blob")
         service.get_trace(read_only, receipt["trace_ref"])
+
+    def test_unknown_scope_rejected_at_construction(self, tmp_path, accounts):
+        typo = ClientAccount("gw2", "s", frozenset({"uplaod", "read"}))
+        with pytest.raises(ValueError, match="uplaod"):
+            CloudStoreService(tmp_path / "store", clients={**accounts, "gw2": typo})
 
 
 class TestUpload:
@@ -281,18 +287,26 @@ class TestHttpSurface:
         with pytest.raises(ForbiddenError):
             uploader.get_trace(receipt["trace_ref"])
 
-    @pytest.mark.parametrize("name", ["limit", "offset", "from", "to"])
-    def test_malformed_list_query_400(self, store_server, cloud_client, name):
+    @pytest.mark.parametrize(
+        "name,value,detail",
+        [pytest.param(n, "abc", f"{n} must be an integer, got 'abc'", id=n) for n in ("limit", "offset", "from", "to")]
+        + [
+            pytest.param("limit", "0", "limit must be at least 1, got 0", id="limit=0"),
+            pytest.param("limit", "-1", "limit must be at least 1, got -1", id="limit=-1"),
+            pytest.param("offset", "-5", "offset must be at least 0, got -5", id="offset=-5"),
+        ],
+    )
+    def test_malformed_list_query_400(self, store_server, cloud_client, name, value, detail):
         response = requests.get(
             f"{store_server.base_url}/api/v1/traces",
-            params={name: "abc"},
+            params={name: value},
             headers={"Authorization": f"Bearer {cloud_client._bearer()}"},
             timeout=10,
         )
         assert response.status_code == 400
-        assert response.json() == {"error": "bad-request", "detail": f"{name} must be an integer, got 'abc'"}
+        assert response.json() == {"error": "bad-request", "detail": detail}
         with pytest.raises(BadRequestError):
-            cloud_client._request("GET", "/api/v1/traces", params={name: "abc"}, auth=True)
+            cloud_client._request("GET", "/api/v1/traces", params={name: value}, auth=True)
 
     def test_list_over_http(self, store_server, cloud_client):
         cloud_client.upload_trace(MANIFEST, b"listed blob")

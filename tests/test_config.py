@@ -98,3 +98,61 @@ class TestConfigDrivenCli:
         assert code == 0
         summary = json.loads(captured.out)
         assert summary["alerts"] >= 1
+
+
+def _cli_json(capsys, tmp_path, config: str | None, *argv: str) -> tuple[int, dict | None, str]:
+    from fogtrace.cli import main
+
+    prefix = []
+    if config is not None:
+        conf = tmp_path / "fogtrace.conf"
+        conf.write_text(config)
+        prefix = ["--config", str(conf)]
+    code = main([*prefix, "--json", *argv])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out) if code == 0 else None, captured.err
+
+
+class TestFlagsOverrideConfig:
+    """Flag beats config beats default, for ``run`` and ``bench-obd`` alike."""
+
+    def _run_sha(self, capsys, tmp_path, config: str | None, *flags: str) -> str:
+        code, summary, _ = _cli_json(
+            capsys, tmp_path, config, "run", "--duration", "60", "--no-upload", "--out", str(tmp_path / "out"), *flags
+        )
+        assert code == 0
+        return summary["csv_sha256"]
+
+    def test_run_builds_the_vehicle_from_config(self, capsys, tmp_path):
+        default = self._run_sha(capsys, tmp_path, None)
+        aggressive = self._run_sha(capsys, tmp_path, None, "--profile", "aggressive")
+        assert aggressive != default
+        assert self._run_sha(capsys, tmp_path, "vehicle.profile = aggressive\n") == aggressive
+        assert self._run_sha(capsys, tmp_path, "vehicle.profile = aggressive\n", "--profile", "calm") == default
+        assert self._run_sha(capsys, tmp_path, "vehicle.tick_ms = 50\n") != default
+
+    def test_bench_reads_latency_from_config(self, capsys, tmp_path):
+        fixed = "vehicle.latency.min_ms = 100\nvehicle.latency.mode_ms = 100\nvehicle.latency.max_ms = 100\n"
+        _, report, _ = _cli_json(capsys, tmp_path, fixed, "bench-obd", "--duration", "90")
+        assert report["latency"]["min_ms"] == report["latency"]["max_ms"] == 100.0
+        _, flagged, _ = _cli_json(capsys, tmp_path, fixed, "bench-obd", "--duration", "90", "--latency", "50,80,200")
+        _, default, _ = _cli_json(capsys, tmp_path, None, "bench-obd", "--duration", "90")
+        assert flagged == default
+
+    def test_unknown_profile_in_config_fails_setup(self, capsys, tmp_path):
+        code, _, stderr = _cli_json(capsys, tmp_path, "vehicle.profile = sporty\n", "run", "--no-upload", "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "stage 'setup'" in stderr and "sporty" in stderr
+
+
+class TestStoreAccountsFromConfig:
+    def test_unknown_scope_fails_setup(self, capsys, tmp_path):
+        config = (
+            "cloud.client_id = gw\ncloud.client_secret = s\n"
+            "cloud.client.gw.secret = s\ncloud.client.gw.scopes = uplaod,read\n"
+        )
+        code, _, stderr = _cli_json(
+            capsys, tmp_path, config, "--self-contained", "run", "--duration", "5", "--out", str(tmp_path / "out")
+        )
+        assert code == 1
+        assert "stage 'setup'" in stderr and "uplaod" in stderr

@@ -130,16 +130,17 @@ class TestStopConditions:
         session = gateway.start_session("d", "v")
         seen = []
 
-        def stop():
-            return len(seen) >= 5
+        def on_cycle(now):
+            seen.append(now)
+            if len(seen) == 5:
+                gateway.end_session()
 
         stats = obd_poll_loop(
             make_link_factory(sim_clock, LatencyModel.fixed(100.0)),
             session,
             sim_clock,
             source="obd-1",
-            on_cycle=lambda now: seen.append(now),
-            stop=stop,
+            on_cycle=on_cycle,
         )
         assert stats.rows == 5
 

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from fogtrace.clock import SimulatedClock
+from fogtrace.config import Config
 from fogtrace.external import (
     LocalWeatherProvider,
     RateLimiter,
@@ -157,6 +158,23 @@ class TestContextPolling:
         assert counts["traffic_current_speed"] == result.context_rounds
         assert counts["weather_temp_c"] == result.context_rounds
         assert result.context_failures == 0
+
+
+class TestConfiguredCadences:
+    @pytest.mark.parametrize(
+        "key,period_ms,duration_s,sources",
+        [
+            ("gateway.gps_period_ms", 2000, 120.0, ("gps-1",)),
+            ("external.period_ms", 60_000, 600.0, ("traffic", "weather")),
+        ],
+    )
+    def test_gap_fill_uses_the_scheduled_period(self, pipeline_factory, key, period_ms, duration_s, sources):
+        runner = pipeline_factory(config=Config({key: str(period_ms)}))
+        rows = csv_to_rows(runner.run("d", "v", duration_s, upload=False).csv_bytes)
+        for source in sources:
+            real = Counter(r.channel for r in rows if r.source == source and not r.interpolated)
+            assert set(real.values()) <= {duration_s * 1000 // period_ms, duration_s * 1000 // period_ms - 1}
+        assert [r for r in rows if r.source in sources and r.interpolated] == []
 
 
 class TestQuotaComposition:

@@ -107,6 +107,19 @@ class TestFlushOutbox:
         assert len(remaining) == 1
         assert len(outbox.pending()) == 1
 
+    def test_flush_with_wrong_receipt_size_keeps_pending(self, sim_clock, key, tmp_path):
+        class ShortClient:
+            def upload_trace(self, manifest_json, blob):
+                ref = hashlib.sha256(blob).hexdigest()
+                return {"trace_ref": ref, "size_bytes": len(blob) - 1, "sha256": ref}
+
+        outbox = Outbox(tmp_path / "outbox")
+        ref = outbox.put(seal(CSV, b"{}", key), b"{}")
+        receipts, remaining = flush_outbox(outbox, ShortClient(), sim_clock)
+        assert receipts == []
+        assert remaining == [ref]
+        assert outbox.pending() == [ref]
+
 
 class TestTamperDetection:
     def test_tampered_stored_blob_fails_authentication(self, sim_clock, key, tmp_path, cloud_client, store_service):
