@@ -259,7 +259,6 @@ def cmd_run(args) -> int:
         seed = cfg.seed
         clock = _make_clock(args.clock)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
 
         key = _resolve_key(args, cfg, out_dir, generate=not args.no_upload)
@@ -332,6 +331,7 @@ def cmd_run(args) -> int:
                 result.receipt = runner.upload(result.csv_bytes, result.manifest, result.trace_path)
 
     with _stage("write-artifacts"):
+        out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_bytes(result.manifest.to_json())
         if result.receipt is not None:
             (out_dir / "receipt.json").write_text(

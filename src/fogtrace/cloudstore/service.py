@@ -183,13 +183,16 @@ class CloudStoreService:
         if account is None or not hmac.compare_digest(account.client_secret, client_secret):
             raise InvalidCredentialsError("unknown client or wrong secret")
         ttl = self.token_ttl_s if ttl_s is None else ttl_s
+        now = self.clock.now_ms()
         token = AuthToken(
             token=secrets.token_urlsafe(32),
             client_id=client_id,
             scopes=account.scopes,
-            expires_at_ms=self.clock.now_ms() + ttl * 1000.0,
+            expires_at_ms=now + ttl * 1000.0,
         )
         with self._token_lock:
+            # Expired tokens go here, so the table holds only live ones.
+            self._tokens = {k: t for k, t in self._tokens.items() if now < t.expires_at_ms}
             self._tokens[token.token] = token
         return token
 

@@ -54,14 +54,17 @@ class AlertEngine:
     def __init__(self, rules: list[AlertRule] | None = None):
         self.rules = list(rules) if rules is not None else default_rules()
         self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in self.rules}
+        self._watched = frozenset(r.channel for r in self.rules)
 
     def reset(self) -> None:
         self._episodes = {r.name: _EpisodeState() for r in self.rules}
 
     def observe(self, row: TraceRow) -> list[AlertEvent]:
         events = []
+        if row.channel not in self._watched or row.interpolated:
+            return events
         for rule in self.rules:
-            if rule.channel != row.channel or row.interpolated:
+            if rule.channel != row.channel:
                 continue
             value: object
             if rule.numeric:

@@ -20,7 +20,8 @@ import hashlib
 import io
 import json
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 CSV_HEADER = ("timestamp_ms", "source", "channel", "value", "unit", "interpolated")
 
@@ -64,11 +65,13 @@ SCHEMA_VERSION = "1"
 
 def fmt_scalar(value: float | int) -> str:
     """Deterministic numeric rendering: integers bare, floats to 6 decimals."""
-    if isinstance(value, bool):
-        raise TypeError("booleans are not trace scalars")
-    if isinstance(value, int):
-        return str(value)
-    f = float(value)
+    f = value
+    if type(f) is not float:
+        if isinstance(value, bool):
+            raise TypeError("booleans are not trace scalars")
+        if isinstance(value, int):
+            return str(value)
+        f = float(value)
     if f == int(f) and abs(f) < 1e15:
         return str(int(f))
     return f"{f:.6f}".rstrip("0").rstrip(".")
@@ -103,7 +106,7 @@ def device_ts_of(value: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceRow:
     timestamp_ms: int
     source: str
@@ -112,25 +115,38 @@ class TraceRow:
     unit: str
     interpolated: int = 0
 
-    def __post_init__(self):
-        if self.channel not in CHANNELS:
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.interpolated not in (0, 1):
+    # Written out because a session builds one per sample: the generated
+    # frozen __init__ goes through object.__setattr__ once per field, while
+    # the slot setters below store each field directly.
+    def __init__(
+        self, timestamp_ms: int, source: str, channel: str, value: str, unit: str, interpolated: int = 0
+    ):
+        if channel not in CHANNELS:
+            raise ValueError(f"unknown channel {channel!r}")
+        if interpolated not in (0, 1):
             raise ValueError("interpolated flag must be 0 or 1")
+        _set_timestamp_ms(self, timestamp_ms)
+        _set_source(self, source)
+        _set_channel(self, channel)
+        _set_value(self, value)
+        _set_unit(self, unit)
+        _set_interpolated(self, interpolated)
+
+
+_set_timestamp_ms, _set_source, _set_channel, _set_value, _set_unit, _set_interpolated = (
+    vars(TraceRow)[field.name].__set__ for field in fields(TraceRow)
+)
 
 
 def sort_rows(rows: list[TraceRow]) -> list[TraceRow]:
-    return sorted(rows, key=lambda r: (r.timestamp_ms, r.source, r.channel))
+    return sorted(rows, key=attrgetter("timestamp_ms", "source", "channel"))
 
 
 def rows_to_csv(rows: list[TraceRow]) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(
-            (row.timestamp_ms, row.source, row.channel, row.value, row.unit, row.interpolated)
-        )
+    writer.writerows(map(attrgetter(*CSV_HEADER), rows))
     return out.getvalue().encode("utf-8")
 
 
@@ -146,16 +162,7 @@ def csv_to_rows(data: bytes) -> list[TraceRow]:
     for fields in reader:
         if len(fields) != 6:
             raise ValueError(f"trace row must have 6 fields, got {fields!r}")
-        rows.append(
-            TraceRow(
-                timestamp_ms=int(fields[0]),
-                source=fields[1],
-                channel=fields[2],
-                value=fields[3],
-                unit=fields[4],
-                interpolated=int(fields[5]),
-            )
-        )
+        rows.append(TraceRow(int(fields[0]), fields[1], fields[2], fields[3], fields[4], int(fields[5])))
     return rows
 
 

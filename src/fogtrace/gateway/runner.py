@@ -178,18 +178,13 @@ class _ProducerState:
         self.context_rounds = 0
         self.context_failures = 0
         self._phys_t = start_ms
-        self._phys_speed = self._current_speed()
-
-    def _current_speed(self) -> float:
-        if self.runner.simulator is None:
-            return 0.0
-        return self.runner.simulator.snapshot().speed_kmh
+        self._phys_speed = runner.simulator.snapshot().speed_kmh if runner.simulator is not None else 0.0
 
     def service(self, now: float) -> None:
         sim = self.runner.simulator
-        if sim is not None:
-            sim.advance_to(now)
-        self._update_physio(now)
+        speed = sim.advance_to(now).speed_kmh if sim is not None else 0.0
+        if self.runner.physio is not None:
+            self._update_physio(now, speed)
         for stream in self.streams:
             while stream.next_due_ms <= now:
                 self.session.ingest(stream.take(now))
@@ -209,13 +204,10 @@ class _ProducerState:
             self._poll_context(now)
             self.context_due += self.runner.gateway.context_period_ms
 
-    def _update_physio(self, now: float) -> None:
-        if self.runner.physio is None:
-            return
+    def _update_physio(self, now: float, speed: float) -> None:
         dt = now - self._phys_t
         if dt <= 0:
             return
-        speed = self._current_speed()
         accel = (speed - self._phys_speed) / 3.6 / (dt / 1000.0)
         self.runner.physio.update(accel, dt)
         self._phys_t = now

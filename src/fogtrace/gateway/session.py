@@ -255,35 +255,27 @@ class Session:
             if self._closed:
                 self.dropped += 1
                 return []
-            resolved = self._resolve_source(sample, source)
-            rows = _fan_out(sample, resolved, arrival)
+            source_of, fan_out = _INGEST_RULES.get(type(sample)) or _inherited_rules(type(sample))
+            resolved = self._check_source(source_of(sample, source), sample)
             appended = []
-            for row in rows:
-                self._rows.append(row)
+            for row in fan_out(sample, resolved, arrival):
                 appended.append(row)
                 for event in self._engine.observe(row):
                     self.alerts.append(event)
-                    alert_row = TraceRow(
-                        timestamp_ms=event.at,
-                        source=SERVICE_ALERTS,
-                        channel="alert",
-                        value=event.rule,
-                        unit="",
-                        interpolated=0,
+                    appended.append(
+                        TraceRow(
+                            timestamp_ms=event.at,
+                            source=SERVICE_ALERTS,
+                            channel="alert",
+                            value=event.rule,
+                            unit="",
+                            interpolated=0,
+                        )
                     )
-                    self._rows.append(alert_row)
-                    appended.append(alert_row)
+            self._rows.extend(appended)
             return appended
 
-    def _resolve_source(self, sample, source: str | None) -> str:
-        if isinstance(sample, (HeartSample, RespirationSample)):
-            source = sample.device
-        elif isinstance(sample, AlertEvent):
-            source = SERVICE_ALERTS
-        elif isinstance(sample, FlowSegment) and source is None:
-            source = SERVICE_TRAFFIC
-        elif isinstance(sample, WeatherObservation) and source is None:
-            source = SERVICE_WEATHER
+    def _check_source(self, source: str | None, sample) -> str:
         if source is None:
             raise UnknownSourceError(f"no source given for {type(sample).__name__}")
         if source not in self.gateway.pairings and source not in self.gateway.services:
@@ -313,63 +305,86 @@ class Session:
         return csv_bytes, manifest
 
 
-def _fan_out(sample, source: str, arrival_ms: int) -> list[TraceRow]:
-    if isinstance(sample, ObdResponse):
-        definition = PID_TABLE.get(sample.pid_id.pid)
-        if definition is None:
-            raise ValueError(f"no trace channel for PID 0x{sample.pid_id.pid:02X}")
-        return [
-            TraceRow(arrival_ms, source, definition.channel, fmt_scalar(sample.value), definition.unit)
-        ]
-    if isinstance(sample, HeartSample):
-        rows = [
-            TraceRow(arrival_ms, source, "bpm", encode_value(sample.bpm, sample.measured_at), "bpm")
-        ]
-        rows.extend(
-            TraceRow(arrival_ms, source, "rr_ms", encode_value(rr, sample.measured_at), "ms")
-            for rr in sample.rr_intervals_ms
-        )
-        return rows
-    if isinstance(sample, RespirationSample):
-        return [
-            TraceRow(
-                arrival_ms,
-                source,
-                "breaths_per_min",
-                encode_value(sample.breaths_per_min, sample.measured_at),
-                "breaths/min",
-            ),
-            TraceRow(
-                arrival_ms,
-                source,
-                "resp_state",
-                encode_value(sample.state, sample.measured_at),
-                "",
-            ),
-        ]
-    if isinstance(sample, GpsFix):
-        return [
-            TraceRow(arrival_ms, source, "lat", fmt_scalar(sample.lat), "deg"),
-            TraceRow(arrival_ms, source, "lon", fmt_scalar(sample.lon), "deg"),
-        ]
-    if isinstance(sample, FlowSegment):
-        return [
-            TraceRow(
-                arrival_ms, source, "traffic_current_speed", fmt_scalar(sample.current_speed_kmh), "km/h"
-            ),
-            TraceRow(
-                arrival_ms,
-                source,
-                "traffic_free_flow_speed",
-                fmt_scalar(sample.free_flow_speed_kmh),
-                "km/h",
-            ),
-        ]
-    if isinstance(sample, WeatherObservation):
-        return [
-            TraceRow(arrival_ms, source, "weather_temp_c", fmt_scalar(sample.temp_c), "C"),
-            TraceRow(arrival_ms, source, "weather_condition", sample.condition, ""),
-        ]
-    if isinstance(sample, AlertEvent):
-        return [TraceRow(sample.at, source, "alert", sample.rule, "")]
+def _obd_rows(sample: ObdResponse, source: str, arrival_ms: int) -> list[TraceRow]:
+    definition = PID_TABLE.get(sample.pid_id.pid)
+    if definition is None:
+        raise ValueError(f"no trace channel for PID 0x{sample.pid_id.pid:02X}")
+    return [TraceRow(arrival_ms, source, definition.channel, fmt_scalar(sample.value), definition.unit)]
+
+
+def _heart_rows(sample: HeartSample, source: str, arrival_ms: int) -> list[TraceRow]:
+    rows = [TraceRow(arrival_ms, source, "bpm", encode_value(sample.bpm, sample.measured_at), "bpm")]
+    rows.extend(
+        TraceRow(arrival_ms, source, "rr_ms", encode_value(rr, sample.measured_at), "ms")
+        for rr in sample.rr_intervals_ms
+    )
+    return rows
+
+
+def _respiration_rows(sample: RespirationSample, source: str, arrival_ms: int) -> list[TraceRow]:
+    return [
+        TraceRow(
+            arrival_ms,
+            source,
+            "breaths_per_min",
+            encode_value(sample.breaths_per_min, sample.measured_at),
+            "breaths/min",
+        ),
+        TraceRow(arrival_ms, source, "resp_state", encode_value(sample.state, sample.measured_at), ""),
+    ]
+
+
+def _gps_rows(sample: GpsFix, source: str, arrival_ms: int) -> list[TraceRow]:
+    return [
+        TraceRow(arrival_ms, source, "lat", fmt_scalar(sample.lat), "deg"),
+        TraceRow(arrival_ms, source, "lon", fmt_scalar(sample.lon), "deg"),
+    ]
+
+
+def _flow_rows(sample: FlowSegment, source: str, arrival_ms: int) -> list[TraceRow]:
+    return [
+        TraceRow(arrival_ms, source, "traffic_current_speed", fmt_scalar(sample.current_speed_kmh), "km/h"),
+        TraceRow(
+            arrival_ms, source, "traffic_free_flow_speed", fmt_scalar(sample.free_flow_speed_kmh), "km/h"
+        ),
+    ]
+
+
+def _weather_rows(sample: WeatherObservation, source: str, arrival_ms: int) -> list[TraceRow]:
+    return [
+        TraceRow(arrival_ms, source, "weather_temp_c", fmt_scalar(sample.temp_c), "C"),
+        TraceRow(arrival_ms, source, "weather_condition", sample.condition, ""),
+    ]
+
+
+def _alert_rows(sample: AlertEvent, source: str, _arrival_ms: int) -> list[TraceRow]:
+    return [TraceRow(sample.at, source, "alert", sample.rule, "")]
+
+
+def _cannot_ingest(sample, _source: str, _arrival_ms: int) -> list[TraceRow]:
     raise TypeError(f"cannot ingest {type(sample).__name__}")
+
+
+# Ingest dispatch by the exact type of the record: how its source is found
+# from the one the caller gave, then how it becomes rows. Heart and
+# respiration samples name their own device and alert events belong to the
+# alert service whatever the caller gives; context records default to
+# their service.
+_INGEST_RULES = {
+    ObdResponse: (lambda sample, source: source, _obd_rows),
+    HeartSample: (lambda sample, source: sample.device, _heart_rows),
+    RespirationSample: (lambda sample, source: sample.device, _respiration_rows),
+    GpsFix: (lambda sample, source: source, _gps_rows),
+    FlowSegment: (lambda sample, source: SERVICE_TRAFFIC if source is None else source, _flow_rows),
+    WeatherObservation: (lambda sample, source: SERVICE_WEATHER if source is None else source, _weather_rows),
+    AlertEvent: (lambda sample, source: SERVICE_ALERTS, _alert_rows),
+}
+
+
+def _inherited_rules(kind: type):
+    """The rules of the nearest base class of ``kind`` that has any."""
+    for cls in kind.__mro__:
+        rules = _INGEST_RULES.get(cls)
+        if rules is not None:
+            return rules
+    return (lambda sample, source: source), _cannot_ingest

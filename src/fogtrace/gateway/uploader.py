@@ -48,7 +48,14 @@ class UploadReceipt:
 
 
 class Outbox:
-    """Pending uploads as ``<sha256>.env`` / ``<sha256>.manifest.json`` pairs."""
+    """Pending uploads as ``<sha256>.env`` / ``<sha256>.manifest.json`` pairs.
+
+    The envelope file is the commit marker: ``put`` writes the manifest
+    first and the envelope last, each through a temporary file and a
+    rename, and ``remove`` deletes the envelope first. A crash at any
+    point therefore leaves either a complete entry or one that
+    ``pending`` does not list.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -56,11 +63,8 @@ class Outbox:
 
     def put(self, envelope: bytes, manifest_json: bytes) -> str:
         ref = sha256_hex(envelope)
-        env_path = self.directory / f"{ref}.env"
-        tmp = env_path.with_suffix(".env.tmp")
-        tmp.write_bytes(envelope)
-        tmp.replace(env_path)
-        (self.directory / f"{ref}.manifest.json").write_bytes(manifest_json)
+        _write_atomic(self.directory / f"{ref}.manifest.json", manifest_json)
+        _write_atomic(self.directory / f"{ref}.env", envelope)
         return ref
 
     def pending(self) -> list[str]:
@@ -76,6 +80,12 @@ class Outbox:
             path = self.directory / name
             if path.exists():
                 path.unlink()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
 
 
 def finalize_and_upload(
@@ -111,11 +121,21 @@ def flush_outbox(
     retries: int = 0,
     backoff_ms: float = 250.0,
 ) -> tuple[list[UploadReceipt], list[str]]:
-    """Upload everything pending; returns (receipts, refs still pending)."""
+    """Upload everything pending; returns (receipts, refs still pending).
+
+    An entry whose files cannot be read (an envelope without its manifest,
+    as a crash inside an older ``put`` left behind) is logged, left in
+    place and reported among the refs still pending.
+    """
     receipts = []
     remaining = []
     for ref in outbox.pending():
-        envelope, manifest_json = outbox.load(ref)
+        try:
+            envelope, manifest_json = outbox.load(ref)
+        except OSError as exc:
+            log.warning("outbox flush: %s is incomplete, skipped (%s)", ref[:12], exc)
+            remaining.append(ref)
+            continue
         try:
             receipt = _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms)
             _check_receipt(receipt, ref, envelope)

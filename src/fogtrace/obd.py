@@ -19,6 +19,7 @@ PIDs outside the table decode to the raw big-endian integer with unit
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,7 +147,7 @@ PID_TABLE: dict[int, PidDefinition] = {
 CORE_PIDS = (PID_RPM, PID_SPEED, PID_THROTTLE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObdResponse:
     pid_id: PidId
     data: bytes
@@ -173,17 +174,29 @@ def encode_request(pid_id: PidId) -> bytes:
 
 
 def render_response(pid_id: PidId, data: bytes) -> bytes:
-    """Render a positive reply frame for the given payload bytes."""
-    tokens = [f"{pid_id.mode + REPLY_MODE_OFFSET:02X}", f"{pid_id.pid:02X}"]
-    tokens.extend(f"{b:02X}" for b in data)
-    return (" ".join(tokens) + "\r").encode("ascii")
+    """Render a positive reply frame for the given payload bytes.
+
+    Raises ``ValueError`` for modes from 0xC0 up, whose reply mode does
+    not fit one byte.
+    """
+    frame = bytes((pid_id.mode + REPLY_MODE_OFFSET, pid_id.pid)) + data
+    return frame.hex(" ").upper().encode("ascii") + b"\r"
 
 
 def render_negative_response(mode: int, nrc: int = NRC_SUBFUNCTION_NOT_SUPPORTED) -> bytes:
     return f"{NEGATIVE_REPLY_MODE:02X} {mode:02X} {nrc:02X}\r".encode("ascii")
 
 
-def _tokenize(line: bytes) -> list[int]:
+# A frame as the codec itself renders it: upper or lower case hex byte
+# pairs, single spaces, CR, then any number of prompts.
+_CANONICAL_FRAME = re.compile(rb"((?:[0-9A-Fa-f]{2} )*[0-9A-Fa-f]{2})\r>*")
+
+
+def _tokenize(line: bytes) -> bytes | list[int]:
+    """The byte values of a frame; canonical frames skip the token loop."""
+    match = _CANONICAL_FRAME.fullmatch(line)
+    if match is not None:
+        return bytes.fromhex(match[1].decode("ascii"))
     try:
         text = line.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -209,6 +222,10 @@ def _tokenize(line: bytes) -> list[int]:
 
 def parse_request(line: bytes) -> PidId:
     """Parse a query frame (responder side)."""
+    if type(line) is bytes:
+        known = _CANONICAL_REQUESTS.get(line)
+        if known is not None:
+            return known
     values = _tokenize(line)
     if len(values) != 2:
         raise MalformedFrameError(f"request must be exactly two bytes, got {len(values)}")
@@ -241,6 +258,10 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     data = bytes(values[2:])
     value, unit = decode_pid(expected, data)
     return ObdResponse(pid_id=expected, data=data, value=value, unit=unit, received_at=received_at)
+
+
+# The core PIDs' queries, exactly as ``encode_request`` renders them.
+_CANONICAL_REQUESTS = {encode_request(pid_id): pid_id for pid_id in map(PidId, CORE_PIDS)}
 
 
 def decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:

@@ -23,7 +23,9 @@ import random
 import socket
 import socketserver
 import threading
-from dataclasses import dataclass, replace
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
 
 from .clock import SystemClock
 from .config import Config, ConfigError
@@ -63,7 +65,7 @@ DEFAULT_ROUTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     speed_kmh: float = 0.0
     rpm: float = IDLE_RPM
@@ -74,6 +76,43 @@ class VehicleState:
     lon: float = DEFAULT_ROUTE[0][1]
     sim_time_ms: float = 0.0
     elapsed_ms: float = 0.0  # time since trip start, drives the profile
+
+
+class Route:
+    """Cumulative-distance lookup along a polyline of (lat, lon) points."""
+
+    _M_PER_DEG_LAT = 110_540.0
+    _M_PER_DEG_LON_EQ = 111_320.0
+
+    def __init__(self, points: tuple[tuple[float, float], ...]):
+        if not points:
+            raise ValueError("route needs at least one point")
+        self.points = points
+        ref_lat = math.radians(points[0][0])
+        self._lon_scale = self._M_PER_DEG_LON_EQ * math.cos(ref_lat)
+        self._cum = [0.0]
+        for (lat1, lon1), (lat2, lon2) in zip(points, points[1:]):
+            dx = (lon2 - lon1) * self._lon_scale
+            dy = (lat2 - lat1) * self._M_PER_DEG_LAT
+            self._cum.append(self._cum[-1] + math.hypot(dx, dy))
+
+    @property
+    def length_m(self) -> float:
+        return self._cum[-1]
+
+    def point_at(self, distance_m: float) -> tuple[float, float]:
+        cum = self._cum
+        length = cum[-1]
+        if length <= 0:
+            return self.points[0]
+        d = distance_m % length
+        i = bisect_left(cum, d, 1)
+        if i == len(cum):
+            return self.points[-1]
+        seg = cum[i] - cum[i - 1]
+        frac = 0.0 if seg == 0 else (d - cum[i - 1]) / seg
+        (lat1, lon1), (lat2, lon2) = self.points[i - 1], self.points[i]
+        return (lat1 + (lat2 - lat1) * frac, lon1 + (lon2 - lon1) * frac)
 
 
 @dataclass(frozen=True)
@@ -91,19 +130,24 @@ class DriveProfile:
                 raise ValueError(f"segment durations must be positive, got {duration}")
             if not 0 <= target <= 255:
                 raise ValueError(f"target speeds must be in [0, 255] km/h, got {target}")
+        # Derived once (the dataclass is frozen, hence object.__setattr__): the
+        # end of each segment in script time, the script's length, the targets
+        # (the last one twice, for a time that rounds up to the very end) and
+        # the distance lookup along the route.
+        ends = tuple(accumulate(duration for duration, _ in self.segments))
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_total_s", ends[-1] if ends else 0)
+        targets = tuple(target for _, target in self.segments)
+        object.__setattr__(self, "_targets", targets + targets[-1:])
+        object.__setattr__(self, "_route", Route(self.route))
 
     @property
     def total_s(self) -> float:
-        return sum(duration for duration, _ in self.segments)
+        return self._total_s
 
     def target_speed_at(self, elapsed_s: float) -> float:
         """Target for the given trip time; the script repeats when exhausted."""
-        t = elapsed_s % self.total_s
-        for duration, target in self.segments:
-            if t < duration:
-                return target
-            t -= duration
-        return self.segments[-1][1]
+        return self._targets[bisect_right(self._ends, elapsed_s % self._total_s)]
 
 
 CALM_PROFILE = DriveProfile(
@@ -155,57 +199,8 @@ class LatencyModel:
             return self._rng.triangular(self.min_ms, self.max_ms, self.mode_ms)
 
 
-class Route:
-    """Cumulative-distance lookup along a polyline of (lat, lon) points."""
-
-    _M_PER_DEG_LAT = 110_540.0
-    _M_PER_DEG_LON_EQ = 111_320.0
-
-    def __init__(self, points: tuple[tuple[float, float], ...]):
-        if not points:
-            raise ValueError("route needs at least one point")
-        self.points = points
-        ref_lat = math.radians(points[0][0])
-        self._lon_scale = self._M_PER_DEG_LON_EQ * math.cos(ref_lat)
-        self._cum = [0.0]
-        for (lat1, lon1), (lat2, lon2) in zip(points, points[1:]):
-            dx = (lon2 - lon1) * self._lon_scale
-            dy = (lat2 - lat1) * self._M_PER_DEG_LAT
-            self._cum.append(self._cum[-1] + math.hypot(dx, dy))
-
-    @property
-    def length_m(self) -> float:
-        return self._cum[-1]
-
-    def point_at(self, distance_m: float) -> tuple[float, float]:
-        if self.length_m <= 0:
-            return self.points[0]
-        d = distance_m % self.length_m
-        for i in range(1, len(self._cum)):
-            if d <= self._cum[i]:
-                seg = self._cum[i] - self._cum[i - 1]
-                frac = 0.0 if seg == 0 else (d - self._cum[i - 1]) / seg
-                (lat1, lon1), (lat2, lon2) = self.points[i - 1], self.points[i]
-                return (lat1 + (lat2 - lat1) * frac, lon1 + (lon2 - lon1) * frac)
-        return self.points[-1]
-
-
-_ROUTE_CACHE: dict[tuple[tuple[float, float], ...], Route] = {}
-
-
-def _route_for(profile: DriveProfile) -> Route:
-    route = _ROUTE_CACHE.get(profile.route)
-    if route is None:
-        route = _ROUTE_CACHE[profile.route] = Route(profile.route)
-    return route
-
-
 def gear_for_speed(speed_kmh: float) -> int:
-    gear = 1
-    for threshold in GEAR_SHIFT_KMH:
-        if speed_kmh >= threshold:
-            gear += 1
-    return gear
+    return 1 + bisect_right(GEAR_SHIFT_KMH, speed_kmh)
 
 
 def step(
@@ -220,21 +215,30 @@ def step(
     params = params or ThrottleParams()
     dt_s = dt_ms / 1000.0
 
+    # The clamps are written out rather than min(max(...)), with the same
+    # comparisons, so the results are bit for bit those of the builtins.
+    previous = state.speed_kmh
     target = profile.target_speed_at(state.elapsed_ms / 1000.0)
     max_delta_kmh = profile.accel_limit_mps2 * dt_s * 3.6
-    delta = min(max(target - state.speed_kmh, -max_delta_kmh), max_delta_kmh)
-    speed = max(0.0, state.speed_kmh + delta)
+    delta = target - previous
+    delta = -max_delta_kmh if -max_delta_kmh > delta else delta
+    delta = max_delta_kmh if max_delta_kmh < delta else delta
+    speed = previous + delta
+    speed = speed if speed > 0.0 else 0.0
 
-    accel_mps2 = (speed - state.speed_kmh) / 3.6 / dt_s
-    throttle = min(max(params.k_accel * accel_mps2 + params.k_drag * speed, 0.0), 100.0)
-    gear = gear_for_speed(speed)
-    rpm = min(max(IDLE_RPM + speed * 120.0 / gear, IDLE_RPM), MAX_RPM)
+    accel_mps2 = (speed - previous) / 3.6 / dt_s
+    throttle = params.k_accel * accel_mps2 + params.k_drag * speed
+    throttle = 0.0 if 0.0 > throttle else throttle
+    throttle = 100.0 if 100.0 < throttle else throttle
+    gear = 1 + bisect_right(GEAR_SHIFT_KMH, speed)
+    rpm = IDLE_RPM + speed * 120.0 / gear
+    rpm = IDLE_RPM if IDLE_RPM > rpm else rpm
+    rpm = MAX_RPM if MAX_RPM < rpm else rpm
 
-    odometer = state.odometer_m + (state.speed_kmh + speed) / 2.0 / 3.6 * dt_s
-    lat, lon = _route_for(profile).point_at(odometer)
+    odometer = state.odometer_m + (previous + speed) / 2.0 / 3.6 * dt_s
+    lat, lon = profile._route.point_at(odometer)
 
-    return replace(
-        state,
+    return VehicleState(
         speed_kmh=speed,
         rpm=rpm,
         throttle_pct=throttle,
@@ -268,8 +272,7 @@ class VehicleSimulator:
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.tick_ms = float(tick_ms)
         self.throttle_params = throttle_params or ThrottleParams()
-        route = _route_for(profile)
-        lat, lon = route.point_at(0.0)
+        lat, lon = profile._route.point_at(0.0)
         self._state = VehicleState(lat=lat, lon=lon, sim_time_ms=float(start_ms))
         self._lock = threading.RLock()
 
@@ -308,9 +311,10 @@ class VehicleSimulator:
 
     def advance_to(self, t_ms: float) -> VehicleState:
         with self._lock:
-            while self._state.sim_time_ms + self.tick_ms <= t_ms:
-                self._state = step(self._state, self.profile, self.tick_ms, self.throttle_params)
-            return self._state
+            state, tick_ms = self._state, self.tick_ms
+            while state.sim_time_ms + tick_ms <= t_ms:
+                state = self._state = step(state, self.profile, tick_ms, self.throttle_params)
+            return state
 
     def measurement(self, pid: int) -> float:
         return getattr(self.snapshot(), PID_TABLE[pid].channel)
@@ -372,6 +376,10 @@ def run_trip(
     return readings
 
 
+# The address and query frame of each core PID, built once for every link.
+_CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
+
+
 class _RequestHelper:
     """Shared encode/transact/parse cycle for OBD links."""
 
@@ -381,8 +389,12 @@ class _RequestHelper:
         raise NotImplementedError
 
     def request(self, pid: int | PidId) -> ObdResponse:
-        pid_id = pid if isinstance(pid, PidId) else PidId(pid=pid)
-        reply = self.transact(encode_request(pid_id))
+        core = _CORE_REQUESTS.get(pid)
+        if core is None:
+            pid_id = pid if isinstance(pid, PidId) else PidId(pid=pid)
+            core = pid_id, encode_request(pid_id)
+        pid_id, raw_request = core
+        reply = self.transact(raw_request)
         return parse_response(reply, pid_id, received_at=self.clock.now_ms())
 
 

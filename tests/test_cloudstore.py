@@ -66,6 +66,17 @@ class TestTokens:
         with pytest.raises(TokenExpiredError):
             service.list_traces(token)
 
+    def test_token_table_holds_only_live_tokens(self, tmp_path, accounts):
+        clock = SimulatedClock()
+        service = CloudStoreService(tmp_path / "store", clients=accounts, clock=clock, token_ttl_s=10)
+        for issued in range(1000):
+            token = service.issue_token("gw", "gw-secret").token
+            # Issued each second and live for 10 s: at most the last 10 remain.
+            assert len(service._tokens) == min(issued + 1, 10)
+            clock.sleep_ms(1000.0)
+        clock.sleep_ms(8000.0)
+        assert service.authenticate(token, "upload").token == token
+
     def test_missing_token_unauthorized(self, sim_service):
         service, _ = sim_service
         with pytest.raises(UnauthorizedError):

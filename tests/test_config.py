@@ -144,6 +144,16 @@ class TestFlagsOverrideConfig:
         assert code == 1
         assert "stage 'setup'" in stderr and "sporty" in stderr
 
+    @pytest.mark.parametrize(
+        "argv", [("run", "--no-upload"), ("--self-contained", "run")], ids=["no-upload", "self-contained"]
+    )
+    def test_failed_setup_leaves_no_artifact_directory(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, _, stderr = _cli_json(capsys, tmp_path, "vehicle.profile = sporty\n", *argv, "--out", str(out))
+        assert code == 1
+        assert "stage 'setup'" in stderr
+        assert not out.exists()
+
 
 class TestStoreAccountsFromConfig:
     def test_unknown_scope_fails_setup(self, capsys, tmp_path):

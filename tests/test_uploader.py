@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,85 @@ class TestFlushOutbox:
         assert receipts == []
         assert remaining == [ref]
         assert outbox.pending() == [ref]
+
+
+class _Crash(Exception):
+    pass
+
+
+class _RecordingClient:
+    """A store that always accepts and remembers every upload."""
+
+    def __init__(self):
+        self.uploads: list[bytes] = []
+
+    def upload_trace(self, manifest_json, blob):
+        self.uploads.append(blob)
+        ref = hashlib.sha256(blob).hexdigest()
+        return {"trace_ref": ref, "size_bytes": len(blob), "sha256": ref}
+
+
+def _crash_at(monkeypatch, crash_index: int) -> None:
+    """Make the ``crash_index``-th pathlib write or rename from now on raise."""
+    done = [0]
+
+    def crashing(real):
+        def op(path, *args, **kwargs):
+            done[0] += 1
+            if done[0] - 1 == crash_index:
+                raise _Crash(f"crash at file operation {crash_index} ({real.__name__} {path.name})")
+            return real(path, *args, **kwargs)
+
+        return op
+
+    monkeypatch.setattr(Path, "write_bytes", crashing(Path.write_bytes))
+    monkeypatch.setattr(Path, "replace", crashing(Path.replace))
+
+
+class TestOutboxCrashPoints:
+    def test_crash_at_every_file_operation_of_put(self, monkeypatch, tmp_path, sim_clock, key):
+        envelope = seal(CSV, b"{}", key)
+        crash_index = 0
+        while True:
+            outbox = Outbox(tmp_path / f"outbox-{crash_index}")
+            with monkeypatch.context() as patched:
+                _crash_at(patched, crash_index)
+                try:
+                    outbox.put(envelope, b"{}")
+                except _Crash:
+                    crashed = True
+                else:
+                    crashed = False
+            if not crashed:
+                break
+            # The interrupted entry is not listed, and flushing does not trip on it.
+            assert outbox.pending() == []
+            client = _RecordingClient()
+            assert flush_outbox(outbox, client, sim_clock) == ([], [])
+            # The next run puts the trace again; it is stored exactly once.
+            ref = outbox.put(envelope, b"{}")
+            receipts, remaining = flush_outbox(outbox, client, sim_clock)
+            assert [r.trace_ref for r in receipts] == [ref]
+            assert remaining == [] and outbox.pending() == []
+            assert client.uploads == [envelope]
+            crash_index += 1
+        # Two files, each written to a temporary name and renamed.
+        assert crash_index == 4
+        assert outbox.pending() == [hashlib.sha256(envelope).hexdigest()]
+
+    def test_flush_skips_an_envelope_without_manifest(self, tmp_path, sim_clock, key):
+        outbox = Outbox(tmp_path / "outbox")
+        orphan = seal(CSV, b"{}", key)
+        orphan_ref = hashlib.sha256(orphan).hexdigest()
+        (outbox.directory / f"{orphan_ref}.env").write_bytes(orphan)
+        whole = seal(CSV + b"1,gps-1,lat,52.5,deg,0\n", b"{}", key)
+        whole_ref = outbox.put(whole, b"{}")
+        client = _RecordingClient()
+        receipts, remaining = flush_outbox(outbox, client, sim_clock)
+        assert [r.trace_ref for r in receipts] == [whole_ref]
+        assert remaining == [orphan_ref]
+        assert outbox.pending() == [orphan_ref]
+        assert client.uploads == [whole]
 
 
 class TestTamperDetection:

@@ -1,18 +1,25 @@
 from __future__ import annotations
 
+import dataclasses
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogtrace.clock import SimulatedClock
 from fogtrace.obd import PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId, encode_request
 from fogtrace.vehicle import (
     AGGRESSIVE_PROFILE,
     CALM_PROFILE,
+    GEAR_SHIFT_KMH,
+    IDLE_RPM,
+    MAX_RPM,
     DriveProfile,
     InProcessObdLink,
     LatencyModel,
     Route,
+    ThrottleParams,
     VehicleSimulator,
     VehicleState,
     gear_for_speed,
@@ -208,3 +215,100 @@ class TestProfileValidation:
         assert profile.target_speed_at(5.0) == 20.0
         assert profile.target_speed_at(15.0) == 40.0
         assert profile.target_speed_at(25.0) == 20.0  # wraps
+
+
+# Reference versions of the per-tick lookups and the tick itself, written
+# as linear walks and builtin clamps; the simulator's bisect lookups and
+# inlined clamps must give bit-identical results.
+
+
+def _walk_target(profile: DriveProfile, elapsed_s: float) -> float:
+    t = elapsed_s % sum(duration for duration, _ in profile.segments)
+    for duration, target in profile.segments:
+        if t < duration:
+            return target
+        t -= duration
+    return profile.segments[-1][1]
+
+
+def _walk_point(route: Route, distance_m: float) -> tuple[float, float]:
+    cum = route._cum
+    if cum[-1] <= 0:
+        return route.points[0]
+    d = distance_m % cum[-1]
+    for i in range(1, len(cum)):
+        if d <= cum[i]:
+            seg = cum[i] - cum[i - 1]
+            frac = 0.0 if seg == 0 else (d - cum[i - 1]) / seg
+            (lat1, lon1), (lat2, lon2) = route.points[i - 1], route.points[i]
+            return (lat1 + (lat2 - lat1) * frac, lon1 + (lon2 - lon1) * frac)
+    return route.points[-1]
+
+
+def _reference_step(
+    state: VehicleState, profile: DriveProfile, dt_ms: float, params: ThrottleParams
+) -> VehicleState:
+    dt_s = dt_ms / 1000.0
+    target = _walk_target(profile, state.elapsed_ms / 1000.0)
+    max_delta_kmh = profile.accel_limit_mps2 * dt_s * 3.6
+    delta = min(max(target - state.speed_kmh, -max_delta_kmh), max_delta_kmh)
+    speed = max(0.0, state.speed_kmh + delta)
+    accel_mps2 = (speed - state.speed_kmh) / 3.6 / dt_s
+    throttle = min(max(params.k_accel * accel_mps2 + params.k_drag * speed, 0.0), 100.0)
+    gear = 1 + sum(1 for threshold in GEAR_SHIFT_KMH if speed >= threshold)
+    rpm = min(max(IDLE_RPM + speed * 120.0 / gear, IDLE_RPM), MAX_RPM)
+    odometer = state.odometer_m + (state.speed_kmh + speed) / 2.0 / 3.6 * dt_s
+    lat, lon = _walk_point(Route(profile.route), odometer)
+    return dataclasses.replace(
+        state,
+        speed_kmh=speed,
+        rpm=rpm,
+        throttle_pct=throttle,
+        gear=gear,
+        odometer_m=odometer,
+        lat=lat,
+        lon=lon,
+        sim_time_ms=state.sim_time_ms + dt_ms,
+        elapsed_ms=state.elapsed_ms + dt_ms,
+    )
+
+
+_SEGMENTS = st.lists(st.tuples(st.integers(1, 120), st.integers(0, 255)), min_size=1, max_size=8)
+_POINTS = st.lists(
+    st.tuples(st.floats(52.4, 52.6), st.floats(13.3, 13.5)), min_size=1, max_size=8
+).map(tuple)
+
+
+class TestLookupsMatchLinearWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(_SEGMENTS, st.floats(0, 1e6))
+    def test_target_speed(self, segments, elapsed_s):
+        profile = DriveProfile("p", tuple(segments), 2.0)
+        assert profile.target_speed_at(elapsed_s) == _walk_target(profile, elapsed_s)
+        boundary = float(sum(d for d, _ in segments[:-1]))
+        assert profile.target_speed_at(boundary) == _walk_target(profile, boundary)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_POINTS, st.floats(0, 1e6))
+    def test_route_point(self, points, distance_m):
+        route = Route(points)
+        assert route.point_at(distance_m) == _walk_point(route, distance_m)
+        for cum in route._cum:
+            assert route.point_at(cum) == _walk_point(route, cum)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _SEGMENTS,
+        st.floats(0.5, 5.0),
+        st.sampled_from([50.0, 100.0, 250.0]),
+        st.floats(0.0, 40.0),
+        st.floats(0.0, 2.0),
+    )
+    def test_step(self, segments, accel_limit, tick_ms, k_accel, k_drag):
+        profile = DriveProfile("p", tuple(segments), accel_limit)
+        params = ThrottleParams(k_accel=k_accel, k_drag=k_drag)
+        state = expected = VehicleState()
+        for _ in range(300):
+            state = step(state, profile, tick_ms, params)
+            expected = _reference_step(expected, profile, tick_ms, params)
+            assert state == expected
