@@ -191,22 +191,16 @@ def _make_clock(kind: str):
     return SimulatedClock() if kind == "sim" else SystemClock()
 
 
-def _resolve_key(args, cfg: Config, out_dir: Path | None, generate: bool) -> bytes | None:
+def _resolve_key(args, cfg: Config, out_dir: Path) -> bytes | None:
     key_hex = getattr(args, "key_hex", None) or cfg.get("gateway.key_hex")
     key_file = getattr(args, "key_file", None) or cfg.get("gateway.key_file")
     if key_hex:
         return bytes.fromhex(key_hex)
     if key_file:
         return bytes.fromhex(Path(key_file).read_text().strip())
-    if out_dir is not None:
-        existing = out_dir / "key.hex"
-        if existing.exists():
-            return bytes.fromhex(existing.read_text().strip())
-        if generate:
-            key = os.urandom(32)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            existing.write_text(key.hex() + "\n")
-            return key
+    existing = out_dir / "key.hex"
+    if existing.exists():
+        return bytes.fromhex(existing.read_text().strip())
     return None
 
 
@@ -261,7 +255,12 @@ def cmd_run(args) -> int:
         out_dir = Path(args.out)
         simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
 
-        key = _resolve_key(args, cfg, out_dir, generate=not args.no_upload)
+        key = _resolve_key(args, cfg, out_dir)
+        new_key = key is None and not args.no_upload
+        if new_key:
+            # Kept in memory until setup has succeeded, so a failed setup
+            # leaves nothing behind.
+            key = os.urandom(32)
         gateway = Gateway(
             gateway_id=cfg.get_str("gateway.id", "gateway-1"),
             clock=clock,
@@ -305,6 +304,11 @@ def cmd_run(args) -> int:
                     raise ValueError(
                         "no cloud store configured; pass --cloud-url, --self-contained or --no-upload"
                     )
+            if new_key:
+                # Written before the session: its envelope, uploaded or left in
+                # the outbox, opens only with this key.
+                out_dir.mkdir(parents=True, exist_ok=True)
+                (out_dir / "key.hex").write_text(key.hex() + "\n")
 
         if cloud is not None:
             # Anything stranded by an earlier run goes out first.
@@ -403,7 +407,7 @@ def _fetch_and_decrypt(args, cfg, stack) -> tuple[bytes, bytes, SessionManifest,
     cloud = _cloud_client(args, cfg, stack, out_dir)
     if cloud is None:
         raise ValueError("no cloud store configured; pass --cloud-url or --self-contained")
-    key = _resolve_key(args, cfg, out_dir, generate=False)
+    key = _resolve_key(args, cfg, out_dir)
     if key is None:
         raise ValueError("no key available; pass --key-hex or --key-file")
     blob, metadata = cloud.get_trace(args.trace_ref)
@@ -437,7 +441,7 @@ def cmd_verify(args) -> int:
             with _stage("metadata"):
                 manifest = SessionManifest.from_dict(metadata["manifest"])
             with _stage("decrypt"):
-                key = _resolve_key(args, cfg, out_dir, generate=False)
+                key = _resolve_key(args, cfg, out_dir)
                 if key is None:
                     raise ValueError("no key available; pass --key-hex or --key-file")
             try:

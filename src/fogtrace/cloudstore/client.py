@@ -10,8 +10,7 @@ import base64
 import json
 import time
 
-import requests
-
+from ..httpclient import HttpResponse, HttpSession, NoResponseError, encode_multipart
 from .service import (
     BadRequestError,
     CloudError,
@@ -55,40 +54,39 @@ class CloudClient:
         base_url: str,
         client_id: str,
         client_secret: str,
-        session: requests.Session | None = None,
         timeout_s: float = 30.0,
     ):
-        self.base_url = base_url.rstrip("/")
         self.client_id = client_id
         self.client_secret = client_secret
-        self.session = session or requests.Session()
-        self.timeout_s = timeout_s
+        self.session = HttpSession(base_url, timeout_s)
         self._token: str | None = None
         self._token_deadline: float = 0.0
 
     # -- API ----------------------------------------------------------------
 
     def issue_token(self) -> dict:
-        body = {"client_id": self.client_id, "client_secret": self.client_secret}
-        response = self._request("POST", "/api/v1/token", json=body)
+        body = json.dumps({"client_id": self.client_id, "client_secret": self.client_secret}).encode("utf-8")
+        response = self._request("POST", "/api/v1/token", body=body, headers={"Content-Type": "application/json"})
         data = response.json()
         self._token = data["access_token"]
         self._token_deadline = time.monotonic() + max(data["expires_in"] - _TOKEN_SLACK_S, 0.0)
         return data
 
     def upload_trace(self, manifest_json: bytes, blob: bytes) -> dict:
-        files = {
-            "manifest": ("manifest.json", manifest_json, "application/json"),
-            "trace": ("trace.bin", blob, "application/octet-stream"),
-        }
-        response = self._request("POST", "/api/v1/traces", files=files, auth=True)
+        body, content_type = encode_multipart(
+            {
+                "manifest": ("manifest.json", manifest_json, "application/json"),
+                "trace": ("trace.bin", blob, "application/octet-stream"),
+            }
+        )
+        response = self._request("POST", "/api/v1/traces", body=body, headers={"Content-Type": content_type}, auth=True)
         return response.json()
 
     def get_trace(self, trace_ref: str) -> tuple[bytes, dict]:
         response = self._request("GET", f"/api/v1/traces/{trace_ref}", auth=True)
         header = response.headers.get("X-Trace-Manifest", "")
         metadata = json.loads(base64.b64decode(header)) if header else {}
-        return response.content, metadata
+        return response.body, metadata
 
     def list_traces(
         self,
@@ -120,26 +118,22 @@ class CloudClient:
         assert self._token is not None
         return self._token
 
-    def _request(self, method: str, path: str, auth: bool = False, **kwargs) -> requests.Response:
-        headers = kwargs.pop("headers", {})
+    def _request(
+        self, method: str, path: str, auth: bool = False, params=None, body: bytes | None = None, headers=None
+    ) -> HttpResponse:
+        headers = dict(headers or {})
         if auth:
             headers["Authorization"] = f"Bearer {self._bearer()}"
         try:
-            response = self.session.request(
-                method,
-                self.base_url + path,
-                headers=headers,
-                timeout=self.timeout_s,
-                **kwargs,
-            )
-        except requests.RequestException as exc:
-            raise CloudUnreachableError(f"{self.base_url}: {exc}") from exc
-        if response.status_code >= 400:
+            response = self.session.request(method, path, params=params, body=body, headers=headers)
+        except NoResponseError as exc:
+            raise CloudUnreachableError(str(exc)) from exc
+        if response.status >= 400:
             raise _error_from_response(response)
         return response
 
 
-def _error_from_response(response: requests.Response) -> CloudError:
+def _error_from_response(response: HttpResponse) -> CloudError:
     try:
         body = response.json()
         code = body.get("error", "internal")

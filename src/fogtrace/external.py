@@ -17,9 +17,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-import requests
-
 from .clock import SystemClock
+from .httpclient import HttpSession, NoResponseError
 
 CONDITIONS = ("clear", "clouds", "rain", "snow", "fog")
 
@@ -238,36 +237,30 @@ class LocalWeatherProvider:
 
 
 class HttpFlowProvider:
-    def __init__(self, base_url: str, session=None, timeout_s: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
-        self.timeout_s = timeout_s
+    def __init__(self, base_url: str, timeout_s: float = 10.0):
+        self.session = HttpSession(base_url, timeout_s)
 
     def fetch(self, lat: float, lon: float) -> FlowSegment:
-        data = _http_get_json(self.session, f"{self.base_url}/flow", lat, lon, self.timeout_s)
-        return FlowSegment.from_dict(data)
+        return FlowSegment.from_dict(_http_get_json(self.session, "/flow", lat, lon))
 
 
 class HttpWeatherProvider:
-    def __init__(self, base_url: str, session=None, timeout_s: float = 10.0):
-        self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
-        self.timeout_s = timeout_s
+    def __init__(self, base_url: str, timeout_s: float = 10.0):
+        self.session = HttpSession(base_url, timeout_s)
 
     def fetch(self, lat: float, lon: float) -> WeatherObservation:
-        data = _http_get_json(self.session, f"{self.base_url}/weather", lat, lon, self.timeout_s)
-        return WeatherObservation.from_dict(data)
+        return WeatherObservation.from_dict(_http_get_json(self.session, "/weather", lat, lon))
 
 
-def _http_get_json(session, url: str, lat: float, lon: float, timeout_s: float) -> dict:
+def _http_get_json(session: HttpSession, path: str, lat: float, lon: float) -> dict:
     try:
-        response = session.get(url, params={"lat": lat, "lon": lon}, timeout=timeout_s)
-    except requests.RequestException as exc:
+        response = session.request("GET", path, params={"lat": lat, "lon": lon})
+    except NoResponseError as exc:
         raise ServiceUnavailableError(str(exc)) from exc
-    if response.status_code == 400:
+    if response.status == 400:
         raise InvalidCoordinatesError(response.text)
-    if response.status_code != 200:
-        raise ServiceUnavailableError(f"{url} returned {response.status_code}")
+    if response.status != 200:
+        raise ServiceUnavailableError(f"{session.base_url}{path} returned {response.status}")
     return response.json()
 
 

@@ -189,6 +189,7 @@ def render_negative_response(mode: int, nrc: int = NRC_SUBFUNCTION_NOT_SUPPORTED
 
 # A frame as the codec itself renders it: upper or lower case hex byte
 # pairs, single spaces, CR, then any number of prompts.
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _CANONICAL_FRAME = re.compile(rb"((?:[0-9A-Fa-f]{2} )*[0-9A-Fa-f]{2})\r>*")
 
 
@@ -211,12 +212,10 @@ def _tokenize(line: bytes) -> bytes | list[int]:
         raise MalformedFrameError("empty frame")
     values = []
     for tok in tokens:
-        if len(tok) != 2:
+        # int(tok, 16) alone would also take a sign ("+C", "-1").
+        if len(tok) != 2 or not _HEX_DIGITS.issuperset(tok):
             raise MalformedFrameError(f"token {tok!r} is not a hex byte pair")
-        try:
-            values.append(int(tok, 16))
-        except ValueError as exc:
-            raise MalformedFrameError(f"token {tok!r} is not a hex byte pair") from exc
+        values.append(int(tok, 16))
     return values
 
 

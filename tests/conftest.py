@@ -51,8 +51,10 @@ def store_server(store_service):
 
 
 @pytest.fixture
-def cloud_client(store_server) -> CloudClient:
-    return CloudClient(store_server.base_url, "gw", "gw-secret")
+def cloud_client(store_server):
+    client = CloudClient(store_server.base_url, "gw", "gw-secret")
+    yield client
+    client.session.close()
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from fogtrace.cli import main
+from fogtrace.gateway import Outbox
+from fogtrace.gateway.envelope import open_envelope
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -85,7 +87,11 @@ class TestRunCommand:
         )
         assert code == 1
         assert "upload" in stderr
-        assert list((out / "outbox").glob("*.env"))
+        outbox = Outbox(out / "outbox")
+        [ref] = outbox.pending()
+        envelope, manifest_json = outbox.load(ref)
+        key = bytes.fromhex((out / "key.hex").read_text())
+        assert open_envelope(envelope, manifest_json, key)
 
     def test_next_run_flushes_outbox(self, tmp_path, capsys):
         out = tmp_path / "out"

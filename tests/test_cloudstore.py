@@ -5,7 +5,6 @@ import json
 import os
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +23,7 @@ from fogtrace.cloudstore import (
     UnauthorizedError,
     storage_key,
 )
+from fogtrace.httpclient import HttpSession, encode_multipart
 
 MANIFEST = json.dumps({"session_id": "s1", "driver_id": "drv"}).encode()
 
@@ -36,6 +36,22 @@ def sim_service(tmp_path, accounts):
 
 def upload_token(service):
     return service.issue_token("gw", "gw-secret").token
+
+
+@pytest.fixture
+def store_http(store_server):
+    session = HttpSession(store_server.base_url, timeout_s=10)
+    yield session
+    session.close()
+
+
+def post_json(session, path, body):
+    return session.request("POST", path, body=json.dumps(body).encode(), headers={"Content-Type": "application/json"})
+
+
+def post_multipart(session, path, parts, headers=None):
+    body, content_type = encode_multipart(parts)
+    return session.request("POST", path, body=body, headers={"Content-Type": content_type, **(headers or {})})
 
 
 class TestTokens:
@@ -240,25 +256,17 @@ class TestContentAddressing:
 
 
 class TestHttpSurface:
-    def test_token_endpoint(self, store_server):
-        response = requests.post(
-            f"{store_server.base_url}/api/v1/token",
-            json={"client_id": "gw", "client_secret": "gw-secret"},
-            timeout=10,
-        )
-        assert response.status_code == 200
+    def test_token_endpoint(self, store_http):
+        response = post_json(store_http, "/api/v1/token", {"client_id": "gw", "client_secret": "gw-secret"})
+        assert response.status == 200
         body = response.json()
         assert body["token_type"] == "Bearer"
         assert body["expires_in"] == pytest.approx(3600, abs=5)
         assert len(body["access_token"]) >= 32
 
-    def test_bad_credentials_401(self, store_server):
-        response = requests.post(
-            f"{store_server.base_url}/api/v1/token",
-            json={"client_id": "gw", "client_secret": "nope"},
-            timeout=10,
-        )
-        assert response.status_code == 401
+    def test_bad_credentials_401(self, store_http):
+        response = post_json(store_http, "/api/v1/token", {"client_id": "gw", "client_secret": "nope"})
+        assert response.status == 401
         assert response.json()["error"] == "invalid-credentials"
 
     def test_multipart_upload_and_download(self, store_server, cloud_client):
@@ -269,23 +277,23 @@ class TestHttpSurface:
         assert data == blob
         assert metadata["manifest"] == json.loads(MANIFEST)
 
-    def test_upload_without_token_401(self, store_server):
-        response = requests.post(
-            f"{store_server.base_url}/api/v1/traces",
-            files={"manifest": ("m.json", MANIFEST), "trace": ("t.bin", b"x")},
-            timeout=10,
+    def test_upload_without_token_401(self, store_http):
+        response = post_multipart(
+            store_http,
+            "/api/v1/traces",
+            {"manifest": ("m.json", MANIFEST, "application/json"), "trace": ("t.bin", b"x", "application/octet-stream")},
         )
-        assert response.status_code == 401
+        assert response.status == 401
 
-    def test_missing_part_400(self, store_server, cloud_client):
+    def test_missing_part_400(self, store_http, cloud_client):
         cloud_client.issue_token()
-        response = requests.post(
-            f"{store_server.base_url}/api/v1/traces",
-            files={"trace": ("t.bin", b"x")},
+        response = post_multipart(
+            store_http,
+            "/api/v1/traces",
+            {"trace": ("t.bin", b"x", "application/octet-stream")},
             headers={"Authorization": f"Bearer {cloud_client._bearer()}"},
-            timeout=10,
         )
-        assert response.status_code == 400
+        assert response.status == 400
         assert response.json()["error"] == "missing-part"
 
     def test_get_unknown_404(self, cloud_client):
@@ -307,14 +315,11 @@ class TestHttpSurface:
             pytest.param("offset", "-5", "offset must be at least 0, got -5", id="offset=-5"),
         ],
     )
-    def test_malformed_list_query_400(self, store_server, cloud_client, name, value, detail):
-        response = requests.get(
-            f"{store_server.base_url}/api/v1/traces",
-            params={name: value},
-            headers={"Authorization": f"Bearer {cloud_client._bearer()}"},
-            timeout=10,
+    def test_malformed_list_query_400(self, store_http, cloud_client, name, value, detail):
+        response = store_http.request(
+            "GET", "/api/v1/traces", params={name: value}, headers={"Authorization": f"Bearer {cloud_client._bearer()}"}
         )
-        assert response.status_code == 400
+        assert response.status == 400
         assert response.json() == {"error": "bad-request", "detail": detail}
         with pytest.raises(BadRequestError):
             cloud_client._request("GET", "/api/v1/traces", params={name: value}, auth=True)

@@ -145,11 +145,17 @@ class TestFlagsOverrideConfig:
         assert "stage 'setup'" in stderr and "sporty" in stderr
 
     @pytest.mark.parametrize(
-        "argv", [("run", "--no-upload"), ("--self-contained", "run")], ids=["no-upload", "self-contained"]
+        "config,argv",
+        [
+            ("vehicle.profile = sporty\n", ("run", "--no-upload")),
+            ("vehicle.profile = sporty\n", ("--self-contained", "run")),
+            (None, ("run", "--duration", "1")),
+        ],
+        ids=["no-upload", "self-contained", "no-cloud"],
     )
-    def test_failed_setup_leaves_no_artifact_directory(self, capsys, tmp_path, argv):
+    def test_failed_setup_leaves_no_artifact_directory(self, capsys, tmp_path, config, argv):
         out = tmp_path / "out"
-        code, _, stderr = _cli_json(capsys, tmp_path, "vehicle.profile = sporty\n", *argv, "--out", str(out))
+        code, _, stderr = _cli_json(capsys, tmp_path, config, *argv, "--out", str(out))
         assert code == 1
         assert "stage 'setup'" in stderr
         assert not out.exists()

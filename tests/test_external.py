@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +24,7 @@ from fogtrace.external import (
     travel_time_s,
 )
 from fogtrace.external_httpd import ContextStubServer
+from fogtrace.httpclient import HttpSession
 
 coords = st.tuples(
     st.floats(min_value=-90.0, max_value=90.0, allow_nan=False),
@@ -199,15 +200,17 @@ class TestHttpStub:
 
     def test_bad_coordinates_400(self):
         with ContextStubServer(seed=4) as stub:
-            response = requests.get(f"{stub.base_url}/flow", params={"lat": 95, "lon": 0}, timeout=10)
-            assert response.status_code == 400
+            with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
+                response = session.request("GET", "/flow", params={"lat": 95, "lon": 0})
+            assert response.status == 400
             assert response.json()["error"] == "invalid-coordinates"
             with pytest.raises(InvalidCoordinatesError):
                 HttpFlowProvider(stub.base_url).fetch(95.0, 0.0)
 
     def test_unknown_path_404(self):
         with ContextStubServer(seed=4) as stub:
-            assert requests.get(f"{stub.base_url}/nope", params={"lat": 1, "lon": 1}, timeout=10).status_code == 404
+            with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
+                assert session.request("GET", "/nope", params={"lat": 1, "lon": 1}).status == 404
 
     def test_unreachable_service(self):
         provider = HttpWeatherProvider("http://127.0.0.1:9", timeout_s=0.5)

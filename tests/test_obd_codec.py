@@ -180,6 +180,13 @@ class TestParseRequest:
         with pytest.raises(MalformedFrameError):
             parse_request(b"01 0C 0D\r")
 
+    @pytest.mark.parametrize("frame", [b"01 +C\r", b"01 -1\r"])
+    def test_signed_token_rejected(self, frame):
+        with pytest.raises(MalformedFrameError):
+            parse_request(frame)
+        with pytest.raises(MalformedFrameError):
+            parse_response(frame.replace(b"01", b"41", 1), PidId(0x0C))
+
 
 @given(st.binary(min_size=0, max_size=24))
 def test_parser_total_over_junk(blob):

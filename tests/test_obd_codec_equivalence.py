@@ -2,12 +2,15 @@
 
 The ``_ref_*`` functions below are the codec as it was before its fast
 paths were added: decode, strip the prompt, split, and convert every
-token with ``int(tok, 16)``. For arbitrary byte strings, every PID, every
+token that is exactly two hex digits with ``int(tok, 16)``; a sign such as
+``+C`` or ``-1`` is malformed. For arbitrary byte strings, every PID, every
 mode byte and every payload, the codec in ``fogtrace.obd`` must accept the
 same frames, return equal values and raise the same exception types.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -57,12 +60,9 @@ def _ref_tokenize(line: bytes) -> list[int]:
         raise MalformedFrameError("empty frame")
     values = []
     for tok in tokens:
-        if len(tok) != 2:
+        if re.fullmatch("[0-9A-Fa-f]{2}", tok) is None:
             raise MalformedFrameError(f"token {tok!r} is not a hex byte pair")
-        try:
-            values.append(int(tok, 16))
-        except ValueError as exc:
-            raise MalformedFrameError(f"token {tok!r} is not a hex byte pair") from exc
+        values.append(int(tok, 16))
     return values
 
 

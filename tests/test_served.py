@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import threading
 import time
 
 import pytest
-import requests
 
 from fogtrace.cloudstore import CloudStoreHTTPServer, CloudStoreService
 from fogtrace.external_httpd import ContextStubServer
+from fogtrace.httpclient import HttpSession
 from fogtrace.obd import PID_RPM
 from fogtrace.vehicle import LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
 from fogtrace.wearables import Polar, WearableServer
@@ -35,12 +36,13 @@ def _wearable_request(server):
 
 
 def _store_request(server):
-    assert requests.get(f"{server.base_url}/nope", timeout=10).status_code == 404
+    with contextlib.closing(HttpSession(server.base_url, timeout_s=10)) as session:
+        assert session.request("GET", "/nope").status == 404
 
 
 def _stub_request(server):
-    response = requests.get(f"{server.base_url}/flow", params={"lat": 52.52, "lon": 13.40}, timeout=10)
-    assert response.status_code == 200
+    with contextlib.closing(HttpSession(server.base_url, timeout_s=10)) as session:
+        assert session.request("GET", "/flow", params={"lat": 52.52, "lon": 13.40}).status == 200
 
 
 SERVERS = {

@@ -72,3 +72,13 @@ def test_malformed_frame_gets_negative_reply(quick_server):
         while not data.endswith(b"\r"):
             data += sock.recv(64)
     assert data == b"7F 00 11\r"
+
+
+@pytest.mark.parametrize("frame", [b"01 +C\r", b"01 -1\r"])
+def test_signed_token_gets_negative_reply_and_keeps_the_connection(quick_server, frame):
+    link = TcpObdLink(*quick_server.address)
+    try:
+        assert link.transact(frame) == b"7F 00 11\r"
+        assert link.request(PID_RPM).pid_id.pid == PID_RPM
+    finally:
+        link.close()
