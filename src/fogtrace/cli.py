@@ -8,11 +8,12 @@ Subcommands:
 * ``replay``    summarize a trace from the store or a local CSV
 * ``erase``     clear device buffers and/or local gateway storage
 
-``--self-contained`` spawns every needed service in-process (vehicle,
-context stubs, cloud store) so a full pipeline runs from a single command.
-The default clock is simulated, which replays multi-minute sessions in
-well under a second; ``--clock real`` runs the identical pipeline against
-a TCP vehicle server and HTTP stubs in wall time.
+``--clock`` alone decides how the vehicle and the context services are
+reached. The default simulated clock keeps both in-process and replays
+multi-minute sessions in well under a second; ``--clock real`` runs the
+identical pipeline in wall time against a loopback TCP vehicle server and
+HTTP context stubs. ``--self-contained`` decides only the cloud store: it
+serves one from ``--store-dir`` when no ``--cloud-url`` is configured.
 
 Exit codes: 0 success, 1 stage failure, 2 usage error.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import os
@@ -78,59 +80,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--self-contained",
         action="store_true",
-        help="spawn vehicle, context stubs and cloud store in-process",
+        help="serve the cloud store in-process when no --cloud-url is configured",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--verbose", action="store_true")
 
+    # Options several commands share, each declared once.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="fogtrace-out", help="artifact directory")
+    store = argparse.ArgumentParser(add_help=False, parents=[out])
+    store.add_argument("--store-dir", default=None, help="cloud store root (self-contained)")
+    store.add_argument("--cloud-url", default=None)
+    store.add_argument("--key-hex", default=None)
+    store.add_argument("--key-file", default=None)
+    clock = argparse.ArgumentParser(add_help=False)
+    clock.add_argument("--clock", choices=("sim", "real"), default="sim")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a full trip through the pipeline")
+    run = sub.add_parser("run", parents=[clock, store], help="execute a full trip through the pipeline")
     run.add_argument("--driver", default="driver-1")
     run.add_argument("--vehicle", default="vehicle-1")
     run.add_argument("--duration", type=float, default=300.0, help="trip length in seconds")
     run.add_argument("--profile", choices=sorted(PROFILES), help="drive profile (default: calm)")
-    run.add_argument("--clock", choices=("sim", "real"), default="sim")
-    run.add_argument("--out", default="fogtrace-out", help="artifact directory")
     run.add_argument("--outbox-dir", default=None)
-    run.add_argument("--store-dir", default=None, help="cloud store root (self-contained)")
-    run.add_argument("--cloud-url", default=None)
-    run.add_argument("--key-hex", default=None)
-    run.add_argument("--key-file", default=None)
     run.add_argument("--no-upload", action="store_true", help="skip the cloud store entirely")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench-obd", help="OBD throughput/latency benchmark")
+    bench = sub.add_parser("bench-obd", parents=[clock], help="OBD throughput/latency benchmark")
     bench.add_argument("--duration", type=float, default=300.0, help="benchmark length in seconds")
     bench.add_argument("--latency", help="min,mode,max reply delay in ms (default: 50,80,200)")
     bench.add_argument("--fixed-ms", type=float, default=None, help="constant reply delay (ms)")
     bench.add_argument("--window-s", type=float, default=60.0)
-    bench.add_argument("--clock", choices=("sim", "real"), default="sim")
     bench.add_argument("--out-csv", default=None, help="write the per-update series here")
     bench.set_defaults(func=cmd_bench_obd)
 
-    verify = sub.add_parser("verify", help="re-validate an uploaded trace")
+    verify = sub.add_parser("verify", parents=[store], help="re-validate an uploaded trace")
     verify.add_argument("--trace-ref", required=True)
-    verify.add_argument("--key-hex", default=None)
-    verify.add_argument("--key-file", default=None)
-    verify.add_argument("--cloud-url", default=None)
-    verify.add_argument("--store-dir", default=None)
-    verify.add_argument("--out", default="fogtrace-out")
     verify.set_defaults(func=cmd_verify)
 
-    replay = sub.add_parser("replay", help="summarize a stored trace")
+    replay = sub.add_parser("replay", parents=[store], help="summarize a stored trace")
     replay.add_argument("--trace-ref", default=None)
     replay.add_argument("--csv-file", default=None, help="local plaintext trace instead")
-    replay.add_argument("--key-hex", default=None)
-    replay.add_argument("--key-file", default=None)
-    replay.add_argument("--cloud-url", default=None)
-    replay.add_argument("--store-dir", default=None)
-    replay.add_argument("--out", default="fogtrace-out")
     replay.set_defaults(func=cmd_replay)
 
-    erase = sub.add_parser("erase", help="erase device and/or local gateway data")
+    erase = sub.add_parser("erase", parents=[out], help="erase device and/or local gateway data")
     erase.add_argument("--scope", choices=("device", "local", "both"), required=True)
-    erase.add_argument("--out", default="fogtrace-out")
     erase.add_argument("--outbox-dir", default=None)
     erase.add_argument("--trace-dir", default=None)
     erase.set_defaults(func=cmd_erase)
@@ -147,10 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except StageError as exc:
-        print(f"fogtrace: {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary
+    except Exception as exc:  # noqa: BLE001 - last-resort CLI boundary; a StageError names its stage
         print(f"fogtrace: {args.command}: {exc}", file=sys.stderr)
         return 1
 
@@ -191,14 +183,15 @@ def _make_clock(kind: str):
     return SimulatedClock() if kind == "sim" else SystemClock()
 
 
-def _resolve_key(args, cfg: Config, out_dir: Path) -> bytes | None:
-    key_hex = getattr(args, "key_hex", None) or cfg.get("gateway.key_hex")
-    key_file = getattr(args, "key_file", None) or cfg.get("gateway.key_file")
+def _resolve_key(args, cfg: Config) -> bytes | None:
+    """``--key-hex``, ``--key-file``, their config keys, then ``key.hex`` in ``--out``."""
+    key_hex = args.key_hex or cfg.get("gateway.key_hex")
+    key_file = args.key_file or cfg.get("gateway.key_file")
     if key_hex:
         return bytes.fromhex(key_hex)
     if key_file:
         return bytes.fromhex(Path(key_file).read_text().strip())
-    existing = out_dir / "key.hex"
+    existing = Path(args.out) / "key.hex"
     if existing.exists():
         return bytes.fromhex(existing.read_text().strip())
     return None
@@ -225,85 +218,90 @@ def _client_accounts(cfg: Config) -> dict[str, ClientAccount]:
     return accounts
 
 
-def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack, out_dir: Path) -> CloudClient | None:
-    """Remote client if a URL is configured, else a self-contained store."""
-    client_id = cfg.get_str("cloud.client_id", DEFAULT_CLIENT_ID)
-    client_secret = cfg.get_str("cloud.client_secret", DEFAULT_CLIENT_SECRET)
-    cloud_url = getattr(args, "cloud_url", None) or cfg.get("cloud.base_url")
-    if cloud_url:
-        return CloudClient(cloud_url, client_id, client_secret)
-    if not args.self_contained:
-        return None
-    store_dir = Path(getattr(args, "store_dir", None) or out_dir / "store")
-    service = CloudStoreService(
-        store_dir,
-        clients=_client_accounts(cfg),
-        token_ttl_s=cfg.get_int("cloud.token_ttl_s", 3600),
+def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient:
+    """Client of the configured store; ``--self-contained`` serves one from ``--store-dir``."""
+    cloud_url = args.cloud_url or cfg.get("cloud.base_url")
+    if not cloud_url:
+        if not args.self_contained:
+            raise ValueError("no cloud store configured; pass --cloud-url, --self-contained or (run) --no-upload")
+        service = CloudStoreService(
+            Path(args.store_dir or Path(args.out) / "store"),
+            clients=_client_accounts(cfg),
+            token_ttl_s=cfg.get_int("cloud.token_ttl_s", 3600),
+        )
+        cloud_url = stack.enter_context(CloudStoreHTTPServer(service)).base_url
+    return CloudClient(
+        cloud_url,
+        cfg.get_str("cloud.client_id", DEFAULT_CLIENT_ID),
+        cfg.get_str("cloud.client_secret", DEFAULT_CLIENT_SECRET),
     )
-    server = stack.enter_context(CloudStoreHTTPServer(service))
-    return CloudClient(server.base_url, client_id, client_secret)
+
+
+def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, context_seed: int | None = None):
+    """The vehicle link factory and, given a seed, the traffic and weather clients.
+
+    On the real clock the vehicle is served over loopback TCP and the context
+    over HTTP; on the simulated clock both stay in-process.
+    """
+    served = clock_kind == "real"
+    if served:
+        host, port = stack.enter_context(VehicleTcpServer(simulator, clock=clock)).address
+        link_factory = lambda: TcpObdLink(host, port, clock)  # noqa: E731
+    else:
+        link_factory = lambda: InProcessObdLink(simulator, clock)  # noqa: E731
+    if context_seed is None:
+        return link_factory, None, None
+    if served:
+        base_url = stack.enter_context(ContextStubServer(seed=context_seed, clock=clock)).base_url
+        flow, weather = HttpFlowProvider(base_url), HttpWeatherProvider(base_url)
+    else:
+        flow = LocalFlowProvider(FlowService(context_seed), clock)
+        weather = LocalWeatherProvider(WeatherService(context_seed), clock)
+    return (
+        link_factory,
+        TrafficClient(flow, RateLimiter(clock=clock), clock),
+        WeatherClient(weather, RateLimiter(clock=clock), clock),
+    )
 
 
 # -- run -----------------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    with _stage("setup"):
-        cfg = _load_config(args)
-        seed = cfg.seed
-        clock = _make_clock(args.clock)
-        out_dir = Path(args.out)
-        simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
-
-        key = _resolve_key(args, cfg, out_dir)
-        new_key = key is None and not args.no_upload
-        if new_key:
-            # Kept in memory until setup has succeeded, so a failed setup
-            # leaves nothing behind.
-            key = os.urandom(32)
-        gateway = Gateway(
-            gateway_id=cfg.get_str("gateway.id", "gateway-1"),
-            clock=clock,
-            key=key,
-            outbox_dir=args.outbox_dir or out_dir / "outbox",
-            trace_dir=out_dir / "traces",
-            config=cfg,
-        )
-
-        physio = PhysioModel()
-        wearables = (
-            MiBand("miband-1", physio, seed),
-            Polar("polar-1", physio, seed),
-            Spire("spire-1", physio, seed),
-        )
-
     with contextlib.ExitStack() as stack:
         with _stage("setup"):
-            if args.clock == "real" and args.self_contained:
-                server = stack.enter_context(VehicleTcpServer(simulator, clock=clock))
-                host, port = server.address
-                link_factory = lambda: TcpObdLink(host, port, clock)  # noqa: E731
-            else:
-                link_factory = lambda: InProcessObdLink(simulator, clock)  # noqa: E731
+            cfg = _load_config(args)
+            seed = cfg.seed
+            clock = _make_clock(args.clock)
+            out_dir = Path(args.out)
+            simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
 
-            ext_seed = cfg.get_int("external.seed", seed)
-            if args.clock == "real" and args.self_contained:
-                stub = stack.enter_context(ContextStubServer(seed=ext_seed, clock=clock))
-                flow_provider = HttpFlowProvider(stub.base_url)
-                weather_provider = HttpWeatherProvider(stub.base_url)
-            else:
-                flow_provider = LocalFlowProvider(FlowService(ext_seed), clock)
-                weather_provider = LocalWeatherProvider(WeatherService(ext_seed), clock)
-            traffic = TrafficClient(flow_provider, RateLimiter(clock=clock), clock)
-            weather = WeatherClient(weather_provider, RateLimiter(clock=clock), clock)
+            key = _resolve_key(args, cfg)
+            new_key = key is None and not args.no_upload
+            if new_key:
+                # Kept in memory until setup has succeeded, so a failed setup
+                # leaves nothing behind.
+                key = os.urandom(32)
+            gateway = Gateway(
+                gateway_id=cfg.get_str("gateway.id", "gateway-1"),
+                clock=clock,
+                key=key,
+                outbox_dir=args.outbox_dir or out_dir / "outbox",
+                trace_dir=out_dir / "traces",
+                config=cfg,
+            )
 
-            cloud = None
-            if not args.no_upload:
-                cloud = _cloud_client(args, cfg, stack, out_dir)
-                if cloud is None:
-                    raise ValueError(
-                        "no cloud store configured; pass --cloud-url, --self-contained or --no-upload"
-                    )
+            physio = PhysioModel()
+            wearables = (
+                MiBand("miband-1", physio, seed),
+                Polar("polar-1", physio, seed),
+                Spire("spire-1", physio, seed),
+            )
+            link_factory, traffic, weather = _wire(
+                args.clock, clock, simulator, stack, context_seed=cfg.get_int("external.seed", seed)
+            )
+
+            cloud = None if args.no_upload else _cloud_client(args, cfg, stack)
             if new_key:
                 # Written before the session: its envelope, uploaded or left in
                 # the outbox, opens only with this key.
@@ -338,16 +336,7 @@ def cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "manifest.json").write_bytes(result.manifest.to_json())
         if result.receipt is not None:
-            (out_dir / "receipt.json").write_text(
-                json.dumps(
-                    {
-                        "trace_ref": result.receipt.trace_ref,
-                        "size_bytes": result.receipt.size_bytes,
-                        "sha256": result.receipt.sha256,
-                    },
-                    indent=2,
-                )
-            )
+            (out_dir / "receipt.json").write_text(json.dumps(dataclasses.asdict(result.receipt), indent=2))
 
     summary = {
         "session_id": result.manifest.session_id,
@@ -373,21 +362,13 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench_obd(args) -> int:
-    with _stage("setup"):
-        clock = _make_clock(args.clock)
-        simulator = VehicleSimulator.from_config(_load_config(args), start_ms=clock.now_ms())
-
     with contextlib.ExitStack() as stack:
         with _stage("setup"):
-            if args.clock == "real" and args.self_contained:
-                server = stack.enter_context(VehicleTcpServer(simulator, clock=clock))
-                link = TcpObdLink(*server.address, clock=clock)
-            else:
-                link = InProcessObdLink(simulator, clock)
+            clock = _make_clock(args.clock)
+            simulator = VehicleSimulator.from_config(_load_config(args), start_ms=clock.now_ms())
+            link = _wire(args.clock, clock, simulator, stack)[0]()
         with _stage("bench"):
-            report = run_obd_bench(
-                link, clock, args.duration * 1000.0, window_ms=args.window_s * 1000.0
-            )
+            report = run_obd_bench(link, clock, args.duration * 1000.0, window_ms=args.window_s * 1000.0)
 
     if args.out_csv:
         Path(args.out_csv).write_bytes(report.series_csv())
@@ -401,19 +382,24 @@ def cmd_bench_obd(args) -> int:
 # -- verify / replay -------------------------------------------------------------
 
 
-def _fetch_and_decrypt(args, cfg, stack) -> tuple[bytes, bytes, SessionManifest, dict]:
-    """Download a trace and open its envelope: (blob, csv, manifest, metadata)."""
-    out_dir = Path(getattr(args, "out", "fogtrace-out"))
-    cloud = _cloud_client(args, cfg, stack, out_dir)
-    if cloud is None:
-        raise ValueError("no cloud store configured; pass --cloud-url or --self-contained")
-    key = _resolve_key(args, cfg, out_dir)
-    if key is None:
-        raise ValueError("no key available; pass --key-hex or --key-file")
-    blob, metadata = cloud.get_trace(args.trace_ref)
-    manifest = SessionManifest.from_dict(metadata["manifest"])
-    csv_bytes = open_envelope(blob, manifest.to_json(), key)
-    return blob, csv_bytes, manifest, metadata
+def _open_trace(args, cfg: Config, stack: contextlib.ExitStack, on_download=None):
+    """Download ``--trace-ref`` and open its envelope: (csv, manifest).
+
+    Each step is a stage named as verify's check for it: download, metadata,
+    decrypt (the key) and decrypt-auth. ``on_download`` sees the stored bytes.
+    """
+    with _stage("download"):
+        blob, metadata = _cloud_client(args, cfg, stack).get_trace(args.trace_ref)
+    if on_download is not None:
+        on_download(blob)
+    with _stage("metadata"):
+        manifest = SessionManifest.from_dict(metadata["manifest"])
+    with _stage("decrypt"):
+        key = _resolve_key(args, cfg)
+        if key is None:
+            raise ValueError("no key available; pass --key-hex or --key-file")
+    with _stage("decrypt-auth"):
+        return open_envelope(blob, manifest.to_json(), key), manifest
 
 
 def cmd_verify(args) -> int:
@@ -423,41 +409,20 @@ def cmd_verify(args) -> int:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    blob = csv_bytes = manifest = None
+    def downloaded(blob: bytes) -> None:
+        check("download", True, f"{len(blob)} bytes")
+        check("content-address", sha256_hex(blob) == args.trace_ref, "stored bytes hash to the requested reference")
+
+    csv_bytes = manifest = None
     with contextlib.ExitStack() as stack:
         try:
-            with _stage("download"):
-                out_dir = Path(args.out)
-                cloud = _cloud_client(args, cfg, stack, out_dir)
-                if cloud is None:
-                    raise ValueError("no cloud store configured")
-                blob, metadata = cloud.get_trace(args.trace_ref)
-            check("download", True, f"{len(blob)} bytes")
-            check(
-                "content-address",
-                sha256_hex(blob) == args.trace_ref,
-                "stored bytes hash to the requested reference",
-            )
-            with _stage("metadata"):
-                manifest = SessionManifest.from_dict(metadata["manifest"])
-            with _stage("decrypt"):
-                key = _resolve_key(args, cfg, out_dir)
-                if key is None:
-                    raise ValueError("no key available; pass --key-hex or --key-file")
-            try:
-                csv_bytes = open_envelope(blob, manifest.to_json(), key)
-                check("decrypt-auth", True)
-            except Exception as exc:
-                check("decrypt-auth", False, str(exc))
+            csv_bytes, manifest = _open_trace(args, cfg, stack, on_download=downloaded)
+            check("decrypt-auth", True)
         except StageError as exc:
             check(exc.stage_name, False, str(exc.cause))
 
-        if csv_bytes is not None and manifest is not None:
-            check(
-                "csv-sha256",
-                sha256_hex(csv_bytes) == manifest.csv_sha256,
-                "plaintext hash matches manifest",
-            )
+        if csv_bytes is not None:
+            check("csv-sha256", sha256_hex(csv_bytes) == manifest.csv_sha256, "plaintext hash matches manifest")
             try:
                 rows = csv_to_rows(csv_bytes)
                 check("row-count", len(rows) == manifest.row_count, f"{len(rows)} rows")
@@ -468,16 +433,8 @@ def cmd_verify(args) -> int:
 
     all_ok = all(ok for _, ok, _ in checks)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "trace_ref": args.trace_ref,
-                    "passed": all_ok,
-                    "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-                },
-                indent=2,
-            )
-        )
+        listed = [{"name": n, "ok": ok, "detail": d} for n, ok, d in checks]
+        print(json.dumps({"trace_ref": args.trace_ref, "passed": all_ok, "checks": listed}, indent=2))
     else:
         for name, ok, detail in checks:
             status = "PASS" if ok else "FAIL"
@@ -495,7 +452,7 @@ def cmd_replay(args) -> int:
             if args.csv_file:
                 csv_bytes = Path(args.csv_file).read_bytes()
             else:
-                _, csv_bytes, _, _ = _fetch_and_decrypt(args, cfg, stack)
+                csv_bytes, _ = _open_trace(args, cfg, stack)
         with _stage("parse"):
             rows = csv_to_rows(csv_bytes)
 

@@ -13,6 +13,7 @@ from .service import (
     ManifestInvalidError,
     MissingPartError,
     NotFoundError,
+    PayloadTooLargeError,
     StorageFullError,
     TokenExpiredError,
     TraceMetadata,
@@ -34,6 +35,7 @@ __all__ = [
     "ManifestInvalidError",
     "MissingPartError",
     "NotFoundError",
+    "PayloadTooLargeError",
     "StorageFullError",
     "TokenExpiredError",
     "TraceMetadata",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import base64
 import json
 import time
+from urllib.parse import quote
 
 from ..httpclient import HttpResponse, HttpSession, NoResponseError, encode_multipart
 from .service import (
@@ -19,6 +20,7 @@ from .service import (
     ManifestInvalidError,
     MissingPartError,
     NotFoundError,
+    PayloadTooLargeError,
     StorageFullError,
     TokenExpiredError,
     UnauthorizedError,
@@ -41,6 +43,7 @@ _ERROR_TYPES = {
         BadRequestError,
         MissingPartError,
         ManifestInvalidError,
+        PayloadTooLargeError,
         StorageFullError,
     )
 }
@@ -83,7 +86,8 @@ class CloudClient:
         return response.json()
 
     def get_trace(self, trace_ref: str) -> tuple[bytes, dict]:
-        response = self._request("GET", f"/api/v1/traces/{trace_ref}", auth=True)
+        # Every reserved character escaped, so '?', '#' and '/' stay in the ref.
+        response = self._request("GET", f"/api/v1/traces/{quote(trace_ref, safe='')}", auth=True)
         header = response.headers.get("X-Trace-Manifest", "")
         metadata = json.loads(base64.b64decode(header)) if header else {}
         return response.body, metadata

@@ -5,7 +5,9 @@
 * ``GET  /api/v1/traces/{ref}`` -> blob, metadata in ``X-Trace-Manifest`` (base64 JSON)
 * ``GET  /api/v1/traces?driver_id=&from=&to=&limit=&offset=`` -> metadata array
 
-Errors are ``{error, detail}`` with matching status codes.
+Errors are ``{error, detail}`` with matching status codes. A body whose
+``Content-Length`` is not a count of bytes answers 400, one above
+``MAX_BODY_BYTES`` 413; neither body is read, and the connection is closed.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import email.parser
 import email.policy
 import json
 from http.server import BaseHTTPRequestHandler
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from ..served import ServedHttp
-from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError
+from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError, PayloadTooLargeError
 
 _TRACES_PATH = "/api/v1/traces"
 _TOKEN_PATH = "/api/v1/token"
+
+# The largest request body read; a 3,600 s trace upload is about 2.2 MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 def parse_multipart(content_type: str, body: bytes) -> dict[str, bytes]:
@@ -50,10 +55,12 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         path = urlparse(self.path).path
         try:
+            # Read before any check: an unread body would be parsed as the next request.
+            body = self._read_body()
             if path == _TOKEN_PATH:
-                self._handle_token()
+                self._handle_token(body)
             elif path == _TRACES_PATH:
-                self._handle_upload()
+                self._handle_upload(body)
             else:
                 self._send_json(404, {"error": "not-found", "detail": path})
         except CloudError as exc:
@@ -65,7 +72,7 @@ class _Handler(BaseHTTPRequestHandler):
             if url.path == _TRACES_PATH:
                 self._handle_list(parse_qs(url.query))
             elif url.path.startswith(_TRACES_PATH + "/"):
-                self._handle_get(url.path[len(_TRACES_PATH) + 1 :])
+                self._handle_get(unquote(url.path[len(_TRACES_PATH) + 1 :]))
             else:
                 self._send_json(404, {"error": "not-found", "detail": url.path})
         except CloudError as exc:
@@ -73,11 +80,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoint bodies ----------------------------------------------------
 
-    def _handle_token(self):
+    def _handle_token(self, body: bytes):
         try:
-            body = json.loads(self._read_body().decode("utf-8"))
-            client_id = body["client_id"]
-            client_secret = body["client_secret"]
+            credentials = json.loads(body.decode("utf-8"))
+            client_id = credentials["client_id"]
+            client_secret = credentials["client_secret"]
         except (ValueError, KeyError, UnicodeDecodeError):
             raise BadRequestError("body must be JSON with client_id/client_secret") from None
         token = self.service.issue_token(client_id, client_secret)
@@ -87,11 +94,11 @@ class _Handler(BaseHTTPRequestHandler):
             {"access_token": token.token, "token_type": "Bearer", "expires_in": int(round(ttl_s))},
         )
 
-    def _handle_upload(self):
+    def _handle_upload(self, body: bytes):
         content_type = self.headers.get("Content-Type", "")
         if "multipart/form-data" not in content_type:
             raise MissingPartError("expected multipart/form-data")
-        parts = parse_multipart(content_type, self._read_body())
+        parts = parse_multipart(content_type, body)
         receipt = self.service.upload_trace(
             self._bearer(), parts.get("manifest"), parts.get("trace")
         )
@@ -139,7 +146,15 @@ class _Handler(BaseHTTPRequestHandler):
         return None
 
     def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
+        raw = self.headers.get("Content-Length", "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            # The body's end is unknown, so the connection cannot carry another request.
+            self.close_connection = True
+            raise BadRequestError(f"Content-Length must be a count of bytes, got {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise PayloadTooLargeError(f"body of {length} bytes is over the {MAX_BODY_BYTES}-byte limit")
         return self.rfile.read(length) if length else b""
 
     def _send_json(self, status: int, body) -> None:

@@ -85,6 +85,11 @@ class ManifestInvalidError(CloudError):
     http_status = 400
 
 
+class PayloadTooLargeError(CloudError):
+    code = "payload-too-large"
+    http_status = 413
+
+
 class StorageFullError(CloudError):
     code = "storage-full"
     http_status = 507

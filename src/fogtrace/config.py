@@ -85,8 +85,3 @@ class Config:
         if low in _FALSE:
             return False
         raise ConfigError(f"{key}: not a boolean: {raw!r}")
-
-    def with_prefix(self, prefix: str) -> dict[str, str]:
-        """Keys under ``prefix.`` with the prefix stripped."""
-        cut = len(prefix) + 1
-        return {k[cut:]: v for k, v in self._values.items() if k.startswith(prefix + ".")}

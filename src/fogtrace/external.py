@@ -5,8 +5,7 @@ response from quantized coordinates (0.001 degree grid), a time bucket
 (day for traffic, hour for weather) and a seed, so repeated queries are
 reproducible and the physical invariants hold by construction. Clients
 enforce the free-tier quota of 60 calls per sliding minute on their own
-side; a denied call either raises or blocks until a permit frees up,
-depending on policy.
+side; a denied call raises ``RateLimitedError``.
 """
 
 from __future__ import annotations
@@ -203,20 +202,6 @@ class RateLimiter:
             self._permits.append(now)
             return True
 
-    def wait_ms(self) -> float:
-        """How long until the next permit could be granted (0 when free now)."""
-        now = self.clock.now_ms()
-        with self._lock:
-            while self._permits and self._permits[0] <= now - self.window_ms:
-                self._permits.popleft()
-            if len(self._permits) < self.capacity:
-                return 0.0
-            return self._permits[0] + self.window_ms - now
-
-    def acquire_blocking(self) -> None:
-        while not self.try_acquire():
-            self.clock.sleep_ms(max(self.wait_ms(), 1.0))
-
 
 class LocalFlowProvider:
     def __init__(self, service: FlowService, clock):
@@ -267,20 +252,13 @@ def _http_get_json(session: HttpSession, path: str, lat: float, lon: float) -> d
 class _ContextClient:
     """Coordinate checks plus client-side quota shared by both clients."""
 
-    def __init__(self, provider, limiter: RateLimiter | None, clock, on_limit: str = "raise"):
+    def __init__(self, provider, limiter: RateLimiter | None, clock):
         self.provider = provider
         self.clock = clock if clock is not None else SystemClock()
         self.limiter = limiter if limiter is not None else RateLimiter(clock=self.clock)
-        if on_limit not in ("raise", "wait"):
-            raise ValueError("on_limit must be 'raise' or 'wait'")
-        self.on_limit = on_limit
 
     def _permit(self) -> None:
-        if self.limiter is None:
-            return
-        if self.on_limit == "wait":
-            self.limiter.acquire_blocking()
-        elif not self.limiter.try_acquire():
+        if not self.limiter.try_acquire():
             raise RateLimitedError("client-side quota exhausted (60 calls per minute)")
 
 

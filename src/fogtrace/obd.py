@@ -156,16 +156,6 @@ class ObdResponse:
     received_at: float  # monotonic ms
 
 
-@dataclass(frozen=True)
-class VehicleReading:
-    """One polling cycle's worth of the three collected channels."""
-
-    speed_kmh: float
-    rpm: float
-    throttle_pct: float
-    sampled_at: float  # ms
-
-
 def encode_request(pid_id: PidId) -> bytes:
     """Render a query as ``MM PP\\r``; only mode 0x01 may be queried."""
     if pid_id.mode != MODE_CURRENT_DATA:

@@ -38,7 +38,6 @@ from .obd import (
     ObdResponse,
     PidId,
     UnsupportedModeError,
-    VehicleReading,
     encode_measurement,
     encode_request,
     parse_request,
@@ -339,41 +338,6 @@ def _request_mode(raw: bytes) -> int:
         return int(raw.decode("ascii", "replace").strip().split()[0], 16) & 0xFF
     except (ValueError, IndexError):
         return 0x00
-
-
-def run_trip(
-    profile: DriveProfile,
-    duration_s: float,
-    seed: int = 0,
-    tick_ms: float = DEFAULT_TICK_MS,
-    start_ms: float = 0.0,
-    throttle_params: ThrottleParams | None = None,
-) -> list[VehicleReading]:
-    """Tick a fresh simulator for the whole duration and log every tick.
-
-    Deterministic for a given seed; duration 0 yields an empty log.
-    """
-    if duration_s < 0:
-        raise ValueError("duration must be >= 0")
-    sim = VehicleSimulator(
-        profile=profile,
-        seed=seed,
-        tick_ms=tick_ms,
-        start_ms=start_ms,
-        throttle_params=throttle_params,
-    )
-    readings: list[VehicleReading] = []
-    for _ in range(int(round(duration_s * 1000.0 / tick_ms))):
-        state = sim.step_once()
-        readings.append(
-            VehicleReading(
-                speed_kmh=state.speed_kmh,
-                rpm=state.rpm,
-                throttle_pct=state.throttle_pct,
-                sampled_at=state.sim_time_ms,
-            )
-        )
-    return readings
 
 
 # The address and query frame of each core PID, built once for every link.

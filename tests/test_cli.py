@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from fogtrace.cli import main
+from fogtrace.cli import build_parser, main
 from fogtrace.gateway import Outbox
 from fogtrace.gateway.envelope import open_envelope
 
@@ -136,6 +137,45 @@ class TestRunCommand:
         )
         assert code == 1
         assert "setup" in stderr
+
+
+class TestRealClock:
+    """``--clock real``: a served vehicle and context in wall time, trips of one second."""
+
+    def test_self_contained_run_and_verify(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, _ = run_cli(
+            capsys, "--self-contained", "--json", "run", "--clock", "real", "--duration", "1", "--out", str(out)
+        )
+        assert code == 0
+        summary = json.loads(stdout)
+        assert summary["obd_rows"] > 0
+        code, stdout, _ = run_cli(
+            capsys,
+            "--self-contained",
+            "--json",
+            "verify",
+            "--trace-ref",
+            summary["trace_ref"],
+            "--store-dir",
+            str(out / "store"),
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        assert json.loads(stdout)["passed"]
+
+    def test_self_contained_bench(self, capsys):
+        code, stdout, _ = run_cli(capsys, "--self-contained", "--json", "bench-obd", "--clock", "real", "--duration", "1")
+        assert code == 0
+        assert json.loads(stdout)["replies"] > 0
+
+    def test_run_without_upload(self, tmp_path, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "--json", "run", "--clock", "real", "--no-upload", "--duration", "1", "--out", str(tmp_path / "o")
+        )
+        assert code == 0
+        assert json.loads(stdout)["trace_ref"] is None
 
 
 class TestVerifyCommand:
@@ -321,3 +361,42 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+
+class TestParserOptions:
+    # Every option string each command offers; the parser may be reorganised
+    # but no flag may appear or disappear.
+    EXPECTED = {
+        None: ["--config", "--help", "--json", "--seed", "--self-contained", "--verbose", "-h"],
+        "run": [
+            "--clock", "--cloud-url", "--driver", "--duration", "--help", "--key-file", "--key-hex",
+            "--no-upload", "--out", "--outbox-dir", "--profile", "--store-dir", "--vehicle", "-h",
+        ],
+        "bench-obd": ["--clock", "--duration", "--fixed-ms", "--help", "--latency", "--out-csv", "--window-s", "-h"],
+        "verify": ["--cloud-url", "--help", "--key-file", "--key-hex", "--out", "--store-dir", "--trace-ref", "-h"],
+        "replay": [
+            "--cloud-url", "--csv-file", "--help", "--key-file", "--key-hex", "--out", "--store-dir", "--trace-ref", "-h",
+        ],
+        "erase": ["--help", "--out", "--outbox-dir", "--scope", "--trace-dir", "-h"],
+    }
+
+    @staticmethod
+    def _options(parser: argparse.ArgumentParser) -> list[str]:
+        return sorted(s for action in parser._actions for s in action.option_strings)
+
+    def test_each_command_offers_the_same_options(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        offered = {name: self._options(sub) for name, sub in commands.choices.items()}
+        offered[None] = self._options(parser)
+        assert offered == self.EXPECTED
+
+    def test_shared_option_defaults(self):
+        parse = build_parser().parse_args
+        for argv in (["run"], ["verify", "--trace-ref", "r"], ["replay"], ["erase", "--scope", "local"]):
+            assert parse(argv).out == "fogtrace-out"
+        for argv in (["run"], ["verify", "--trace-ref", "r"], ["replay"]):
+            args = parse(argv)
+            assert (args.store_dir, args.cloud_url, args.key_hex, args.key_file) == (None, None, None, None)
+        for argv in (["run"], ["bench-obd"]):
+            assert parse(argv).clock == "sim"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,12 @@ from fogtrace.cloudstore import (
     MissingPartError,
     ManifestInvalidError,
     NotFoundError,
+    PayloadTooLargeError,
     TokenExpiredError,
     UnauthorizedError,
     storage_key,
 )
+from fogtrace.cloudstore.httpd import MAX_BODY_BYTES
 from fogtrace.httpclient import HttpSession, encode_multipart
 
 MANIFEST = json.dumps({"session_id": "s1", "driver_id": "drv"}).encode()
@@ -329,3 +332,56 @@ class TestHttpSurface:
         listed = cloud_client.list_traces(driver_id="drv")
         assert len(listed) == 1
         assert listed[0]["uploader"] == "gw"
+
+
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection and read until the server closes it."""
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestBodyLength:
+    """A bad or oversized ``Content-Length`` is refused unread; any other body is read before a refusal."""
+
+    @pytest.mark.parametrize(
+        "path,length,status,error",
+        [
+            ("/api/v1/token", "-1", 400, "bad-request"),
+            ("/api/v1/traces", "abc", 400, "bad-request"),
+            ("/api/v1/token", "999999999999", 413, "payload-too-large"),
+            ("/api/v1/traces", str(MAX_BODY_BYTES + 1), 413, "payload-too-large"),
+        ],
+    )
+    def test_rejected_and_connection_closed(self, store_server, cloud_client, path, length, status, error):
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: multipart/form-data; boundary=b\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        ).encode()
+        head, _, body = raw_exchange(store_server, request).partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == str(status).encode()
+        assert json.loads(body)["error"] == error
+        assert length in json.loads(body)["detail"]
+        # The handler is free again and the server takes new connections.
+        assert cloud_client.list_traces() == []
+
+    @pytest.mark.parametrize("length,error", [("abc", BadRequestError), (str(MAX_BODY_BYTES + 1), PayloadTooLargeError)])
+    def test_client_raises_the_mapped_error(self, cloud_client, length, error):
+        with pytest.raises(error):
+            cloud_client._request("POST", "/api/v1/token", body=b"", headers={"Content-Length": length})
+        assert cloud_client.list_traces() == []
+
+    @pytest.mark.parametrize("path", ["/api/v1/traces", "/api/v1/elsewhere"])
+    def test_refused_body_is_not_read_as_the_next_request(self, store_server, path):
+        smuggled = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: text/plain\r\n"
+            f"Content-Length: {len(smuggled)}\r\n\r\n"
+        ).encode() + smuggled + b"GET /api/v1/next HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        reply = raw_exchange(store_server, request)
+        assert reply.count(b"HTTP/1.1 ") == 2
+        assert b"/smuggled" not in reply
+        assert b"/api/v1/next" in reply

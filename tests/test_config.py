@@ -50,10 +50,6 @@ class TestParser:
         cfg = Config({"a": "1", "b": "2"}).merged({"b": "3", "c": "4"})
         assert cfg.as_dict() == {"a": "1", "b": "3", "c": "4"}
 
-    def test_with_prefix(self):
-        cfg = Config({"cloud.client.gw.secret": "s", "cloud.client.gw.scopes": "read", "other": "x"})
-        assert cfg.with_prefix("cloud.client.gw") == {"secret": "s", "scopes": "read"}
-
 
 class TestVehicleFromConfig:
     def test_simulator_reads_latency_and_profile(self):

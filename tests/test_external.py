@@ -146,15 +146,6 @@ class TestRateLimiter:
             t.join()
         assert len(granted) == 60
 
-    def test_blocking_acquire_waits(self):
-        clock = SimulatedClock()
-        limiter = RateLimiter(capacity=2, window_ms=1000.0, clock=clock)
-        assert limiter.try_acquire()
-        assert limiter.try_acquire()
-        t0 = clock.now_ms()
-        limiter.acquire_blocking()
-        assert clock.now_ms() - t0 >= 999.0
-
 
 class TestClients:
     def test_rate_limited_raises_by_default(self):
@@ -174,19 +165,6 @@ class TestClients:
         client = WeatherClient(LocalWeatherProvider(WeatherService(1), clock), None, clock)
         with pytest.raises(InvalidCoordinatesError):
             client.get_current_weather(91.0, 0.0)
-
-    def test_wait_policy_defers_instead_of_failing(self):
-        clock = SimulatedClock()
-        client = WeatherClient(
-            LocalWeatherProvider(WeatherService(1), clock),
-            RateLimiter(capacity=1, window_ms=1000.0, clock=clock),
-            clock,
-            on_limit="wait",
-        )
-        client.get_current_weather(52.0, 13.0)
-        t0 = clock.now_ms()
-        client.get_current_weather(52.0, 13.0)
-        assert clock.now_ms() > t0
 
 
 class TestHttpStub:

@@ -39,10 +39,11 @@ def test_store_client_keeps_one_connection(cloud_client):
     assert sock.getsockname() == local_address
 
 
-@pytest.mark.parametrize("ref", ["ab cd", "x\ny", "\u00e9", "a%20b"])
+@pytest.mark.parametrize("ref", ["ab cd", "x\ny", "\u00e9", "a%20b", "a?b", "a#b"])
 def test_unsafe_trace_ref_is_encoded_not_unreachable(cloud_client, ref):
-    with pytest.raises(NotFoundError):
+    with pytest.raises(NotFoundError) as caught:
         cloud_client.get_trace(ref)
+    assert ref in str(caught.value)
 
 
 def test_a_request_that_fails_part_way_does_not_poison_the_next(store_server):

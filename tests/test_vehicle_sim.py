@@ -23,7 +23,6 @@ from fogtrace.vehicle import (
     VehicleSimulator,
     VehicleState,
     gear_for_speed,
-    run_trip,
     step,
 )
 
@@ -89,21 +88,27 @@ class TestStep:
         assert (state.lat, state.lon) == pytest.approx((lat, lon))
 
 
+def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[VehicleState]:
+    """Every state a fresh simulator steps through in ``duration_s``."""
+    sim = VehicleSimulator(profile=profile, seed=seed)
+    log = []
+    while sim.snapshot().sim_time_ms + sim.tick_ms <= duration_s * 1000.0:
+        log.append(sim.step_once())
+    return log
+
+
 class TestRunTrip:
+    """A trip ticked through ``VehicleSimulator.step_once``."""
+
     def test_calm_300s_reading_count_and_accel_bound(self):
-        log = run_trip(CALM_PROFILE, 300.0)
+        log = tick_log(CALM_PROFILE, 300.0)
         assert len(log) == 3000
         max_step = CALM_PROFILE.accel_limit_mps2 * 0.1 * 3.6
         for first, second in zip(log, log[1:]):
             assert abs(second.speed_kmh - first.speed_kmh) <= max_step + 1e-9
 
-    def test_zero_duration_gives_empty_log(self):
-        assert run_trip(CALM_PROFILE, 0.0) == []
-
     def test_deterministic_for_seed(self):
-        assert run_trip(AGGRESSIVE_PROFILE, 120.0, seed=3) == run_trip(
-            AGGRESSIVE_PROFILE, 120.0, seed=3
-        )
+        assert tick_log(AGGRESSIVE_PROFILE, 120.0, seed=3) == tick_log(AGGRESSIVE_PROFILE, 120.0, seed=3)
 
     def test_odometer_nondecreasing(self):
         sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
