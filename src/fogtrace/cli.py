@@ -25,6 +25,7 @@ import contextlib
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from collections import Counter
@@ -73,6 +74,17 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a finite number of seconds above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds above 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fogtrace", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="key=value configuration file")
@@ -101,17 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[clock, store], help="execute a full trip through the pipeline")
     run.add_argument("--driver", default="driver-1")
     run.add_argument("--vehicle", default="vehicle-1")
-    run.add_argument("--duration", type=float, default=300.0, help="trip length in seconds")
+    run.add_argument("--duration", type=_seconds, default=300.0, help="trip length in seconds")
     run.add_argument("--profile", choices=sorted(PROFILES), help="drive profile (default: calm)")
     run.add_argument("--outbox-dir", default=None)
     run.add_argument("--no-upload", action="store_true", help="skip the cloud store entirely")
     run.set_defaults(func=cmd_run)
 
     bench = sub.add_parser("bench-obd", parents=[clock], help="OBD throughput/latency benchmark")
-    bench.add_argument("--duration", type=float, default=300.0, help="benchmark length in seconds")
+    bench.add_argument("--duration", type=_seconds, default=300.0, help="benchmark length in seconds")
     bench.add_argument("--latency", help="min,mode,max reply delay in ms (default: 50,80,200)")
     bench.add_argument("--fixed-ms", type=float, default=None, help="constant reply delay (ms)")
-    bench.add_argument("--window-s", type=float, default=60.0)
+    bench.add_argument("--window-s", type=_seconds, default=60.0)
     bench.add_argument("--out-csv", default=None, help="write the per-update series here")
     bench.set_defaults(func=cmd_bench_obd)
 

@@ -1,8 +1,8 @@
 """HTTP stub server mimicking the two third-party context services.
 
 Endpoints: ``GET /flow?lat=&lon=`` and ``GET /weather?lat=&lon=``, JSON
-bodies carrying exactly the typed fields. Responses are deterministic via
-the underlying services.
+bodies carrying exactly the typed fields. Each is answered by the local
+provider the simulated clock uses in-process, so responses are deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +12,13 @@ from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from .clock import SystemClock
-from .external import FlowService, InvalidCoordinatesError, WeatherService
+from .external import (
+    FlowService,
+    InvalidCoordinatesError,
+    LocalFlowProvider,
+    LocalWeatherProvider,
+    WeatherService,
+)
 from .served import ServedHttp
 
 
@@ -28,12 +34,11 @@ class _StubHandler(BaseHTTPRequestHandler):
             lon = float(query.get("lon", ["nan"])[0])
         except ValueError:
             return self._send(400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
-        now_ms = owner.clock.now_ms()
         try:
             if url.path == "/flow":
-                return self._send(200, owner.flow.segment(lat, lon, now_ms).to_dict())
+                return self._send(200, owner.flow.fetch(lat, lon).to_dict())
             if url.path == "/weather":
-                return self._send(200, owner.weather.observation(lat, lon, now_ms).to_dict())
+                return self._send(200, owner.weather.fetch(lat, lon).to_dict())
         except InvalidCoordinatesError as exc:
             return self._send(400, {"error": "invalid-coordinates", "detail": str(exc)})
         return self._send(404, {"error": "not-found", "detail": self.path})
@@ -51,16 +56,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class ContextStubServer(ServedHttp):
-    def __init__(
-        self,
-        flow: FlowService | None = None,
-        weather: WeatherService | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        clock=None,
-        seed: int = 0,
-    ):
-        self.flow = flow or FlowService(seed=seed)
-        self.weather = weather or WeatherService(seed=seed)
-        self.clock = clock if clock is not None else SystemClock()
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, clock=None, seed: int = 0):
+        clock = clock if clock is not None else SystemClock()
+        self.flow = LocalFlowProvider(FlowService(seed), clock)
+        self.weather = LocalWeatherProvider(WeatherService(seed), clock)
         super().__init__(_StubHandler, host, port)

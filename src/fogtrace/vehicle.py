@@ -371,10 +371,10 @@ class InProcessObdLink(_RequestHelper):
     milliseconds of compute time.
     """
 
-    def __init__(self, simulator: VehicleSimulator, clock, latency: LatencyModel | None = None):
+    def __init__(self, simulator: VehicleSimulator, clock):
         self.simulator = simulator
         self.clock = clock
-        self.latency = latency if latency is not None else simulator.latency
+        self.latency = simulator.latency
         self.closed = False
 
     def transact(self, raw_request: bytes) -> bytes:
@@ -390,24 +390,30 @@ class InProcessObdLink(_RequestHelper):
         self.closed = True
 
 
+def _frames(sock: socket.socket):
+    """The CR-terminated frames read from ``sock``, in order, until the peer closes."""
+    buffer = bytearray()
+    while chunk := sock.recv(4096):
+        buffer += chunk
+        while (idx := buffer.find(b"\r")) >= 0:
+            frame = bytes(buffer[: idx + 1])
+            del buffer[: idx + 1]
+            yield frame
+
+
 class TcpObdLink(_RequestHelper):
     """Client for the TCP framing server; one in-flight request at a time."""
 
     def __init__(self, host: str, port: int, clock=None, timeout_s: float = 30.0):
         self.clock = clock if clock is not None else SystemClock()
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
-        self._buffer = bytearray()
+        self._frames = _frames(self._sock)
 
     def transact(self, raw_request: bytes) -> bytes:
         self._sock.sendall(raw_request)
-        while b"\r" not in self._buffer:
-            chunk = self._sock.recv(4096)
-            if not chunk:
-                raise ConnectionError("OBD server closed the connection")
-            self._buffer.extend(chunk)
-        idx = self._buffer.index(b"\r")
-        frame = bytes(self._buffer[: idx + 1])
-        del self._buffer[: idx + 1]
+        frame = next(self._frames, None)
+        if frame is None:
+            raise ConnectionError("OBD server closed the connection")
         return frame
 
     def close(self) -> None:
@@ -420,27 +426,14 @@ class TcpObdLink(_RequestHelper):
 class _VehicleHandler(socketserver.BaseRequestHandler):
     def handle(self):
         server: VehicleTcpServer = self.server.owner  # type: ignore[attr-defined]
-        buffer = bytearray()
-        while True:
-            try:
-                chunk = self.request.recv(4096)
-            except OSError:
-                return
-            if not chunk:
-                return
-            buffer.extend(chunk)
-            # Requests on one connection are serviced strictly in order.
-            while b"\r" in buffer:
-                idx = buffer.index(b"\r")
-                frame = bytes(buffer[: idx + 1]).lstrip(b"\n>")
-                del buffer[: idx + 1]
-                delay = server.simulator.latency.sample()
-                server.clock.sleep_ms(delay)
-                server.simulator.advance_to(server.clock.now_ms())
-                try:
-                    self.request.sendall(server.simulator.reply_frame(frame))
-                except OSError:
-                    return
+        # One link per connection answers its requests strictly in order, the
+        # same way the in-process link answers them on the simulated clock.
+        link = InProcessObdLink(server.simulator, server.clock)
+        try:
+            for frame in _frames(self.request):
+                self.request.sendall(link.transact(frame.lstrip(b"\n>")))
+        except OSError:
+            return
 
 
 class VehicleTcpServer(ServedThread):

@@ -20,13 +20,8 @@ from __future__ import annotations
 
 import math
 import random
-import socketserver
-import threading
 from collections import deque
 from dataclasses import dataclass
-
-from .clock import SystemClock
-from .served import ServedThread
 
 KIND_MIBAND = "miband-m1s"
 KIND_POLAR = "polar-h7"
@@ -128,15 +123,16 @@ class WearableDevice:
     """Pairing, locking and buffering shared by every simulated device."""
 
     kind = "generic"
+    default_id = "device-1"
 
-    def __init__(self, device_id: str, physio: PhysioModel | None = None, seed: int = 0):
-        self.device_id = device_id
+    def __init__(self, device_id: str | None = None, physio: PhysioModel | None = None, seed: int = 0):
+        self.device_id = device_id if device_id is not None else self.default_id
         self.physio = physio or PhysioModel()
         self.locked_to: str | None = None
         self.battery_pct = 100.0
         self.buffer: deque = deque(maxlen=4096)
         self._settings: dict[str, str] = {}
-        self._rng = random.Random(f"{seed}:{device_id}")
+        self._rng = random.Random(f"{seed}:{self.device_id}")
 
     def pair(self, gateway_id: str) -> None:
         """Bond and lock to one gateway; re-pairing from the owner is idempotent."""
@@ -168,9 +164,10 @@ class WearableDevice:
 
 class MiBand(WearableDevice):
     kind = KIND_MIBAND
+    default_id = "miband-1"
     min_interval_ms = 10_000.0
 
-    def __init__(self, device_id: str = "miband-1", physio: PhysioModel | None = None, seed: int = 0):
+    def __init__(self, device_id: str | None = None, physio: PhysioModel | None = None, seed: int = 0):
         super().__init__(device_id, physio, seed)
         self._cached: HeartSample | None = None
 
@@ -193,38 +190,58 @@ class MiBand(WearableDevice):
 class SampleStream:
     """Pull-style subscription: ``take`` must be called at or after ``next_due_ms``."""
 
-    def __init__(self, device: "WearableDevice", start_ms: float, period_ms: float, jitter_ms: float):
+    def __init__(self, device: "_SubscriptionDevice", start_ms: float):
         self.device = device
-        self.period_ms = period_ms
-        self.jitter_ms = jitter_ms
         self.next_due_ms = start_ms + self._interval()
         self.closed = False
 
     def _interval(self) -> float:
-        jitter = self.device._rng.uniform(-self.jitter_ms, self.jitter_ms)
-        return self.period_ms + jitter
+        device = self.device
+        return device.period_ms + device._rng.uniform(-device.jitter_ms, device.jitter_ms)
 
     def take(self, now_ms: float):
         if self.closed:
             raise DeviceError("stream is closed")
-        sample = self._make(int(self.next_due_ms))
+        sample = self.device.measure(int(self.next_due_ms))
         self.next_due_ms += self._interval()
         self.device.buffer.append(sample)
         self.device._drain_battery()
         return sample
-
-    def _make(self, measured_at: int):  # pragma: no cover - subclass hook
-        raise NotImplementedError
 
     def close(self) -> None:
         self.closed = True
         self.device._stream = None
 
 
-class _HeartStream(SampleStream):
-    def _make(self, measured_at: int) -> HeartSample:
-        rng = self.device._rng
-        model_bpm = self.device.physio.bpm(rng)
+class _SubscriptionDevice(WearableDevice):
+    period_ms = 1000.0
+    jitter_ms = 0.0
+
+    def __init__(self, device_id: str | None = None, physio: PhysioModel | None = None, seed: int = 0):
+        super().__init__(device_id, physio, seed)
+        self._stream: SampleStream | None = None
+
+    def subscribe(self, start_ms: float) -> SampleStream:
+        self.require_paired()
+        if self._stream is not None and not self._stream.closed:
+            raise AlreadySubscribedError(f"{self.device_id} already has a subscriber")
+        self._stream = SampleStream(self, start_ms)
+        return self._stream
+
+    def measure(self, measured_at: int):  # pragma: no cover - subclass hook
+        """The sample pushed at ``measured_at``, drawn from the device's generator."""
+        raise NotImplementedError
+
+
+class Polar(_SubscriptionDevice):
+    kind = KIND_POLAR
+    default_id = "polar-1"
+    period_ms = 2000.0
+    jitter_ms = 50.0
+
+    def measure(self, measured_at: int) -> HeartSample:
+        rng = self._rng
+        model_bpm = self.physio.bpm(rng)
         # 1-4 intervals per push, tracking roughly beats-per-2s.
         n = int(round(model_bpm * self.period_ms / 60000.0 + rng.uniform(-0.4, 0.4)))
         n = min(max(n, 1), 4)
@@ -234,161 +251,24 @@ class _HeartStream(SampleStream):
         )
         bpm = float(round(60000.0 / (sum(rr) / len(rr))))
         return HeartSample(
-            device=self.device.device_id,
+            device=self.device_id,
             bpm=bpm,
             rr_intervals_ms=rr,
             measured_at=measured_at,
         )
 
 
-class _RespirationStream(SampleStream):
-    def _make(self, measured_at: int) -> RespirationSample:
-        breaths = round(self.device.physio.breaths_per_min(self.device._rng), 1)
+class Spire(_SubscriptionDevice):
+    kind = KIND_SPIRE
+    default_id = "spire-1"
+    period_ms = 5000.0
+    jitter_ms = 100.0
+
+    def measure(self, measured_at: int) -> RespirationSample:
+        breaths = round(self.physio.breaths_per_min(self._rng), 1)
         return RespirationSample(
-            device=self.device.device_id,
+            device=self.device_id,
             breaths_per_min=breaths,
             state=respiration_state(breaths),
             measured_at=measured_at,
         )
-
-
-class _SubscriptionDevice(WearableDevice):
-    period_ms = 1000.0
-    jitter_ms = 0.0
-    _stream_cls = SampleStream
-
-    def __init__(self, device_id: str, physio: PhysioModel | None = None, seed: int = 0):
-        super().__init__(device_id, physio, seed)
-        self._stream: SampleStream | None = None
-
-    def subscribe(self, start_ms: float) -> SampleStream:
-        self.require_paired()
-        if self._stream is not None and not self._stream.closed:
-            raise AlreadySubscribedError(f"{self.device_id} already has a subscriber")
-        self._stream = self._stream_cls(self, start_ms, self.period_ms, self.jitter_ms)
-        return self._stream
-
-
-class Polar(_SubscriptionDevice):
-    kind = KIND_POLAR
-    period_ms = 2000.0
-    jitter_ms = 50.0
-    _stream_cls = _HeartStream
-
-    def __init__(self, device_id: str = "polar-1", physio: PhysioModel | None = None, seed: int = 0):
-        super().__init__(device_id, physio, seed)
-
-
-class Spire(_SubscriptionDevice):
-    kind = KIND_SPIRE
-    period_ms = 5000.0
-    jitter_ms = 100.0
-    _stream_cls = _RespirationStream
-
-    def __init__(self, device_id: str = "spire-1", physio: PhysioModel | None = None, seed: int = 0):
-        super().__init__(device_id, physio, seed)
-
-
-def sample_record_lines(sample) -> list[str]:
-    """Wire encoding: one line per channel, shaped like a trace row."""
-    if isinstance(sample, HeartSample):
-        lines = [f"{sample.measured_at},{sample.device},bpm,{sample.bpm:g},bpm,0"]
-        lines.extend(
-            f"{sample.measured_at},{sample.device},rr_ms,{rr:g},ms,0" for rr in sample.rr_intervals_ms
-        )
-        return lines
-    if isinstance(sample, RespirationSample):
-        return [
-            f"{sample.measured_at},{sample.device},breaths_per_min,{sample.breaths_per_min:g},breaths/min,0",
-            f"{sample.measured_at},{sample.device},resp_state,{sample.state},,0",
-        ]
-    raise TypeError(f"no wire encoding for {type(sample).__name__}")
-
-
-class _WearableHandler(socketserver.StreamRequestHandler):
-    def handle(self):
-        server: WearableServer = self.server.owner  # type: ignore[attr-defined]
-        device = server.device
-        while True:
-            line = self.rfile.readline()
-            if not line:
-                return
-            parts = line.decode("utf-8", "replace").strip().split()
-            if not parts:
-                continue
-            cmd, args = parts[0].upper(), parts[1:]
-            try:
-                if cmd == "PAIR" and args:
-                    device.pair(args[0])
-                    self._reply("OK")
-                elif cmd == "UNPAIR" and args:
-                    device.unpair(args[0])
-                    self._reply("OK")
-                elif cmd == "POLL":
-                    if not isinstance(device, MiBand):
-                        self._reply("ERR unsupported-op")
-                        continue
-                    sample = device.poll(server.clock.now_ms())
-                    for record in sample_record_lines(sample):
-                        self._reply(record)
-                    self._reply(".")
-                elif cmd == "SUBSCRIBE":
-                    stream = device.subscribe(server.clock.now_ms())
-                    self._reply("OK")
-                    self._push(server, stream)
-                    return
-                elif cmd == "ERASE":
-                    self._reply(f"OK {device.erase()}")
-                elif cmd == "CONFIGURE":
-                    echoed = device.configure(**dict(a.split("=", 1) for a in args if "=" in a))
-                    self._reply("OK " + " ".join(f"{k}={v}" for k, v in sorted(echoed.items())))
-                elif cmd == "QUIT":
-                    self._reply("BYE")
-                    return
-                else:
-                    self._reply("ERR bad-command")
-            except DeviceLockedError:
-                self._reply("ERR device-locked")
-            except NotPairedError:
-                self._reply("ERR not-paired")
-            except AlreadySubscribedError:
-                self._reply("ERR already-subscribed")
-
-    def _reply(self, text: str) -> None:
-        self.wfile.write((text + "\n").encode("utf-8"))
-        self.wfile.flush()
-
-    def _push(self, server: "WearableServer", stream: SampleStream) -> None:
-        try:
-            while not server.closing.is_set():
-                wait = stream.next_due_ms - server.clock.now_ms()
-                if wait > 0:
-                    server.clock.sleep_ms(min(wait, 200.0))
-                    continue
-                sample = stream.take(server.clock.now_ms())
-                for record in sample_record_lines(sample):
-                    self._reply(record)
-        except (OSError, ValueError):
-            pass
-        finally:
-            stream.close()
-
-
-class WearableServer(ServedThread):
-    """Line-protocol access to one device over loopback TCP.
-
-    Commands: PAIR <id>, UNPAIR <id>, POLL, SUBSCRIBE, ERASE,
-    CONFIGURE k=v ..., QUIT. Sample records are pushed as single lines in
-    the trace-row field order (timestamp, source, channel, value, unit,
-    interpolated).
-    """
-
-    def __init__(self, device: WearableDevice, host: str = "127.0.0.1", port: int = 0, clock=None):
-        self.device = device
-        self.clock = clock if clock is not None else SystemClock()
-        self.closing = threading.Event()
-        super().__init__(_WearableHandler, host, port)
-
-    def stop(self) -> None:
-        self.closing.set()
-        super().stop()

@@ -57,23 +57,6 @@ class TestRunCommand:
         assert "FAIL" not in stdout
         assert "PASS decrypt-auth" in stdout
 
-    def test_zero_duration_uploads_empty_trace(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        code, stdout, _ = run_cli(
-            capsys,
-            "--self-contained",
-            "--json",
-            "run",
-            "--duration",
-            "0",
-            "--out",
-            str(out),
-        )
-        assert code == 0
-        summary = json.loads(stdout)
-        assert summary["row_count"] == 0
-        assert summary["trace_ref"]
-
     def test_unreachable_cloud_names_upload_stage(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, stderr = run_cli(
@@ -361,6 +344,33 @@ class TestUsageErrors:
 
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("value", ["-1", "0", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["--self-contained", "run", "--duration"], ["bench-obd", "--duration"], ["bench-obd", "--window-s"]],
+        ids=["run-duration", "bench-duration", "bench-window"],
+    )
+    def test_seconds_not_above_0_exit_2(self, tmp_path, capsys, argv, value):
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, *argv, value, *(["--out", str(out)] if "run" in argv else []))
+        assert code == 2
+        assert argv[-1] in stderr
+        assert not stdout
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--duration"], ["bench-obd", "--duration"], ["bench-obd", "--window-s"]],
+        ids=["run-duration", "bench-duration", "bench-window"],
+    )
+    def test_seconds_not_finite_exit_2(self, capsys, argv, value):
+        # Parsed only: on a parser that let inf through, the trip would never end.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, value])
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
 
 
 class TestParserOptions:

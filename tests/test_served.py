@@ -1,4 +1,4 @@
-"""The shared lifecycle of the four loopback servers: start, serve, stop."""
+"""The shared lifecycle of the three loopback servers: start, serve, stop."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from fogtrace.external_httpd import ContextStubServer
 from fogtrace.httpclient import HttpSession
 from fogtrace.obd import PID_RPM
 from fogtrace.vehicle import LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
-from fogtrace.wearables import Polar, WearableServer
 
 
 def _vehicle(_tmp_path):
@@ -29,12 +28,6 @@ def _vehicle_request(server):
         link.close()
 
 
-def _wearable_request(server):
-    with socket.create_connection(server.address, timeout=5) as sock:
-        sock.sendall(b"QUIT\n")
-        assert sock.makefile("rb").readline() == b"BYE\n"
-
-
 def _store_request(server):
     with contextlib.closing(HttpSession(server.base_url, timeout_s=10)) as session:
         assert session.request("GET", "/nope").status == 404
@@ -47,7 +40,6 @@ def _stub_request(server):
 
 SERVERS = {
     "vehicle": (_vehicle, _vehicle_request),
-    "wearable": (lambda _tmp_path: WearableServer(Polar(seed=1)), _wearable_request),
     "store": (lambda tmp_path: CloudStoreHTTPServer(CloudStoreService(tmp_path / "store")), _store_request),
     "context-stub": (lambda _tmp_path: ContextStubServer(seed=4), _stub_request),
 }

@@ -1,4 +1,4 @@
-"""TCP framing server checks (real clock, short latencies to stay quick)."""
+"""TCP framing server checks (real clock and short latencies to stay quick, unless noted)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import threading
 
 import pytest
 
-from fogtrace.obd import PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId
-from fogtrace.vehicle import LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
+from fogtrace.clock import SimulatedClock
+from fogtrace.obd import CORE_PIDS, PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId, encode_request
+from fogtrace.vehicle import InProcessObdLink, LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
 
 
 @pytest.fixture
@@ -82,3 +83,29 @@ def test_signed_token_gets_negative_reply_and_keeps_the_connection(quick_server,
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
     finally:
         link.close()
+
+
+def _exchanges(link, count=30):
+    """Reply frames and the receive times ``request`` would stamp on them."""
+    pids = (*CORE_PIDS, 0x99)
+    seen = []
+    for i in range(count):
+        frame = link.transact(encode_request(PidId(pids[i % len(pids)])))
+        seen.append((frame, link.clock.now_ms()))
+    return seen
+
+
+def test_served_vehicle_replies_as_the_in_process_link():
+    # Simulated clocks, so both sides see the same latency draws at the same times.
+    served_clock, local_clock = SimulatedClock(), SimulatedClock()
+    served_sim = VehicleSimulator(seed=7, start_ms=served_clock.now_ms())
+    local_sim = VehicleSimulator(seed=7, start_ms=local_clock.now_ms())
+    with VehicleTcpServer(served_sim, clock=served_clock) as server:
+        link = TcpObdLink(*server.address, clock=served_clock)
+        try:
+            served = _exchanges(link)
+        finally:
+            link.close()
+    local = _exchanges(InProcessObdLink(local_sim, local_clock))
+    assert served == local
+    assert local[3][0].startswith(b"7F 01 12")  # the unsupported PID's negative reply

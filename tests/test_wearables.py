@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import socket
 import statistics
 
 import pytest
@@ -13,17 +12,21 @@ from fogtrace.wearables import (
     PhysioModel,
     PhysioProfile,
     Polar,
-    RespirationSample,
     Spire,
-    WearableServer,
     respiration_state,
-    sample_record_lines,
 )
 
 
 def paired(device):
     device.pair("gw-1")
     return device
+
+
+@pytest.mark.parametrize("cls,default_id", [(MiBand, "miband-1"), (Polar, "polar-1"), (Spire, "spire-1")])
+def test_default_id_draws_as_the_explicit_one(cls, default_id):
+    implicit, explicit = cls(seed=5), cls(default_id, PhysioModel(), 5)
+    assert implicit.device_id == default_id
+    assert implicit._rng.random() == explicit._rng.random()
 
 
 class TestPairingLock:
@@ -218,68 +221,3 @@ class TestHousekeeping:
         for _ in range(10):
             stream.take(stream.next_due_ms)
         assert device.battery_pct < 100.0
-
-
-class _LineClient:
-    def __init__(self, port: int):
-        self.sock = socket.create_connection(("127.0.0.1", port), timeout=5)
-        self.file = self.sock.makefile("rwb")
-
-    def send(self, line: str) -> None:
-        self.file.write((line + "\n").encode())
-        self.file.flush()
-
-    def recv(self) -> str:
-        return self.file.readline().decode().rstrip("\n")
-
-    def close(self) -> None:
-        self.sock.close()
-
-
-class TestWearableServer:
-    def test_pair_poll_and_lock_over_socket(self):
-        device = MiBand(seed=1)
-        with WearableServer(device) as server:
-            first = _LineClient(server.port)
-            first.send("PAIR gw-1")
-            assert first.recv() == "OK"
-            first.send("POLL")
-            record = first.recv()
-            assert first.recv() == "."
-            fields = record.split(",")
-            assert fields[1] == device.device_id
-            assert fields[2] == "bpm"
-
-            second = _LineClient(server.port)
-            second.send("PAIR gw-2")
-            assert second.recv() == "ERR device-locked"
-            first.send("ERASE")
-            assert first.recv().startswith("OK")
-            first.close()
-            second.close()
-
-    def test_subscribe_pushes_records(self):
-        device = Polar(seed=1)
-        device.period_ms = 100.0  # shrink the cadence so the test stays fast
-        device.jitter_ms = 0.0
-        with WearableServer(device) as server:
-            client = _LineClient(server.port)
-            client.send("PAIR gw-1")
-            assert client.recv() == "OK"
-            client.send("SUBSCRIBE")
-            assert client.recv() == "OK"
-            lines = [client.recv() for _ in range(4)]
-            assert all(device.device_id in line for line in lines)
-            assert any(",bpm," in line for line in lines)
-            client.close()
-
-
-def test_sample_record_lines_shapes():
-    heart = paired(Polar(seed=1)).subscribe(0.0).take(0.0)
-    lines = sample_record_lines(heart)
-    assert lines[0].split(",")[2] == "bpm"
-    assert len(lines) == 1 + len(heart.rr_intervals_ms)
-
-    resp = RespirationSample("spire-1", 15.0, "focus", 123)
-    lines = sample_record_lines(resp)
-    assert [line.split(",")[2] for line in lines] == ["breaths_per_min", "resp_state"]
