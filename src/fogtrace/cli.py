@@ -215,7 +215,7 @@ def _client_accounts(cfg: Config) -> dict[str, ClientAccount]:
         parts = key.split(".")
         if len(parts) == 4 and parts[:2] == ["cloud", "client"] and parts[3] == "secret":
             client_id = parts[2]
-            scopes = cfg.get_str(f"cloud.client.{client_id}.scopes", "upload,read")
+            scopes = cfg.get(f"cloud.client.{client_id}.scopes", "upload,read")
             accounts[client_id] = ClientAccount(
                 client_id=client_id,
                 client_secret=value,
@@ -242,11 +242,13 @@ def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient
             token_ttl_s=cfg.get_int("cloud.token_ttl_s", 3600),
         )
         cloud_url = stack.enter_context(CloudStoreHTTPServer(service)).base_url
-    return CloudClient(
+    client = CloudClient(
         cloud_url,
-        cfg.get_str("cloud.client_id", DEFAULT_CLIENT_ID),
-        cfg.get_str("cloud.client_secret", DEFAULT_CLIENT_SECRET),
+        cfg.get("cloud.client_id", DEFAULT_CLIENT_ID),
+        cfg.get("cloud.client_secret", DEFAULT_CLIENT_SECRET),
     )
+    stack.callback(client.session.close)
+    return client
 
 
 def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, context_seed: int | None = None):
@@ -266,6 +268,8 @@ def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, contex
     if served:
         base_url = stack.enter_context(ContextStubServer(seed=context_seed, clock=clock)).base_url
         flow, weather = HttpFlowProvider(base_url), HttpWeatherProvider(base_url)
+        stack.callback(flow.session.close)
+        stack.callback(weather.session.close)
     else:
         flow = LocalFlowProvider(FlowService(context_seed), clock)
         weather = LocalWeatherProvider(WeatherService(context_seed), clock)
@@ -295,7 +299,7 @@ def cmd_run(args) -> int:
                 # leaves nothing behind.
                 key = os.urandom(32)
             gateway = Gateway(
-                gateway_id=cfg.get_str("gateway.id", "gateway-1"),
+                gateway_id=cfg.get("gateway.id", "gateway-1"),
                 clock=clock,
                 key=key,
                 outbox_dir=args.outbox_dir or out_dir / "outbox",
@@ -379,6 +383,7 @@ def cmd_bench_obd(args) -> int:
             clock = _make_clock(args.clock)
             simulator = VehicleSimulator.from_config(_load_config(args), start_ms=clock.now_ms())
             link = _wire(args.clock, clock, simulator, stack)[0]()
+            stack.callback(link.close)
         with _stage("bench"):
             report = run_obd_bench(link, clock, args.duration * 1000.0, window_ms=args.window_s * 1000.0)
 

@@ -38,7 +38,3 @@ class SimulatedClock:
     def sleep_ms(self, ms: float) -> None:
         if ms > 0:
             self._now += ms
-
-    def advance_to(self, t_ms: float) -> None:
-        if t_ms > self._now:
-            self._now = t_ms

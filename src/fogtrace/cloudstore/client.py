@@ -1,54 +1,24 @@
 """HTTP client for the trace repository, used by the gateway and the CLI.
 
 Maps the service's error bodies back onto the shared exception types and
-caches the bearer token until shortly before it expires.
+caches the bearer token. Only the store judges whether a token is still
+valid: a cached token it refuses as expired or unknown is replaced once and
+the request sent again.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import time
 from urllib.parse import quote
 
 from ..httpclient import HttpResponse, HttpSession, NoResponseError, encode_multipart
-from .service import (
-    BadRequestError,
-    CloudError,
-    ForbiddenError,
-    InvalidCredentialsError,
-    ManifestInvalidError,
-    MissingPartError,
-    NotFoundError,
-    PayloadTooLargeError,
-    StorageFullError,
-    TokenExpiredError,
-    UnauthorizedError,
-)
+from .service import ERROR_TYPES, CloudError, TokenExpiredError, UnauthorizedError
 
 
 class CloudUnreachableError(CloudError):
     code = "unreachable"
     http_status = 503
-
-
-_ERROR_TYPES = {
-    cls.code: cls
-    for cls in (
-        InvalidCredentialsError,
-        UnauthorizedError,
-        TokenExpiredError,
-        ForbiddenError,
-        NotFoundError,
-        BadRequestError,
-        MissingPartError,
-        ManifestInvalidError,
-        PayloadTooLargeError,
-        StorageFullError,
-    )
-}
-
-_TOKEN_SLACK_S = 30.0
 
 
 class CloudClient:
@@ -63,7 +33,6 @@ class CloudClient:
         self.client_secret = client_secret
         self.session = HttpSession(base_url, timeout_s)
         self._token: str | None = None
-        self._token_deadline: float = 0.0
 
     # -- API ----------------------------------------------------------------
 
@@ -72,7 +41,6 @@ class CloudClient:
         response = self._request("POST", "/api/v1/token", body=body, headers={"Content-Type": "application/json"})
         data = response.json()
         self._token = data["access_token"]
-        self._token_deadline = time.monotonic() + max(data["expires_in"] - _TOKEN_SLACK_S, 0.0)
         return data
 
     def upload_trace(self, manifest_json: bytes, blob: bytes) -> dict:
@@ -116,25 +84,28 @@ class CloudClient:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _bearer(self) -> str:
-        if self._token is None or time.monotonic() >= self._token_deadline:
-            self.issue_token()
-        assert self._token is not None
-        return self._token
-
     def _request(
         self, method: str, path: str, auth: bool = False, params=None, body: bytes | None = None, headers=None
     ) -> HttpResponse:
         headers = dict(headers or {})
-        if auth:
-            headers["Authorization"] = f"Bearer {self._bearer()}"
-        try:
-            response = self.session.request(method, path, params=params, body=body, headers=headers)
-        except NoResponseError as exc:
-            raise CloudUnreachableError(str(exc)) from exc
-        if response.status >= 400:
-            raise _error_from_response(response)
-        return response
+        # A token refused on its first use is not replaced: the refusal is the answer.
+        replace_refused = auth and self._token is not None
+        while True:
+            if auth:
+                if self._token is None:
+                    self.issue_token()
+                headers["Authorization"] = f"Bearer {self._token}"
+            try:
+                response = self.session.request(method, path, params=params, body=body, headers=headers)
+            except NoResponseError as exc:
+                raise CloudUnreachableError(str(exc)) from exc
+            if response.status < 400:
+                return response
+            error = _error_from_response(response)
+            if not (replace_refused and isinstance(error, (TokenExpiredError, UnauthorizedError))):
+                raise error
+            replace_refused = False
+            self._token = None
 
 
 def _error_from_response(response: HttpResponse) -> CloudError:
@@ -144,6 +115,4 @@ def _error_from_response(response: HttpResponse) -> CloudError:
         detail = body.get("detail", response.text)
     except ValueError:
         code, detail = "internal", response.text
-    exc_type = _ERROR_TYPES.get(code, CloudError)
-    exc = exc_type(detail)
-    return exc
+    return ERROR_TYPES.get(code, CloudError)(detail)

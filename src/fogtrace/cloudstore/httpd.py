@@ -19,7 +19,7 @@ import json
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
-from ..served import ServedHttp
+from ..served import ServedHttp, send_json
 from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError, PayloadTooLargeError
 
 _TRACES_PATH = "/api/v1/traces"
@@ -62,9 +62,9 @@ class _Handler(BaseHTTPRequestHandler):
             elif path == _TRACES_PATH:
                 self._handle_upload(body)
             else:
-                self._send_json(404, {"error": "not-found", "detail": path})
+                send_json(self, 404, {"error": "not-found", "detail": path})
         except CloudError as exc:
-            self._send_json(exc.http_status, exc.to_body())
+            send_json(self, exc.http_status, exc.to_body())
 
     def do_GET(self):
         url = urlparse(self.path)
@@ -74,9 +74,9 @@ class _Handler(BaseHTTPRequestHandler):
             elif url.path.startswith(_TRACES_PATH + "/"):
                 self._handle_get(unquote(url.path[len(_TRACES_PATH) + 1 :]))
             else:
-                self._send_json(404, {"error": "not-found", "detail": url.path})
+                send_json(self, 404, {"error": "not-found", "detail": url.path})
         except CloudError as exc:
-            self._send_json(exc.http_status, exc.to_body())
+            send_json(self, exc.http_status, exc.to_body())
 
     # -- endpoint bodies ----------------------------------------------------
 
@@ -89,9 +89,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequestError("body must be JSON with client_id/client_secret") from None
         token = self.service.issue_token(client_id, client_secret)
         ttl_s = (token.expires_at_ms - self.service.clock.now_ms()) / 1000.0
-        self._send_json(
-            200,
-            {"access_token": token.token, "token_type": "Bearer", "expires_in": int(round(ttl_s))},
+        send_json(
+            self, 200, {"access_token": token.token, "token_type": "Bearer", "expires_in": int(round(ttl_s))}
         )
 
     def _handle_upload(self, body: bytes):
@@ -102,7 +101,7 @@ class _Handler(BaseHTTPRequestHandler):
         receipt = self.service.upload_trace(
             self._bearer(), parts.get("manifest"), parts.get("trace")
         )
-        self._send_json(201, receipt)
+        send_json(self, 201, receipt)
 
     def _handle_get(self, trace_ref: str):
         blob, metadata = self.service.get_trace(self._bearer(), trace_ref)
@@ -135,7 +134,7 @@ class _Handler(BaseHTTPRequestHandler):
             limit=_int_param("limit", 50, minimum=1),
             offset=_int_param("offset", 0, minimum=0),
         )
-        self._send_json(200, [m.to_dict() for m in listed])
+        send_json(self, 200, [m.to_dict() for m in listed])
 
     # -- plumbing ------------------------------------------------------------
 
@@ -156,14 +155,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise PayloadTooLargeError(f"body of {length} bytes is over the {MAX_BODY_BYTES}-byte limit")
         return self.rfile.read(length) if length else b""
-
-    def _send_json(self, status: int, body) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
 
     def log_message(self, fmt, *args):
         pass

@@ -95,6 +95,10 @@ class StorageFullError(CloudError):
     http_status = 507
 
 
+# Every error the store answers with, by the code in its ``{error, detail}`` body.
+ERROR_TYPES = {cls.code: cls for cls in CloudError.__subclasses__()}
+
+
 @dataclass(frozen=True)
 class ClientAccount:
     client_id: str
@@ -183,17 +187,16 @@ class CloudStoreService:
 
     # -- authentication ----------------------------------------------------
 
-    def issue_token(self, client_id: str, client_secret: str, ttl_s: int | None = None) -> AuthToken:
+    def issue_token(self, client_id: str, client_secret: str) -> AuthToken:
         account = self.clients.get(client_id)
         if account is None or not hmac.compare_digest(account.client_secret, client_secret):
             raise InvalidCredentialsError("unknown client or wrong secret")
-        ttl = self.token_ttl_s if ttl_s is None else ttl_s
         now = self.clock.now_ms()
         token = AuthToken(
             token=secrets.token_urlsafe(32),
             client_id=client_id,
             scopes=account.scopes,
-            expires_at_ms=now + ttl * 1000.0,
+            expires_at_ms=now + self.token_ttl_s * 1000.0,
         )
         with self._token_lock:
             # Expired tokens go here, so the table holds only live ones.

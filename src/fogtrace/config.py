@@ -54,9 +54,6 @@ class Config:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self._values.get(key, default)
 
-    def get_str(self, key: str, default: str) -> str:
-        return self._values.get(key, default)
-
     def get_int(self, key: str, default: int) -> int:
         raw = self._values.get(key)
         if raw is None:

@@ -25,6 +25,10 @@ QUANT_DEGREES = 0.001
 DAY_MS = 86_400_000
 HOUR_MS = 3_600_000
 
+# The free-tier quota each client enforces: calls per sliding window.
+QUOTA_CALLS = 60
+QUOTA_WINDOW_MS = 60_000.0
+
 
 class ExternalError(Exception):
     pass
@@ -179,15 +183,13 @@ class WeatherService:
 
 
 class RateLimiter:
-    """Sliding-window permit source: at most ``capacity`` grants per window.
+    """Sliding-window permit source: at most ``QUOTA_CALLS`` grants per window.
 
     Thread safe; a permit at time T is granted only when fewer than
-    ``capacity`` prior grants lie strictly inside (T - window, T].
+    ``QUOTA_CALLS`` prior grants lie strictly inside (T - QUOTA_WINDOW_MS, T].
     """
 
-    def __init__(self, capacity: int = 60, window_ms: float = 60_000.0, clock=None):
-        self.capacity = capacity
-        self.window_ms = window_ms
+    def __init__(self, clock=None):
         self.clock = clock if clock is not None else SystemClock()
         self._permits: deque[float] = deque()
         self._lock = threading.Lock()
@@ -195,9 +197,9 @@ class RateLimiter:
     def try_acquire(self) -> bool:
         now = self.clock.now_ms()
         with self._lock:
-            while self._permits and self._permits[0] <= now - self.window_ms:
+            while self._permits and self._permits[0] <= now - QUOTA_WINDOW_MS:
                 self._permits.popleft()
-            if len(self._permits) >= self.capacity:
+            if len(self._permits) >= QUOTA_CALLS:
                 return False
             self._permits.append(now)
             return True
@@ -259,7 +261,7 @@ class _ContextClient:
 
     def _permit(self) -> None:
         if not self.limiter.try_acquire():
-            raise RateLimitedError("client-side quota exhausted (60 calls per minute)")
+            raise RateLimitedError(f"client-side quota exhausted ({QUOTA_CALLS} calls per {QUOTA_WINDOW_MS:g} ms)")
 
 
 class TrafficClient(_ContextClient):

@@ -7,7 +7,6 @@ provider the simulated clock uses in-process, so responses are deterministic.
 
 from __future__ import annotations
 
-import json
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
@@ -19,7 +18,7 @@ from .external import (
     LocalWeatherProvider,
     WeatherService,
 )
-from .served import ServedHttp
+from .served import ServedHttp, send_json
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -33,23 +32,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             lat = float(query.get("lat", ["nan"])[0])
             lon = float(query.get("lon", ["nan"])[0])
         except ValueError:
-            return self._send(400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
+            return send_json(self, 400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
         try:
             if url.path == "/flow":
-                return self._send(200, owner.flow.fetch(lat, lon).to_dict())
+                return send_json(self, 200, owner.flow.fetch(lat, lon).to_dict())
             if url.path == "/weather":
-                return self._send(200, owner.weather.fetch(lat, lon).to_dict())
+                return send_json(self, 200, owner.weather.fetch(lat, lon).to_dict())
         except InvalidCoordinatesError as exc:
-            return self._send(400, {"error": "invalid-coordinates", "detail": str(exc)})
-        return self._send(404, {"error": "not-found", "detail": self.path})
-
-    def _send(self, status: int, body: dict) -> None:
-        payload = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+            return send_json(self, 400, {"error": "invalid-coordinates", "detail": str(exc)})
+        return send_json(self, 404, {"error": "not-found", "detail": self.path})
 
     def log_message(self, fmt, *args):  # noqa: A002 - quiet by default
         pass

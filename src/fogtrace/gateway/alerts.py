@@ -31,15 +31,14 @@ class AlertRule:
     numeric: bool = True
 
 
-def default_rules(
-    hr_limit_bpm: float = 120.0,
-    hr_sustain_ms: float = 10_000.0,
-    stress_sustain_ms: float = 30_000.0,
-    overspeed_kmh: float = 120.0,
-) -> list[AlertRule]:
+HR_SUSTAIN_MS = 10_000.0
+STRESS_SUSTAIN_MS = 30_000.0
+
+
+def default_rules(hr_limit_bpm: float = 120.0, overspeed_kmh: float = 120.0) -> list[AlertRule]:
     return [
-        AlertRule("hr-high", "bpm", lambda v: v > hr_limit_bpm, hr_sustain_ms),
-        AlertRule("stress", "resp_state", lambda v: v == "tension", stress_sustain_ms, numeric=False),
+        AlertRule("hr-high", "bpm", lambda v: v > hr_limit_bpm, HR_SUSTAIN_MS),
+        AlertRule("stress", "resp_state", lambda v: v == "tension", STRESS_SUSTAIN_MS, numeric=False),
         AlertRule("overspeed", "speed_kmh", lambda v: v > overspeed_kmh, 0.0),
     ]
 
@@ -51,8 +50,8 @@ class _EpisodeState:
 
 
 class AlertEngine:
-    def __init__(self, rules: list[AlertRule] | None = None):
-        self.rules = list(rules) if rules is not None else default_rules()
+    def __init__(self, rules: list[AlertRule]):
+        self.rules = list(rules)
         self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in self.rules}
         self._watched = frozenset(r.channel for r in self.rules)
 

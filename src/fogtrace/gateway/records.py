@@ -25,25 +25,6 @@ from operator import attrgetter
 
 CSV_HEADER = ("timestamp_ms", "source", "channel", "value", "unit", "interpolated")
 
-CHANNELS = frozenset(
-    {
-        "speed_kmh",
-        "rpm",
-        "throttle_pct",
-        "bpm",
-        "rr_ms",
-        "breaths_per_min",
-        "resp_state",
-        "lat",
-        "lon",
-        "traffic_current_speed",
-        "traffic_free_flow_speed",
-        "weather_temp_c",
-        "weather_condition",
-        "alert",
-    }
-)
-
 NUMERIC_CHANNELS = frozenset(
     {
         "speed_kmh",
@@ -59,6 +40,8 @@ NUMERIC_CHANNELS = frozenset(
         "weather_temp_c",
     }
 )
+
+CHANNELS = NUMERIC_CHANNELS | {"resp_state", "weather_condition", "alert"}
 
 SCHEMA_VERSION = "1"
 
@@ -174,12 +157,9 @@ def validate_rows(rows: list[TraceRow]) -> list[str]:
         if last_ts is not None and row.timestamp_ms < last_ts:
             problems.append(f"row {i}: timestamp {row.timestamp_ms} decreases (prev {last_ts})")
         last_ts = row.timestamp_ms
-        if row.channel not in CHANNELS:
-            problems.append(f"row {i}: unknown channel {row.channel!r}")
-        elif row.channel in NUMERIC_CHANNELS and scalar_of(row.value) is None:
+        # TraceRow itself refuses unknown channels and flags other than 0 and 1.
+        if row.channel in NUMERIC_CHANNELS and scalar_of(row.value) is None:
             problems.append(f"row {i}: channel {row.channel} value {row.value!r} is not numeric")
-        if row.interpolated not in (0, 1):
-            problems.append(f"row {i}: bad interpolated flag {row.interpolated!r}")
     return problems
 
 

@@ -143,18 +143,16 @@ class Gateway:
         self.devices[device.device_id] = device
         return pairing
 
-    def start_session(self, driver_id: str, vehicle_id: str, alert_rules: list[AlertRule] | None = None) -> "Session":
+    def start_session(self, driver_id: str, vehicle_id: str) -> "Session":
         with self._control:
             if self.active is not None:
                 raise SessionAlreadyActiveError("a session is already running")
             if not self.pairings:
                 raise NoDevicesError("no devices paired")
-            rules = alert_rules
-            if rules is None:
-                rules = default_rules(
-                    hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", 120.0),
-                    overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", 120.0),
-                )
+            rules = default_rules(
+                hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", 120.0),
+                overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", 120.0),
+            )
             self.active = Session(self, driver_id, vehicle_id, rules)
             return self.active
 

@@ -19,6 +19,12 @@ from .records import SessionManifest, sha256_hex
 
 log = logging.getLogger(__name__)
 
+# Retries after a session's own upload and on an outbox flush (whose entries
+# wait for the next flush anyway); the delay doubles from BACKOFF_MS.
+SESSION_RETRIES = 2
+FLUSH_RETRIES = 0
+BACKOFF_MS = 250.0
+
 
 class UploadError(Exception):
     pass
@@ -95,8 +101,6 @@ def finalize_and_upload(
     client: CloudClient,
     outbox: Outbox,
     clock,
-    retries: int = 2,
-    backoff_ms: float = 250.0,
 ) -> UploadReceipt:
     """Seal, persist to the outbox, upload, verify the receipt.
 
@@ -108,19 +112,13 @@ def finalize_and_upload(
     manifest_json = manifest.to_json()
     envelope = seal(csv_bytes, manifest_json, key)
     ref = outbox.put(envelope, manifest_json)
-    receipt = _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms)
+    receipt = _upload_once(client, envelope, manifest_json, clock, SESSION_RETRIES)
     _check_receipt(receipt, ref, envelope)
     outbox.remove(ref)
     return receipt
 
 
-def flush_outbox(
-    outbox: Outbox,
-    client: CloudClient,
-    clock,
-    retries: int = 0,
-    backoff_ms: float = 250.0,
-) -> tuple[list[UploadReceipt], list[str]]:
+def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[UploadReceipt], list[str]]:
     """Upload everything pending; returns (receipts, refs still pending).
 
     An entry whose files cannot be read (an envelope without its manifest,
@@ -137,7 +135,7 @@ def flush_outbox(
             remaining.append(ref)
             continue
         try:
-            receipt = _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms)
+            receipt = _upload_once(client, envelope, manifest_json, clock, FLUSH_RETRIES)
             _check_receipt(receipt, ref, envelope)
         except (CloudUnreachableError, UploadRejectedError) as exc:
             log.warning("outbox flush: %s still pending (%s)", ref[:12], exc)
@@ -157,7 +155,7 @@ def _check_receipt(receipt: UploadReceipt, ref: str, envelope: bytes) -> None:
         )
 
 
-def _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms) -> UploadReceipt:
+def _upload_once(client, envelope, manifest_json, clock, retries: int) -> UploadReceipt:
     attempt = 0
     while True:
         try:
@@ -165,5 +163,5 @@ def _upload_once(client, envelope, manifest_json, clock, retries, backoff_ms) ->
         except CloudUnreachableError:
             if attempt >= retries:
                 raise
-            clock.sleep_ms(backoff_ms * (2**attempt))
+            clock.sleep_ms(BACKOFF_MS * (2**attempt))
             attempt += 1

@@ -40,7 +40,11 @@ class ObdError(Exception):
 
 
 class UnsupportedModeError(ObdError):
-    pass
+    """A query in a mode other than 0x01; ``mode`` is the rejected mode byte."""
+
+    def __init__(self, message: str, mode: int = 0x00):
+        super().__init__(message)
+        self.mode = mode
 
 
 class MalformedFrameError(ObdError):
@@ -159,7 +163,7 @@ class ObdResponse:
 def encode_request(pid_id: PidId) -> bytes:
     """Render a query as ``MM PP\\r``; only mode 0x01 may be queried."""
     if pid_id.mode != MODE_CURRENT_DATA:
-        raise UnsupportedModeError(f"only mode 0x01 queries are supported, got 0x{pid_id.mode:02X}")
+        raise UnsupportedModeError(f"only mode 0x01 queries are supported, got 0x{pid_id.mode:02X}", pid_id.mode)
     return f"{pid_id.mode:02X} {pid_id.pid:02X}\r".encode("ascii")
 
 
@@ -220,7 +224,7 @@ def parse_request(line: bytes) -> PidId:
         raise MalformedFrameError(f"request must be exactly two bytes, got {len(values)}")
     mode, pid = values
     if mode != MODE_CURRENT_DATA:
-        raise UnsupportedModeError(f"unsupported mode 0x{mode:02X}")
+        raise UnsupportedModeError(f"unsupported mode 0x{mode:02X}", mode)
     return PidId(pid=pid, mode=mode)
 
 
@@ -249,8 +253,10 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     return ObdResponse(pid_id=expected, data=data, value=value, unit=unit, received_at=received_at)
 
 
-# The core PIDs' queries, exactly as ``encode_request`` renders them.
-_CANONICAL_REQUESTS = {encode_request(pid_id): pid_id for pid_id in map(PidId, CORE_PIDS)}
+# The address and query frame of each core PID, the frame exactly as
+# ``encode_request`` renders it, and the reverse lookup ``parse_request`` uses.
+CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
+_CANONICAL_REQUESTS = {frame: pid_id for pid_id, frame in CORE_REQUESTS.values()}
 
 
 def decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:

@@ -1,12 +1,17 @@
 """One lifecycle for the loopback servers: a socketserver on a daemon thread.
 
 A server binds its port when constructed, serves from a background thread
-between ``start`` and ``stop``, and is a context manager. Request handlers
-reach the object that owns the server as ``self.server.owner``.
+between ``start`` and ``stop``, and is a context manager. ``stop`` also
+ends the connections still open, so a stopped server answers nothing.
+Request handlers reach the object that owns the server as
+``self.server.owner``; the HTTP ones reply through :func:`send_json`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import socket
 import socketserver
 import threading
 
@@ -22,6 +27,19 @@ class _ThreadingTcp(socketserver.ThreadingTCPServer):
     # importing http.server would load the email package for the TCP servers.
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        # Daemon handler threads are neither tracked nor joined; their sockets are.
+        self.open_requests: set[socket.socket] = set()
+
+    def process_request(self, request, client_address):
+        self.open_requests.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        self.open_requests.discard(request)
+        super().shutdown_request(request)
 
 
 class ServedThread:
@@ -53,6 +71,9 @@ class ServedThread:
         if thread is not None:
             self._server.shutdown()
             thread.join(timeout=5)
+        for request in list(self._server.open_requests):
+            with contextlib.suppress(OSError):
+                request.shutdown(socket.SHUT_RDWR)
         self._server.server_close()
 
     def __enter__(self):
@@ -69,3 +90,17 @@ class ServedHttp(ServedThread):
     def base_url(self) -> str:
         host, port = self.address
         return f"http://{host}:{port}"
+
+
+def send_json(handler, status: int, body) -> None:
+    """Answer the request an ``http.server`` handler is serving with ``body`` as JSON."""
+    payload = json.dumps(body).encode("utf-8")
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(payload)))
+    if handler.close_connection:
+        # Told, the client opens a new connection for its next request instead
+        # of sending it on this one as the server closes it.
+        handler.send_header("Connection", "close")
+    handler.end_headers()
+    handler.wfile.write(payload)

@@ -31,6 +31,7 @@ from .clock import SystemClock
 from .config import Config, ConfigError
 from .obd import (
     CORE_PIDS,
+    CORE_REQUESTS,
     NRC_SERVICE_NOT_SUPPORTED,
     NRC_SUBFUNCTION_NOT_SUPPORTED,
     PID_TABLE,
@@ -139,10 +140,6 @@ class DriveProfile:
         targets = tuple(target for _, target in self.segments)
         object.__setattr__(self, "_targets", targets + targets[-1:])
         object.__setattr__(self, "_route", Route(self.route))
-
-    @property
-    def total_s(self) -> float:
-        return self._total_s
 
     def target_speed_at(self, elapsed_s: float) -> float:
         """Target for the given trip time; the script repeats when exhausted."""
@@ -288,7 +285,7 @@ class VehicleSimulator:
             k_accel=config.get_float("vehicle.throttle.k_accel", ThrottleParams.k_accel),
             k_drag=config.get_float("vehicle.throttle.k_drag", ThrottleParams.k_drag),
         )
-        name = config.get_str("vehicle.profile", CALM_PROFILE.name)
+        name = config.get("vehicle.profile", CALM_PROFILE.name)
         if name not in PROFILES:
             raise ConfigError(f"vehicle.profile: unknown profile {name!r}")
         return cls(
@@ -322,26 +319,14 @@ class VehicleSimulator:
         """Frame in, frame out. Unsupported or broken requests get a 7F frame."""
         try:
             pid_id = parse_request(raw_request)
-        except UnsupportedModeError:
-            mode = _request_mode(raw_request)
-            return render_negative_response(mode, NRC_SERVICE_NOT_SUPPORTED)
+        except UnsupportedModeError as exc:
+            return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
         except MalformedFrameError:
             return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
         if pid_id.pid not in CORE_PIDS:
             return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
         data = encode_measurement(pid_id.pid, self.measurement(pid_id.pid))
         return render_response(pid_id, data)
-
-
-def _request_mode(raw: bytes) -> int:
-    try:
-        return int(raw.decode("ascii", "replace").strip().split()[0], 16) & 0xFF
-    except (ValueError, IndexError):
-        return 0x00
-
-
-# The address and query frame of each core PID, built once for every link.
-_CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
 
 
 class _RequestHelper:
@@ -353,7 +338,7 @@ class _RequestHelper:
         raise NotImplementedError
 
     def request(self, pid: int | PidId) -> ObdResponse:
-        core = _CORE_REQUESTS.get(pid)
+        core = CORE_REQUESTS.get(pid)
         if core is None:
             pid_id = pid if isinstance(pid, PidId) else PidId(pid=pid)
             core = pid_id, encode_request(pid_id)

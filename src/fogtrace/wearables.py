@@ -96,9 +96,9 @@ class PhysioModel:
     likewise, plus seeded Gaussian noise applied per device.
     """
 
-    def __init__(self, profile: PhysioProfile | None = None, stress: float = 0.0):
+    def __init__(self, profile: PhysioProfile | None = None):
         self.profile = profile or PhysioProfile()
-        self.stress = float(stress)
+        self.stress = 0.0
 
     def update(self, accel_mps2: float, dt_ms: float) -> float:
         if dt_ms <= 0:

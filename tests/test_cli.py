@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 
 import pytest
@@ -217,7 +218,8 @@ class TestVerifyCommand:
         service = CloudStoreService(store_dir, clients={"gateway": account})
         with CloudStoreHTTPServer(service) as server:
             client = CloudClient(server.base_url, "gateway", "local-dev-secret")
-            ref = client.upload_trace(manifest.to_json(), envelope)["trace_ref"]
+            with contextlib.closing(client.session):
+                ref = client.upload_trace(manifest.to_json(), envelope)["trace_ref"]
 
         code, stdout, _ = run_cli(
             capsys,

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import socket
+
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from fogtrace.cloudstore import (
     BadRequestError,
     ClientAccount,
     CloudClient,
+    CloudStoreHTTPServer,
     CloudStoreService,
     ForbiddenError,
     InvalidCredentialsError,
@@ -21,12 +25,15 @@ from fogtrace.cloudstore import (
     ManifestInvalidError,
     NotFoundError,
     PayloadTooLargeError,
+    StorageFullError,
     TokenExpiredError,
     UnauthorizedError,
     storage_key,
 )
 from fogtrace.cloudstore.httpd import MAX_BODY_BYTES
+from fogtrace.cloudstore.service import ERROR_TYPES
 from fogtrace.httpclient import HttpSession, encode_multipart
+from fogtrace.served import ServedHttp, send_json
 
 MANIFEST = json.dumps({"session_id": "s1", "driver_id": "drv"}).encode()
 
@@ -289,12 +296,12 @@ class TestHttpSurface:
         assert response.status == 401
 
     def test_missing_part_400(self, store_http, cloud_client):
-        cloud_client.issue_token()
+        token = cloud_client.issue_token()["access_token"]
         response = post_multipart(
             store_http,
             "/api/v1/traces",
             {"trace": ("t.bin", b"x", "application/octet-stream")},
-            headers={"Authorization": f"Bearer {cloud_client._bearer()}"},
+            headers={"Authorization": f"Bearer {token}"},
         )
         assert response.status == 400
         assert response.json()["error"] == "missing-part"
@@ -305,9 +312,10 @@ class TestHttpSurface:
 
     def test_scope_forbidden_403(self, store_server):
         uploader = CloudClient(store_server.base_url, "uploader", "up-secret")
-        receipt = uploader.upload_trace(MANIFEST, b"scoped")
-        with pytest.raises(ForbiddenError):
-            uploader.get_trace(receipt["trace_ref"])
+        with contextlib.closing(uploader.session):
+            receipt = uploader.upload_trace(MANIFEST, b"scoped")
+            with pytest.raises(ForbiddenError):
+                uploader.get_trace(receipt["trace_ref"])
 
     @pytest.mark.parametrize(
         "name,value,detail",
@@ -319,8 +327,9 @@ class TestHttpSurface:
         ],
     )
     def test_malformed_list_query_400(self, store_http, cloud_client, name, value, detail):
+        token = cloud_client.issue_token()["access_token"]
         response = store_http.request(
-            "GET", "/api/v1/traces", params={name: value}, headers={"Authorization": f"Bearer {cloud_client._bearer()}"}
+            "GET", "/api/v1/traces", params={name: value}, headers={"Authorization": f"Bearer {token}"}
         )
         assert response.status == 400
         assert response.json() == {"error": "bad-request", "detail": detail}
@@ -332,6 +341,91 @@ class TestHttpSurface:
         listed = cloud_client.list_traces(driver_id="drv")
         assert len(listed) == 1
         assert listed[0]["uploader"] == "gw"
+
+
+class TestClientTokens:
+    """The store alone judges a token; the client replaces one it refuses, once."""
+
+    def test_token_past_its_ttl_on_the_store_clock_is_replaced(self, tmp_path, accounts):
+        clock = SimulatedClock()
+        service = CloudStoreService(tmp_path / "store", clients=accounts, clock=clock)
+        with CloudStoreHTTPServer(service) as server:
+            client = CloudClient(server.base_url, "gw", "gw-secret")
+            with contextlib.closing(client.session):
+                first = client.issue_token()["access_token"]
+                assert client.list_traces() == []
+                clock.sleep_ms(3601 * 1000.0)
+                receipt = client.upload_trace(MANIFEST, b"after expiry")
+                assert [m["trace_ref"] for m in client.list_traces()] == [receipt["trace_ref"]]
+                # A new token was issued, and issuing it evicted the expired one.
+                assert first not in service._tokens
+
+    def test_restarted_store_is_reached_with_a_new_token(self, tmp_path, accounts):
+        with CloudStoreHTTPServer(CloudStoreService(tmp_path / "old", clients=accounts)) as server:
+            client = CloudClient(server.base_url, "gw", "gw-secret")
+            with contextlib.closing(client.session):
+                assert client.list_traces() == []
+                server.stop()
+                fresh = CloudStoreService(tmp_path / "new", clients=accounts)
+                ref = fresh.upload_trace(upload_token(fresh), MANIFEST, b"held by the new store")["trace_ref"]
+                with CloudStoreHTTPServer(fresh, port=server.port):
+                    assert [m["trace_ref"] for m in client.list_traces()] == [ref]
+
+    def test_token_refused_on_first_use_is_raised(self, tmp_path, accounts, monkeypatch):
+        service = CloudStoreService(tmp_path / "store", clients=accounts, clock=SimulatedClock(), token_ttl_s=0)
+        issued = []
+        issue = service.issue_token
+        monkeypatch.setattr(service, "issue_token", lambda *args: issued.append(args) or issue(*args))
+        with CloudStoreHTTPServer(service) as server:
+            client = CloudClient(server.base_url, "gw", "gw-secret")
+            with contextlib.closing(client.session):
+                with pytest.raises(TokenExpiredError):
+                    client.list_traces()
+                assert len(issued) == 1
+                # The cached token is refused, replaced once, and the new one refused too.
+                with pytest.raises(TokenExpiredError):
+                    client.list_traces()
+                assert len(issued) == 2
+
+
+class _ErrorCodeHandler(BaseHTTPRequestHandler):
+    """Answers ``GET /<code>`` with the store's error body for that code."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        code = self.path[1:]
+        send_json(self, ERROR_TYPES[code].http_status, {"error": code, "detail": f"{code} detail"})
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+@pytest.mark.parametrize("code", sorted(ERROR_TYPES))
+def test_client_raises_each_registered_error(code):
+    with ServedHttp(_ErrorCodeHandler) as server:
+        client = CloudClient(server.base_url, "gw", "gw-secret")
+        with contextlib.closing(client.session), pytest.raises(ERROR_TYPES[code], match=f"{code} detail") as caught:
+            client._request("GET", f"/{code}")
+    assert type(caught.value) is ERROR_TYPES[code]
+
+
+def test_registry_holds_the_store_errors_only():
+    assert sorted(ERROR_TYPES) == sorted(
+        cls.code
+        for cls in (
+            InvalidCredentialsError,
+            UnauthorizedError,
+            TokenExpiredError,
+            ForbiddenError,
+            NotFoundError,
+            BadRequestError,
+            MissingPartError,
+            ManifestInvalidError,
+            PayloadTooLargeError,
+            StorageFullError,
+        )
+    )
 
 
 def raw_exchange(server, request: bytes) -> bytes:
@@ -367,6 +461,11 @@ class TestBodyLength:
         assert length in json.loads(body)["detail"]
         # The handler is free again and the server takes new connections.
         assert cloud_client.list_traces() == []
+
+    def test_refusal_that_closes_says_so(self, store_server):
+        request = b"POST /api/v1/token HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+        head = raw_exchange(store_server, request).partition(b"\r\n\r\n")[0]
+        assert b"\r\nConnection: close\r\n" in head + b"\r\n"
 
     @pytest.mark.parametrize("length,error", [("abc", BadRequestError), (str(MAX_BODY_BYTES + 1), PayloadTooLargeError)])
     def test_client_raises_the_mapped_error(self, cloud_client, length, error):

@@ -21,7 +21,7 @@ class TestParser:
         )
         cfg = Config.load(path)
         assert cfg.get_int("seed", 0) == 9
-        assert cfg.get_str("vehicle.profile", "calm") == "aggressive"
+        assert cfg.get("vehicle.profile", "calm") == "aggressive"
         assert cfg.get_bool("gateway.retain_plaintext", True) is False
         assert cfg.get_float("vehicle.latency.mode_ms", 80.0) == 95.5
 

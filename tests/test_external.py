@@ -152,11 +152,11 @@ class TestClients:
         clock = SimulatedClock()
         client = WeatherClient(
             LocalWeatherProvider(WeatherService(1), clock),
-            RateLimiter(capacity=2, window_ms=60_000.0, clock=clock),
+            RateLimiter(clock=clock),
             clock,
         )
-        client.get_current_weather(52.0, 13.0)
-        client.get_current_weather(52.0, 13.0)
+        for _ in range(60):
+            client.get_current_weather(52.0, 13.0)
         with pytest.raises(RateLimitedError):
             client.get_current_weather(52.0, 13.0)
 

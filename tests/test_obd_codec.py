@@ -173,8 +173,9 @@ class TestParseRequest:
         assert parse_request(b"01 0C\r") == PidId(0x0C)
 
     def test_unsupported_mode(self):
-        with pytest.raises(UnsupportedModeError):
+        with pytest.raises(UnsupportedModeError) as caught:
             parse_request(b"03 00\r")
+        assert caught.value.mode == 0x03
 
     def test_too_many_tokens(self):
         with pytest.raises(MalformedFrameError):

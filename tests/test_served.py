@@ -82,3 +82,33 @@ def test_second_stop_is_a_no_op(served):
     t0 = time.perf_counter()
     server.stop()
     assert time.perf_counter() - t0 < 0.2
+
+
+# One request on a raw connection to each server, and the byte its answer ends with.
+RAW_EXCHANGES = {
+    "vehicle": (b"01 0C\r", b"\r"),
+    "store": (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", b"}"),
+    "context-stub": (b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n", b"}"),
+}
+
+
+def _answer(sock, request: bytes, end: bytes) -> bytes:
+    """Send ``request`` and read until the answer ends with ``end``; b"" when none comes."""
+    reply = b""
+    try:
+        sock.sendall(request)
+        while not reply.endswith(end) and (chunk := sock.recv(4096)):
+            reply += chunk
+    except OSError:
+        pass
+    return reply
+
+
+@pytest.mark.parametrize("name", sorted(SERVERS))
+def test_stop_ends_open_connections(name, tmp_path):
+    server = SERVERS[name][0](tmp_path).start()
+    request, end = RAW_EXCHANGES[name]
+    with socket.create_connection(server.address, timeout=5) as sock:
+        assert _answer(sock, request, end).endswith(end)
+        server.stop()
+        assert _answer(sock, request, end) == b""

@@ -66,9 +66,7 @@ class TestFinalizeAndUpload:
         dead = CloudClient("http://127.0.0.1:9", "gw", "gw-secret", timeout_s=0.2)
         outbox = Outbox(tmp_path / "outbox")
         with pytest.raises(CloudUnreachableError):
-            finalize_and_upload(
-                CSV, make_manifest(), key, dead, outbox, sim_clock, retries=1, backoff_ms=1.0
-            )
+            finalize_and_upload(CSV, make_manifest(), key, dead, outbox, sim_clock)
         assert len(outbox.pending()) == 1
 
     def test_receipt_mismatch_rejected(self, sim_clock, key, tmp_path):
@@ -89,7 +87,7 @@ class TestFlushOutbox:
         manifest = make_manifest()
         dead = CloudClient("http://127.0.0.1:9", "gw", "gw-secret", timeout_s=0.2)
         with pytest.raises(CloudUnreachableError):
-            finalize_and_upload(CSV, manifest, key, dead, outbox, sim_clock, retries=0)
+            finalize_and_upload(CSV, manifest, key, dead, outbox, sim_clock)
         assert len(outbox.pending()) == 1
 
         receipts, remaining = flush_outbox(outbox, cloud_client, sim_clock)

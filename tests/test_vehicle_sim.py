@@ -169,6 +169,13 @@ class TestHandleRequest:
         with pytest.raises(NegativeResponseError):
             link.request(0x99)
 
+    @pytest.mark.parametrize(
+        "request_frame,reply",
+        [(b"09 02\r", b"7F 09 11\r"), (b"0a 0c\r>", b"7F 0A 11\r"), (b"+3 0C\r", b"7F 00 11\r")],
+    )
+    def test_unsupported_mode_is_echoed_in_the_negative_reply(self, request_frame, reply):
+        assert VehicleSimulator().reply_frame(request_frame) == reply
+
     def test_replies_fifo_round_robin(self):
         clock = SimulatedClock()
         sim = VehicleSimulator(start_ms=clock.now_ms())
