@@ -5,7 +5,9 @@
 * ``GET  /api/v1/traces/{ref}`` -> blob, metadata in ``X-Trace-Manifest`` (base64 JSON)
 * ``GET  /api/v1/traces?driver_id=&from=&to=&limit=&offset=`` -> metadata array
 
-Errors are ``{error, detail}`` with matching status codes. A body whose
+Every reply is one write. Errors are ``{error, detail}`` with matching
+status codes, those ``http.server`` answers itself (an unknown method, a
+request line it cannot parse) included. A body whose
 ``Content-Length`` is not a count of bytes answers 400, one above
 ``MAX_BODY_BYTES`` 413; neither body is read, and the connection is closed.
 """
@@ -13,13 +15,12 @@ Errors are ``{error, detail}`` with matching status codes. A body whose
 from __future__ import annotations
 
 import base64
-import email.parser
-import email.policy
 import json
+import re
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
-from ..served import ServedHttp, send_json
+from ..served import ServedHttp, send_error, send_json, send_reply
 from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError, PayloadTooLargeError
 
 _TRACES_PATH = "/api/v1/traces"
@@ -28,25 +29,60 @@ _TOKEN_PATH = "/api/v1/token"
 # The largest request body read; a 3,600 s trace upload is about 2.2 MB.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+# One ``; name=value`` header parameter, the value quoted (with escapes) or bare.
+_PARAM = re.compile(r';\s*([^\s=;]+)\s*=\s*("(?:[^"\\]|\\.)*"|[^;]*)')
+
+
+def _params(value: str) -> dict[str, str]:
+    """The ``;``-separated parameters of a header value, names lower-cased, first one kept."""
+    params: dict[str, str] = {}
+    for name, raw in _PARAM.findall(value):
+        raw = raw.strip()
+        if len(raw) >= 2 and raw[0] == raw[-1] == '"':
+            raw = raw[1:-1].replace("\\\\", "\\").replace('\\"', '"')
+        params.setdefault(name.lower(), raw)
+    return params
+
 
 def parse_multipart(content_type: str, body: bytes) -> dict[str, bytes]:
-    """Extract named form parts from a multipart/form-data body."""
-    head = f"Content-Type: {content_type}\r\nMIME-Version: 1.0\r\n\r\n".encode("latin-1")
-    message = email.parser.BytesParser(policy=email.policy.default).parsebytes(head + body)
-    if not message.is_multipart():
+    """Extract the named parts of a multipart/form-data body (RFC 7578).
+
+    Each ``CRLF--boundary`` delimiter is found with ``bytes.find`` and each
+    payload sliced out of ``body`` once. A part without a name is ignored,
+    and parts after an unclosed last delimiter run to the end of the body.
+    """
+    boundary = _params(content_type).get("boundary", "").rstrip()
+    delimiter = b"\r\n--" + boundary.encode("latin-1", "replace")
+    # The first delimiter may open the body, with no line break before it.
+    found = -2 if body.startswith(delimiter[2:]) else body.find(delimiter)
+    if not boundary or found == -1:
         raise MissingPartError("body is not multipart/form-data")
     parts: dict[str, bytes] = {}
-    for part in message.iter_parts():
-        name = part.get_param("name", header="content-disposition")
-        if name:
-            payload = part.get_payload(decode=True)
-            parts[str(name)] = payload if payload is not None else b""
+    pos = found + len(delimiter)
+    while not body.startswith(b"--", pos):
+        line_end = body.find(b"\r\n", pos)
+        if line_end < 0:
+            break
+        end = body.find(delimiter, line_end)
+        end = len(body) if end < 0 else end
+        # The blank line after the headers; a part with no body at all shares its CRLF with the delimiter.
+        head_end = body.find(b"\r\n\r\n", line_end, end + 2)
+        if head_end >= 0:
+            for line in body[line_end + 2 : head_end].decode("latin-1").split("\r\n"):
+                field, _, value = line.partition(":")
+                if field.strip().lower() == "content-disposition":
+                    name = _params(value).get("name")
+                    if name:
+                        parts[name] = body[head_end + 4 : end]
+                    break
+        pos = end + len(delimiter)
     return parts
 
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "TraceStore/1"
     protocol_version = "HTTP/1.1"
+    send_error = send_error
 
     @property
     def service(self) -> CloudStoreService:
@@ -106,12 +142,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_get(self, trace_ref: str):
         blob, metadata = self.service.get_trace(self._bearer(), trace_ref)
         encoded = base64.b64encode(json.dumps(metadata.to_dict()).encode("utf-8"))
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(blob)))
-        self.send_header("X-Trace-Manifest", encoded.decode("ascii"))
-        self.end_headers()
-        self.wfile.write(blob)
+        send_reply(
+            self, 200, blob, {"Content-Type": "application/octet-stream", "X-Trace-Manifest": encoded.decode("ascii")}
+        )
 
     def _handle_list(self, query: dict[str, list[str]]):
         def _int_param(name, default=None, minimum=None):

@@ -136,6 +136,20 @@ def storage_key(trace_ref: str) -> str:
     return f"objects/{trace_ref[0:2]}/{trace_ref[2:4]}/{trace_ref}"
 
 
+def _holds(path: Path, blob: bytes, trace_ref: str) -> bool:
+    """Whether ``path`` holds ``blob``: its size, then its sha256, match.
+
+    A file at the object's path is not proof of its content: a crash after
+    an unsynced write can leave it torn, and a torn object must be rewritten,
+    not acknowledged.
+    """
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError:
+        return False
+    return size == len(blob) and hashlib.sha256(path.read_bytes()).hexdigest() == trace_ref
+
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS traces (
     trace_ref   TEXT PRIMARY KEY,
@@ -234,7 +248,7 @@ class CloudStoreService:
 
         trace_ref = hashlib.sha256(blob).hexdigest()
         path = self.root / storage_key(trace_ref)
-        if not path.exists():
+        if not _holds(path, blob, trace_ref):
             self._write_atomic(path, blob)
         with self._connection() as conn:
             conn.execute(

@@ -18,11 +18,12 @@ from .external import (
     LocalWeatherProvider,
     WeatherService,
 )
-from .served import ServedHttp, send_json
+from .served import ServedHttp, send_error, send_json
 
 
 class _StubHandler(BaseHTTPRequestHandler):
     server_version = "ContextStub/1"
+    send_error = send_error
 
     def do_GET(self):
         owner: ContextStubServer = self.server.owner  # type: ignore[attr-defined]

@@ -4,7 +4,8 @@ A server binds its port when constructed, serves from a background thread
 between ``start`` and ``stop``, and is a context manager. ``stop`` also
 ends the connections still open, so a stopped server answers nothing.
 Request handlers reach the object that owns the server as
-``self.server.owner``; the HTTP ones reply through :func:`send_json`.
+``self.server.owner``; the HTTP ones reply through :func:`send_reply` and
+bind :func:`send_error` as their ``send_error``.
 """
 
 from __future__ import annotations
@@ -92,15 +93,39 @@ class ServedHttp(ServedThread):
         return f"http://{host}:{port}"
 
 
-def send_json(handler, status: int, body) -> None:
-    """Answer the request an ``http.server`` handler is serving with ``body`` as JSON."""
-    payload = json.dumps(body).encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    handler.send_header("Content-Length", str(len(payload)))
+def send_reply(handler, status: int, body: bytes, headers: dict[str, str]) -> None:
+    """Answer the request an ``http.server`` handler is serving, in one write.
+
+    The status line, the headers and the body go out together: written apart,
+    the body would wait under Nagle's algorithm for the client's delayed ACK
+    of the headers, about 40 ms a reply.
+    """
+    handler.log_request(status)
+    lines = [
+        f"{handler.protocol_version} {status} {handler.responses.get(status, ('',))[0]}",
+        f"Server: {handler.version_string()}",
+        f"Date: {handler.date_time_string()}",
+        *(f"{name}: {value}" for name, value in headers.items()),
+        f"Content-Length: {len(body)}",
+    ]
     if handler.close_connection:
         # Told, the client opens a new connection for its next request instead
         # of sending it on this one as the server closes it.
-        handler.send_header("Connection", "close")
-    handler.end_headers()
-    handler.wfile.write(payload)
+        lines.append("Connection: close")
+    handler.wfile.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body)
+
+
+def send_json(handler, status: int, body) -> None:
+    """Answer with ``body`` as JSON."""
+    send_reply(handler, status, json.dumps(body).encode("utf-8"), {"Content-Type": "application/json"})
+
+
+def send_error(handler, code: int, message: str | None = None, explain: str | None = None) -> None:
+    """``send_error`` for the HTTP handlers: the status ``http.server`` chose, as ``{error, detail}``.
+
+    ``http.server`` calls it for a request it cannot parse or a method the
+    handler lacks, before any body is read, so the connection is closed.
+    """
+    phrase = handler.responses.get(code, ("error",))[0]
+    handler.close_connection = True
+    send_json(handler, code, {"error": phrase.lower().replace(" ", "-"), "detail": message or phrase})

@@ -17,6 +17,7 @@ from fogtrace.cloudstore import (
     BadRequestError,
     ClientAccount,
     CloudClient,
+    CloudError,
     CloudStoreHTTPServer,
     CloudStoreService,
     ForbiddenError,
@@ -30,6 +31,7 @@ from fogtrace.cloudstore import (
     UnauthorizedError,
     storage_key,
 )
+from fogtrace.cloudstore import httpd
 from fogtrace.cloudstore.httpd import MAX_BODY_BYTES
 from fogtrace.cloudstore.service import ERROR_TYPES
 from fogtrace.httpclient import HttpSession, encode_multipart
@@ -165,6 +167,20 @@ class TestUpload:
             service.upload_trace(token, b"not json", b"blob")
         with pytest.raises(ManifestInvalidError):
             service.upload_trace(token, b"[1,2]", b"blob")
+
+    @pytest.mark.parametrize("torn", ["truncated", "same-size"])
+    def test_torn_object_is_rewritten_not_acknowledged(self, sim_service, tmp_path, torn):
+        service, _ = sim_service
+        token = upload_token(service)
+        blob = (bytes(range(256)) * 79)[:20_000]
+        path = tmp_path / "store" / storage_key(hashlib.sha256(blob).hexdigest())
+        path.parent.mkdir(parents=True)
+        # What a crash after an unsynced write can leave at the object's path.
+        path.write_bytes(blob[:100] if torn == "truncated" else bytes(len(blob)))
+        receipt = service.upload_trace(token, MANIFEST, blob)
+        assert receipt["size_bytes"] == 20_000
+        assert service.get_trace(token, receipt["trace_ref"])[0] == blob
+        assert list((tmp_path / "store" / "tmp").iterdir()) == []
 
     def test_atomic_write_no_partial_object(self, sim_service, tmp_path, monkeypatch):
         service, _ = sim_service
@@ -484,3 +500,65 @@ class TestBodyLength:
         assert reply.count(b"HTTP/1.1 ") == 2
         assert b"/smuggled" not in reply
         assert b"/api/v1/next" in reply
+
+
+def test_client_reports_a_framework_error_from_its_json_body(cloud_client):
+    with pytest.raises(CloudError, match=r"^Unsupported method \('PUT'\)$"):
+        cloud_client._request("PUT", "/api/v1/traces", body=b"")
+    assert cloud_client.list_traces() == []
+
+
+class _CountingWriter:
+    """A handler's ``wfile`` that records the size of every write."""
+
+    def __init__(self, wfile, writes: list[int]):
+        self._wfile = wfile
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(len(data))
+        return self._wfile.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._wfile, name)
+
+
+class _CountingHandler(httpd._Handler):
+    def setup(self):
+        super().setup()
+        self.wfile = _CountingWriter(self.wfile, self.server.owner.writes)
+
+
+class TestOneWritePerReply:
+    """Each reply is one write: a second one would wait for the client's delayed ACK."""
+
+    @pytest.fixture
+    def counted(self, store_service):
+        with ServedHttp(_CountingHandler) as server:
+            server.service = store_service
+            server.writes = []
+            yield server
+
+    def test_every_reply_is_one_write(self, counted):
+        writes = counted.writes
+        session = HttpSession(counted.base_url, timeout_s=10)
+
+        def replied(status, response):
+            assert response.status == status
+            assert len(writes) == 1, writes
+            writes.clear()
+            return response
+
+        with contextlib.closing(session):
+            token = replied(200, post_json(session, "/api/v1/token", {"client_id": "gw", "client_secret": "gw-secret"}))
+            auth = {"Authorization": f"Bearer {token.json()['access_token']}"}
+            blob = os.urandom(300_000)
+            parts = {"manifest": ("m.json", MANIFEST, "application/json"), "trace": ("t.bin", blob, "x/y")}
+            ref = replied(201, post_multipart(session, "/api/v1/traces", parts, headers=auth)).json()["trace_ref"]
+            assert replied(200, session.request("GET", f"/api/v1/traces/{ref}", headers=auth)).body == blob
+            assert len(replied(200, session.request("GET", "/api/v1/traces", headers=auth)).json()) == 1
+            missing = session.request("GET", f"/api/v1/traces/{'00' * 32}", headers=auth)
+            assert replied(404, missing).json()["error"] == "not-found"
+        reply = raw_exchange(counted, b"DELETE /api/v1/traces HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert writes == [len(reply)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import socket
 import threading
 import time
@@ -112,3 +113,28 @@ def test_stop_ends_open_connections(name, tmp_path):
         assert _answer(sock, request, end).endswith(end)
         server.stop()
         assert _answer(sock, request, end) == b""
+
+
+@pytest.mark.parametrize("name", ["store", "context-stub"])
+@pytest.mark.parametrize(
+    "request_bytes,status,error,detail",
+    [
+        (b"PUT /flow HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not-implemented", "Unsupported method ('PUT')"),
+        (b"DELETE /api/v1/traces HTTP/1.1\r\nHost: x\r\n\r\n", 501, "not-implemented", "Unsupported method ('DELETE')"),
+        (b"GARBAGE\r\n\r\n", 400, "bad-request", "Bad request syntax ('GARBAGE')"),
+        (b"GET / HTTP/x\r\n\r\n", 400, "bad-request", "Bad request version ('HTTP/x')"),
+    ],
+    ids=["put", "delete", "garbage", "bad-version"],
+)
+def test_errors_http_server_answers_are_json(name, tmp_path, request_bytes, status, error, detail):
+    make, one_request = SERVERS[name]
+    with make(tmp_path) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            head, _, body = _answer(sock, request_bytes, b"}").partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0].split(b" ")[1] == str(status).encode()
+        assert b"Content-Type: application/json" in lines
+        assert b"Connection: close" in lines
+        assert json.loads(body) == {"error": error, "detail": detail}
+        # A new connection is served as usual.
+        one_request(server)
