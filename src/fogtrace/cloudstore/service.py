@@ -25,6 +25,7 @@ import secrets
 import sqlite3
 import threading
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -159,8 +160,12 @@ CREATE TABLE IF NOT EXISTS traces (
     uploaded_at INTEGER NOT NULL,
     uploader    TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS idx_traces_uploaded ON traces (uploaded_at DESC);
-CREATE INDEX IF NOT EXISTS idx_traces_driver ON traces (driver_id);
+-- Both indexes hold list_traces' order, so a page is read without a sort;
+-- the DROPs replace the older indexes that lacked it in existing stores.
+DROP INDEX IF EXISTS idx_traces_uploaded;
+DROP INDEX IF EXISTS idx_traces_driver;
+CREATE INDEX IF NOT EXISTS idx_traces_page ON traces (uploaded_at DESC, trace_ref);
+CREATE INDEX IF NOT EXISTS idx_traces_driver_page ON traces (driver_id, uploaded_at DESC, trace_ref);
 """
 
 
@@ -180,7 +185,7 @@ class CloudStoreService:
                 raise ValueError(f"client {account.client_id!r} has unknown scopes {sorted(bad)}")
         self.clock = clock if clock is not None else SystemClock()
         self.token_ttl_s = token_ttl_s
-        self._tokens: dict[str, AuthToken] = {}
+        self._tokens: OrderedDict[str, AuthToken] = OrderedDict()
         self._token_lock = threading.Lock()
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         (self.root / "tmp").mkdir(parents=True, exist_ok=True)
@@ -213,8 +218,10 @@ class CloudStoreService:
             expires_at_ms=now + self.token_ttl_s * 1000.0,
         )
         with self._token_lock:
-            # Expired tokens go here, so the table holds only live ones.
-            self._tokens = {k: t for k, t in self._tokens.items() if now < t.expires_at_ms}
+            # Tokens expire in the order they were issued, so the expired ones
+            # are at the front; ``authenticate`` still checks every expiry.
+            while self._tokens and next(iter(self._tokens.values())).expires_at_ms <= now:
+                self._tokens.popitem(last=False)
             self._tokens[token.token] = token
         return token
 

@@ -1,11 +1,12 @@
-"""Back-to-back OBD polling into a session.
+"""The OBD link as one producer of a session.
 
-The loop cycles the three core PIDs round robin, firing the next request
-the instant a reply lands, so throughput is bounded purely by the reply
-latency (about 545 rows/min at the default 110 ms mean). A dropped
-connection triggers exponential-backoff reconnects (0.5 s doubling to a
-30 s cap) and leaves an ``obd-reconnect`` alert row marking the gap; the
-session keeps running throughout.
+Each :meth:`ObdPoller.step` is one exchange of the three core PIDs, taken
+round robin. The session loop steps it back to back, so the next request
+fires the instant a reply lands and throughput is bounded purely by the
+reply latency (about 545 rows/min at the default 110 ms mean). A dropped
+connection makes the next step reconnect first, with exponential backoff
+(0.5 s doubling to a 30 s cap), and leaves an ``obd-reconnect`` alert row
+marking the gap; the session keeps running throughout.
 """
 
 from __future__ import annotations
@@ -32,87 +33,80 @@ class PollStats:
     dropped_ms: float = 0.0
 
 
-def obd_poll_loop(
-    link_factory: Callable[[], object],
-    session: Session,
-    clock,
-    source: str,
-    duration_ms: float | None = None,
-    on_cycle: Callable[[float], None] | None = None,
-) -> PollStats:
-    """Poll the core PIDs until the deadline or the session closes.
+class ObdPoller:
+    """Polls the core PIDs over links from ``link_factory`` until ``deadline_ms``.
 
     ``link_factory`` is called for the initial connection and after every
-    loss; ``on_cycle`` (if given) runs after each reply so a caller can
-    interleave other producers on the same thread.
+    loss.
     """
-    stats = PollStats()
-    deadline = None if duration_ms is None else clock.now_ms() + duration_ms
-    link = None
-    backoff_ms = BACKOFF_INITIAL_MS
-    index = 0
 
-    def done() -> bool:
-        return session.closed or (deadline is not None and clock.now_ms() >= deadline)
+    def __init__(self, link_factory: Callable[[], object], session: Session, clock, source: str, deadline_ms: float):
+        self.link_factory = link_factory
+        self.session = session
+        self.clock = clock
+        self.source = source
+        self.deadline_ms = deadline_ms
+        self.stats = PollStats()
+        self.link = None
+        self.index = 0
 
-    while not done():
-        if link is None:
-            outage_started = clock.now_ms()
-            link, waited = _reconnect(link_factory, clock, deadline, backoff_ms)
-            backoff_ms = waited
-            if link is None:
-                break
+    def step(self) -> bool:
+        """One exchange, reconnecting first if the link is down.
+
+        True when the responder answered, with a reading or a ``7F`` frame;
+        False when the link was lost or could not be re-established before
+        the deadline.
+        """
+        stats = self.stats
+        if self.link is None:
+            outage_started = self.clock.now_ms()
+            self.link = _reconnect(self.link_factory, self.clock, self.deadline_ms)
+            if self.link is None:
+                return False
             if stats.rows or stats.reconnects:
                 stats.reconnects += 1
-                gap_ms = clock.now_ms() - outage_started
+                gap_ms = self.clock.now_ms() - outage_started
                 stats.dropped_ms += gap_ms
-                session.ingest(
+                self.session.ingest(
                     AlertEvent(
-                        at=int(clock.now_ms()),
+                        at=int(self.clock.now_ms()),
                         rule="obd-reconnect",
                         detail=f"link re-established after {gap_ms:.0f}ms",
                     )
                 )
         try:
-            response = link.request(CORE_PIDS[index % len(CORE_PIDS)])
+            response = self.link.request(CORE_PIDS[self.index % len(CORE_PIDS)])
         except NegativeResponseError:
             stats.negatives += 1
-            index += 1
-            continue
+            self.index += 1
+            return True
         except (ObdError, ConnectionError, OSError) as exc:
             log.warning("OBD link lost: %s", exc)
-            _close_quietly(link)
-            link = None
-            continue
-        backoff_ms = BACKOFF_INITIAL_MS
-        index += 1
-        session.ingest(response, source=source)
+            self.close()
+            return False
+        self.index += 1
+        self.session.ingest(response, source=self.source)
         stats.rows += 1
-        if on_cycle is not None:
-            on_cycle(clock.now_ms())
-    _close_quietly(link)
-    return stats
+        return True
+
+    def close(self) -> None:
+        link, self.link = self.link, None
+        close = getattr(link, "close", None)
+        if close:
+            try:
+                close()
+            except OSError:
+                pass
 
 
-def _reconnect(link_factory, clock, deadline, backoff_ms):
-    """Try to connect, sleeping the usual 0.5/1/2/... capped schedule."""
-    current = backoff_ms
-    while deadline is None or clock.now_ms() < deadline:
+def _reconnect(link_factory, clock, deadline_ms):
+    """Try to connect, sleeping the usual 0.5/1/2/... capped schedule; None at the deadline."""
+    backoff_ms = BACKOFF_INITIAL_MS
+    while clock.now_ms() < deadline_ms:
         try:
-            return link_factory(), BACKOFF_INITIAL_MS
+            return link_factory()
         except (ConnectionError, OSError) as exc:
-            log.warning("OBD reconnect failed: %s (retry in %.1fs)", exc, current / 1000.0)
-            clock.sleep_ms(current)
-            current = min(current * 2.0, BACKOFF_CAP_MS)
-    return None, current
-
-
-def _close_quietly(link) -> None:
-    if link is None:
-        return
-    close = getattr(link, "close", None)
-    if close:
-        try:
-            close()
-        except OSError:
-            pass
+            log.warning("OBD reconnect failed: %s (retry in %.1fs)", exc, backoff_ms / 1000.0)
+            clock.sleep_ms(backoff_ms)
+            backoff_ms = min(backoff_ms * 2.0, BACKOFF_CAP_MS)
+    return None

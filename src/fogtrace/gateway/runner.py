@@ -1,18 +1,19 @@
 """End-to-end trip orchestration on one clock.
 
-The runner wires a session together: the OBD poll loop drives the cadence
-(producers are serviced between replies), wearable streams, the MiBand
+The runner wires a session together and drives every producer from one
+loop: the OBD link (one exchange per step), wearable streams, the MiBand
 poll schedule, GPS fixes read off the vehicle position, and the context
-poller for traffic and weather. Everything shares the same clock object,
-so a five-minute trip replays in well under a second of compute time on a
-simulated clock and in real time on the system clock, through identical
-code paths.
+poller for traffic and weather. A live OBD link is always due, so it paces
+the loop by its reply latency and the other producers are serviced after
+each reply; a session without a link sleeps until its next producer is
+due. Everything shares the same clock object, so a five-minute trip
+replays in well under a second of compute time on a simulated clock and in
+real time on the system clock, through identical code paths.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 from ..external import ExternalError, TrafficClient, WeatherClient
 from ..wearables import MiBand, PhysioModel, WearableDevice
 from .alerts import AlertEvent
-from .obd_poller import PollStats, obd_poll_loop
+from .obd_poller import ObdPoller, PollStats
 from .records import SessionManifest, csv_to_rows
 from .session import KIND_GPS, KIND_OBD, Gateway, GpsFix, LocalSource
 from .uploader import Outbox, UploadReceipt, finalize_and_upload
@@ -85,22 +86,20 @@ class SessionRunner:
         start = self.clock.now_ms()
         t_end = start + duration_s * 1000.0
 
-        state = _ProducerState(self, session, gps_source, start)
+        obd = ObdPoller(self.obd_link_factory, session, self.clock, obd_source, t_end) if obd_source else None
+        producers = _ProducerState(self, session, gps_source, start)
+        # One producer paces the loop: a live OBD link is always due, so its
+        # exchanges set the pace; without one, the loop sleeps until the next
+        # producer is due. The others are serviced after each step.
+        pace = obd.step if obd is not None else lambda: producers.wait_until_due(t_end)
         try:
-            if self.obd_link_factory is not None:
-                obd_stats = obd_poll_loop(
-                    self.obd_link_factory,
-                    session,
-                    self.clock,
-                    source=obd_source,
-                    duration_ms=duration_s * 1000.0,
-                    on_cycle=state.service,
-                )
-            else:
-                obd_stats = PollStats()
-                self._scheduler_loop(state, t_end)
+            while not session.closed and self.clock.now_ms() < t_end:
+                if pace():
+                    producers.service(self.clock.now_ms())
         finally:
-            state.close()
+            producers.close()
+            if obd is not None:
+                obd.close()
 
         csv_bytes, manifest = self.gateway.end_session()
         trace_path = self._persist_trace(csv_bytes, manifest)
@@ -113,22 +112,11 @@ class SessionRunner:
             receipt=receipt,
             alerts=list(session.alerts),
             dropped=session.dropped,
-            obd=obd_stats,
-            context_rounds=state.context_rounds,
-            context_failures=state.context_failures,
+            obd=obd.stats if obd is not None else PollStats(),
+            context_rounds=producers.context_rounds,
+            context_failures=producers.context_failures,
             trace_path=trace_path,
         )
-
-    def _scheduler_loop(self, state: "_ProducerState", t_end: float) -> None:
-        while True:
-            now = self.clock.now_ms()
-            if now >= t_end:
-                return
-            state.service(now)
-            next_due = min(state.next_due(), t_end)
-            wait = next_due - self.clock.now_ms()
-            if wait > 0:
-                self.clock.sleep_ms(wait)
 
     def _persist_trace(self, csv_bytes: bytes, manifest: SessionManifest) -> Path | None:
         if self.gateway.trace_dir is None:
@@ -155,7 +143,7 @@ class SessionRunner:
 
 
 class _ProducerState:
-    """Due-time bookkeeping for every non-OBD producer."""
+    """Due-time bookkeeping for every producer but the OBD link."""
 
     def __init__(self, runner: SessionRunner, session, gps_source: str | None, start_ms: float):
         self.runner = runner
@@ -232,14 +220,17 @@ class _ProducerState:
                 self.context_failures += 1
                 log.debug("context fetch failed: %s", exc)
 
-    def next_due(self) -> float:
-        dues = [stream.next_due_ms for stream in self.streams]
-        dues.extend(self.miband_due.values())
+    def wait_until_due(self, t_end: float) -> bool:
+        """Sleep until the next producer is due; False once ``t_end`` is reached."""
+        dues = [t_end, *self.miband_due.values()]
+        dues.extend(stream.next_due_ms for stream in self.streams)
         if self.gps_active:
             dues.append(self.gps_due)
         if self.context_active:
             dues.append(self.context_due)
-        return min(dues) if dues else math.inf
+        clock = self.runner.clock
+        clock.sleep_ms(min(dues) - clock.now_ms())
+        return clock.now_ms() < t_end
 
     def close(self) -> None:
         for stream in self.streams:

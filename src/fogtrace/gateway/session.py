@@ -1,9 +1,9 @@
 """The data-logger core: pairing, per-trip sessions and row aggregation.
 
 A gateway pairs and locks devices, then runs at most one session at a
-time. Producers (the OBD poll loop, wearable streams, GPS, context
-pollers) push their native records through ``Session.ingest``, which fans
-each record out into trace rows stamped with the gateway's arrival clock.
+time. Producers (the OBD link, wearable streams, GPS, context pollers)
+push their native records through ``Session.ingest``, which fans each
+record out into trace rows stamped with the gateway's arrival clock.
 Ending a session flushes everything: gap filling, a stable sort, CSV
 rendering, hashing, and the session manifest.
 

@@ -105,6 +105,24 @@ class TestTokens:
         clock.sleep_ms(8000.0)
         assert service.authenticate(token, "upload").token == token
 
+    def test_expired_tokens_leave_from_the_front(self, tmp_path, accounts):
+        clock = SimulatedClock()
+        service = CloudStoreService(tmp_path / "store", clients=accounts, clock=clock, token_ttl_s=10)
+        old = [service.issue_token("gw", "gw-secret").token for _ in range(3)]
+        clock.sleep_ms(5000.0)
+        live = service.issue_token("gw", "gw-secret").token
+        clock.sleep_ms(5000.0)
+        # Past their TTL, the first three stay in the table until the next
+        # issue, and are refused meanwhile.
+        assert len(service._tokens) == 4
+        with pytest.raises(TokenExpiredError):
+            service.authenticate(old[0], "upload")
+        newest = service.issue_token("gw", "gw-secret").token
+        assert list(service._tokens) == [live, newest]
+        assert service.authenticate(live, "upload").token == live
+        with pytest.raises(UnauthorizedError):
+            service.authenticate(old[1], "upload")
+
     def test_missing_token_unauthorized(self, sim_service):
         service, _ = sim_service
         with pytest.raises(UnauthorizedError):
@@ -263,6 +281,28 @@ class TestGetAndList:
         late = service.upload_trace(token, MANIFEST, b"late")["trace_ref"]
         listed = service.list_traces(token, from_ms=early_cutoff)
         assert [m.trace_ref for m in listed] == [late]
+
+    @pytest.mark.parametrize(
+        "filters", [{"driver_id": "drv"}, {"driver_id": "drv", "from_ms": 1, "to_ms": 2}, {}, {"from_ms": 1}]
+    )
+    def test_pages_are_read_without_a_sort(self, sim_service, monkeypatch, filters):
+        service, _ = sim_service
+        token = upload_token(service)
+        statements = []
+        connection = service._connection
+
+        @contextlib.contextmanager
+        def traced():
+            with connection() as conn:
+                conn.set_trace_callback(statements.append)
+                yield conn
+
+        monkeypatch.setattr(service, "_connection", traced)
+        service.list_traces(token, **filters)
+        (query,) = [sql for sql in statements if sql.startswith("SELECT")]
+        with connection() as conn:
+            plan = [row[3] for row in conn.execute(f"EXPLAIN QUERY PLAN {query}")]
+        assert not [step for step in plan if "TEMP B-TREE" in step], plan
 
 
 class TestContentAddressing:

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from fogtrace.gateway import Gateway, obd_poll_loop
-from fogtrace.gateway.session import KIND_OBD, LocalSource
-from fogtrace.vehicle import InProcessObdLink, LatencyModel, VehicleSimulator
-
-
-@pytest.fixture
-def gateway(sim_clock, key):
-    gw = Gateway(clock=sim_clock, key=key)
-    gw.pair_device(LocalSource("obd-1", KIND_OBD))
-    return gw
+from fogtrace.clock import SimulatedClock
+from fogtrace.gateway import Gateway, NoActiveSessionError, SessionRunner
+from fogtrace.gateway.records import csv_to_rows
+from fogtrace.vehicle import PROFILES, InProcessObdLink, LatencyModel, VehicleSimulator
+from fogtrace.wearables import MiBand, PhysioModel, Polar, Spire
 
 
 def make_link_factory(sim_clock, latency):
@@ -19,44 +16,28 @@ def make_link_factory(sim_clock, latency):
     return lambda: InProcessObdLink(sim, sim_clock)
 
 
+def poll(sim_clock, key, factory, duration_s: float):
+    """A session whose only producer is the OBD link, run through ``SessionRunner``."""
+    gateway = Gateway(clock=sim_clock, key=key)
+    runner = SessionRunner(gateway, sim_clock, obd_link_factory=factory)
+    return runner.run("d", "v", duration_s, upload=False)
+
+
 class TestThroughput:
-    def test_60s_against_default_model(self, gateway, sim_clock):
-        session = gateway.start_session("d", "v")
-        stats = obd_poll_loop(
-            make_link_factory(sim_clock, LatencyModel(seed=3)),
-            session,
-            sim_clock,
-            source="obd-1",
-            duration_ms=60_000.0,
-        )
+    def test_60s_against_default_model(self, sim_clock, key):
+        result = poll(sim_clock, key, make_link_factory(sim_clock, LatencyModel(seed=3)), 60.0)
         # ~545 replies per minute at the 110 ms mean cycle
-        assert abs(stats.rows - 545) <= 545 * 0.05
+        assert abs(result.obd.rows - 545) <= 545 * 0.05
 
     @pytest.mark.parametrize("delay_ms,expected", [(50.0, 1200), (100.0, 600), (200.0, 300)])
     def test_fixed_latency_commands_per_minute(self, sim_clock, key, delay_ms, expected):
-        gateway = Gateway(clock=sim_clock, key=key)
-        gateway.pair_device(LocalSource("obd-1", KIND_OBD))
-        session = gateway.start_session("d", "v")
-        stats = obd_poll_loop(
-            make_link_factory(sim_clock, LatencyModel.fixed(delay_ms)),
-            session,
-            sim_clock,
-            source="obd-1",
-            duration_ms=60_000.0,
-        )
-        assert abs(stats.rows - expected) <= expected * 0.02
+        result = poll(sim_clock, key, make_link_factory(sim_clock, LatencyModel.fixed(delay_ms)), 60.0)
+        assert abs(result.obd.rows - expected) <= expected * 0.02
 
-    def test_rows_land_in_session(self, gateway, sim_clock):
-        session = gateway.start_session("d", "v")
-        obd_poll_loop(
-            make_link_factory(sim_clock, LatencyModel.fixed(100.0)),
-            session,
-            sim_clock,
-            source="obd-1",
-            duration_ms=3_000.0,
-        )
-        csv_bytes, manifest = gateway.end_session()
-        assert manifest.row_count == 30
+    def test_rows_land_in_session(self, sim_clock, key):
+        result = poll(sim_clock, key, make_link_factory(sim_clock, LatencyModel.fixed(100.0)), 3.0)
+        assert result.manifest.row_count == 30
+        csv_bytes = result.csv_bytes
         assert b"rpm" in csv_bytes and b"speed_kmh" in csv_bytes and b"throttle_pct" in csv_bytes
 
 
@@ -78,7 +59,7 @@ class _FlakyLink:
 
 
 class TestReconnect:
-    def test_session_survives_connection_loss(self, gateway, sim_clock):
+    def test_session_survives_connection_loss(self, sim_clock, key):
         sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
         attempts = []
 
@@ -89,16 +70,12 @@ class TestReconnect:
                 raise ConnectionError("still down")
             return _FlakyLink(InProcessObdLink(sim, sim_clock), 10)
 
-        session = gateway.start_session("d", "v")
-        stats = obd_poll_loop(
-            factory, session, sim_clock, source="obd-1", duration_ms=30_000.0
-        )
-        csv_bytes, _ = gateway.end_session()
-        assert stats.reconnects >= 1
-        assert stats.rows > 10  # polling resumed after the loss
-        assert b"obd-reconnect" in csv_bytes
+        result = poll(sim_clock, key, factory, 30.0)
+        assert result.obd.reconnects >= 1
+        assert result.obd.rows > 10  # polling resumed after the loss
+        assert b"obd-reconnect" in result.csv_bytes
 
-    def test_backoff_doubles_between_attempts(self, gateway, sim_clock):
+    def test_backoff_doubles_between_attempts(self, sim_clock, key):
         sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
         attempts = []
 
@@ -108,50 +85,107 @@ class TestReconnect:
                 raise ConnectionError("down")
             return _FlakyLink(InProcessObdLink(sim, sim_clock), 5)
 
-        session = gateway.start_session("d", "v")
-        obd_poll_loop(factory, session, sim_clock, source="obd-1", duration_ms=20_000.0)
+        poll(sim_clock, key, factory, 20.0)
         # Gaps between the failed attempts follow the 0.5 s / 1 s / 2 s ladder.
         gaps = [b - a for a, b in zip(attempts[1:], attempts[2:])]
         assert gaps[0] == pytest.approx(500.0)
         assert gaps[1] == pytest.approx(1000.0)
         assert gaps[2] == pytest.approx(2000.0)
 
-    def test_deadline_bounds_reconnect_attempts(self, gateway, sim_clock):
+    def test_deadline_bounds_reconnect_attempts(self, sim_clock, key):
         def factory():
             raise ConnectionError("permanently down")
 
-        session = gateway.start_session("d", "v")
-        stats = obd_poll_loop(factory, session, sim_clock, source="obd-1", duration_ms=5_000.0)
-        assert stats.rows == 0
+        start = sim_clock.now_ms()
+        result = poll(sim_clock, key, factory, 5.0)
+        assert result.obd.rows == 0
+        # The last backoff sleep may cross the deadline, but no attempt follows it.
+        assert sim_clock.now_ms() - start < 5_000.0 + 4_000.0
+
+
+class _CountingLink(InProcessObdLink):
+    """Counts requests and runs ``hook`` with the count before each reply."""
+
+    def __init__(self, simulator, clock, hook=lambda count: None):
+        super().__init__(simulator, clock)
+        self.requests = 0
+        self.hook = hook
+
+    def transact(self, raw_request: bytes) -> bytes:
+        self.requests += 1
+        self.hook(self.requests)
+        return super().transact(raw_request)
+
+
+class _StopAfter:
+    """A physiology model that ends the session on its ``n``-th update."""
+
+    def __init__(self, gateway: Gateway, n: int):
+        self.gateway = gateway
+        self.n = n
+        self.updates = 0
+
+    def update(self, accel_ms2: float, dt_ms: float) -> None:
+        self.updates += 1
+        if self.updates == self.n:
+            self.gateway.end_session()
 
 
 class TestStopConditions:
-    def test_stop_callback(self, gateway, sim_clock):
-        session = gateway.start_session("d", "v")
-        seen = []
+    def test_session_ended_mid_run_stops_polling(self, sim_clock, key):
+        # Producers are serviced after each reply; the fifth service ends the session.
+        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
+        link = _CountingLink(sim, sim_clock)
+        gateway = Gateway(clock=sim_clock, key=key)
+        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link, physio=_StopAfter(gateway, 5))
+        with pytest.raises(NoActiveSessionError):
+            runner.run("d", "v", 10.0, upload=False)
+        assert link.requests == 5
+        assert link.closed
 
-        def on_cycle(now):
-            seen.append(now)
-            if len(seen) == 5:
-                gateway.end_session()
+    def test_session_close_stops_loop(self, sim_clock, key):
+        # The session ends while the first request is in flight: its reply is
+        # dropped and no second request is sent.
+        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
+        gateway = Gateway(clock=sim_clock, key=key)
+        link = _CountingLink(sim, sim_clock, hook=lambda count: gateway.end_session())
+        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link)
+        with pytest.raises(NoActiveSessionError):
+            runner.run("d", "v", 10.0, upload=False)
+        assert link.requests == 1
+        assert link.closed
 
-        stats = obd_poll_loop(
-            make_link_factory(sim_clock, LatencyModel.fixed(100.0)),
-            session,
-            sim_clock,
-            source="obd-1",
-            on_cycle=on_cycle,
+
+class _NegativeLink(InProcessObdLink):
+    """Answers every request, after the usual latency, with ``7F 01 12``."""
+
+    def transact(self, raw_request: bytes) -> bytes:
+        super().transact(raw_request)
+        return b"7F 01 12\r"
+
+
+class TestNegativeReplies:
+    def _trip(self, link_type):
+        clock = SimulatedClock()
+        sim = VehicleSimulator(profile=PROFILES["calm"], latency=LatencyModel(seed=7), seed=7, start_ms=clock.now_ms())
+        physio = PhysioModel()
+        runner = SessionRunner(
+            Gateway(clock=clock, key=bytes(32)),
+            clock,
+            simulator=sim,
+            obd_link_factory=lambda: link_type(sim, clock),
+            wearables=(MiBand("miband-1", physio, 7), Polar("polar-1", physio, 7), Spire("spire-1", physio, 7)),
+            physio=physio,
         )
-        assert stats.rows == 5
+        result = runner.run("d", "v", 120.0, upload=False)
+        return result, Counter(r.source for r in csv_to_rows(result.csv_bytes) if not r.interpolated)
 
-    def test_session_close_stops_loop(self, gateway, sim_clock):
-        session = gateway.start_session("d", "v")
-        gateway.end_session()
-        stats = obd_poll_loop(
-            make_link_factory(sim_clock, LatencyModel.fixed(100.0)),
-            session,
-            sim_clock,
-            source="obd-1",
-            duration_ms=10_000.0,
-        )
-        assert stats.rows == 0
+    def test_negative_only_link_does_not_starve_producers(self):
+        up, up_counts = self._trip(InProcessObdLink)
+        negative, counts = self._trip(_NegativeLink)
+        assert negative.obd.rows == 0 and negative.obd.negatives == up.obd.rows
+        assert "obd-1" not in counts
+        del up_counts["obd-1"]
+        # Every other producer is serviced at the same instants as with the link up.
+        assert counts == up_counts
+        assert (counts["polar-1"], counts["spire-1"], counts["miband-1"], counts["gps-1"]) == (201, 48, 12, 240)
