@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench-obd", parents=[clock], help="OBD throughput/latency benchmark")
     bench.add_argument("--duration", type=_seconds, default=300.0, help="benchmark length in seconds")
     bench.add_argument("--latency", help="min,mode,max reply delay in ms (default: 50,80,200)")
-    bench.add_argument("--fixed-ms", type=float, default=None, help="constant reply delay (ms)")
     bench.add_argument("--window-s", type=_seconds, default=60.0)
     bench.add_argument("--out-csv", default=None, help="write the per-update series here")
     bench.set_defaults(func=cmd_bench_obd)
@@ -173,15 +172,13 @@ def _load_config(args) -> Config:
 
 
 def _flag_overrides(args) -> dict[str, object]:
-    """``--seed``, ``--profile``, ``--latency`` and ``--fixed-ms`` as config keys."""
+    """``--seed``, ``--profile`` and ``--latency`` as config keys."""
     overrides: dict[str, object] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if getattr(args, "profile", None) is not None:
         overrides["vehicle.profile"] = args.profile
     latency = getattr(args, "latency", None)
-    if getattr(args, "fixed_ms", None) is not None:
-        latency = ",".join([str(args.fixed_ms)] * 3)
     if latency is not None:
         bounds = latency.split(",")
         if len(bounds) != 3:
@@ -313,9 +310,7 @@ def cmd_run(args) -> int:
                 Polar("polar-1", physio, seed),
                 Spire("spire-1", physio, seed),
             )
-            link_factory, traffic, weather = _wire(
-                args.clock, clock, simulator, stack, context_seed=cfg.get_int("external.seed", seed)
-            )
+            link_factory, traffic, weather = _wire(args.clock, clock, simulator, stack, context_seed=seed)
 
             cloud = None if args.no_upload else _cloud_client(args, cfg, stack)
             if new_key:

@@ -55,9 +55,6 @@ class AlertEngine:
         self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in self.rules}
         self._watched = frozenset(r.channel for r in self.rules)
 
-    def reset(self) -> None:
-        self._episodes = {r.name: _EpisodeState() for r in self.rules}
-
     def observe(self, row: TraceRow) -> list[AlertEvent]:
         events = []
         if row.channel not in self._watched or row.interpolated:

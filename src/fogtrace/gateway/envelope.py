@@ -53,7 +53,3 @@ def open_envelope(blob: bytes, manifest_json: bytes, key: bytes) -> bytes:
         return AESGCM(bytes(key)).decrypt(nonce, ciphertext, manifest_json)
     except InvalidTag as exc:
         raise AuthenticationError("envelope failed authentication") from exc
-
-
-def is_envelope(blob: bytes) -> bool:
-    return len(blob) >= _MIN_LEN and blob[: len(MAGIC)] == MAGIC

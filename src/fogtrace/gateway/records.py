@@ -238,10 +238,6 @@ class SessionManifest:
             schema_version=str(data.get("schema_version", SCHEMA_VERSION)),
         )
 
-    @classmethod
-    def from_json(cls, data: bytes) -> "SessionManifest":
-        return cls.from_dict(json.loads(data.decode("utf-8")))
-
 
 def new_session_id() -> str:
     return str(uuid.uuid4())

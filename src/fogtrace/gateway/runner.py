@@ -14,7 +14,6 @@ real time on the system clock, through identical code paths.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from ..external import ExternalError, TrafficClient, WeatherClient
 from ..wearables import MiBand, PhysioModel, WearableDevice
 from .alerts import AlertEvent
 from .obd_poller import ObdPoller, PollStats
-from .records import SessionManifest, csv_to_rows
+from .records import SessionManifest
 from .session import KIND_GPS, KIND_OBD, Gateway, GpsFix, LocalSource
 from .uploader import Outbox, UploadReceipt, finalize_and_upload
 
@@ -30,7 +29,7 @@ log = logging.getLogger(__name__)
 
 # Poll well inside the device's 10 s refresh window; the device throttles
 # and the runner drops cached repeats, so one fresh value lands per window.
-DEFAULT_MIBAND_POLL_MS = 1000.0
+MIBAND_POLL_MS = 1000.0
 
 
 @dataclass
@@ -44,9 +43,6 @@ class RunResult:
     context_rounds: int
     context_failures: int
     trace_path: Path | None
-
-    def channel_counts(self) -> Counter:
-        return Counter(row.channel for row in csv_to_rows(self.csv_bytes))
 
 
 class SessionRunner:
@@ -71,7 +67,6 @@ class SessionRunner:
         self.traffic = traffic
         self.weather = weather
         self.cloud_client = cloud_client
-        self.miband_poll_ms = gateway.config.get_float("gateway.miband_poll_ms", DEFAULT_MIBAND_POLL_MS)
 
     def run(self, driver_id: str, vehicle_id: str, duration_s: float, upload: bool = True) -> RunResult:
         for device in self.wearables:
@@ -101,7 +96,12 @@ class SessionRunner:
             if obd is not None:
                 obd.close()
 
-        csv_bytes, manifest = self.gateway.end_session()
+        # Someone else (a stop command, another thread) may have ended the
+        # session already; its first result is the trace either way.
+        with self.gateway._control:
+            if self.gateway.active is session:
+                self.gateway.active = None
+        csv_bytes, manifest = session.finish()
         trace_path = self._persist_trace(csv_bytes, manifest)
         receipt = None
         if upload and self.cloud_client is not None:
@@ -182,7 +182,7 @@ class _ProducerState:
                 if sample.measured_at != self.miband_last.get(device.device_id):
                     self.miband_last[device.device_id] = sample.measured_at
                     self.session.ingest(sample)
-                self.miband_due[device.device_id] += self.runner.miband_poll_ms
+                self.miband_due[device.device_id] += MIBAND_POLL_MS
         if self.gps_active:
             while self.gps_due <= now:
                 state = sim.snapshot()

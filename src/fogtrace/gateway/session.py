@@ -97,13 +97,6 @@ class LocalSource:
             raise GatewayError(f"{self.device_id} already attached to {self.locked_to}")
         self.locked_to = gateway_id
 
-    def unpair(self, gateway_id: str) -> None:
-        if self.locked_to == gateway_id:
-            self.locked_to = None
-
-    def erase(self) -> int:
-        return 0
-
 
 class Gateway:
     def __init__(
@@ -233,14 +226,11 @@ class Session:
         self._engine = AlertEngine(alert_rules)
         self._lock = threading.Lock()
         self._closed = False
+        self._finished: tuple[bytes, SessionManifest] | None = None
 
     @property
     def closed(self) -> bool:
         return self._closed
-
-    def row_count(self) -> int:
-        with self._lock:
-            return len(self._rows)
 
     def ingest(self, sample, source: str | None = None) -> list[TraceRow]:
         """Fan a source record out into rows stamped with the arrival time.
@@ -253,7 +243,10 @@ class Session:
             if self._closed:
                 self.dropped += 1
                 return []
-            source_of, fan_out = _INGEST_RULES.get(type(sample)) or _inherited_rules(type(sample))
+            try:
+                source_of, fan_out = _INGEST_RULES[type(sample)]
+            except KeyError:
+                raise TypeError(f"cannot ingest {type(sample).__name__}") from None
             resolved = self._check_source(source_of(sample, source), sample)
             appended = []
             for row in fan_out(sample, resolved, arrival):
@@ -281,26 +274,25 @@ class Session:
         return source
 
     def finish(self) -> tuple[bytes, SessionManifest]:
+        """Close the session and render its trace; a later call returns the first result."""
         with self._lock:
-            self._closed = True
-            self.ended_at = int(self.gateway.clock.now_ms())
-            rows = list(self._rows)
-        rows = fill_session_gaps(rows, self.gateway._gap_period_for)
-        rows = sort_rows(rows)
-        csv_bytes = rows_to_csv(rows)
-        manifest = SessionManifest(
-            session_id=self.session_id,
-            driver_id=self.driver_id,
-            vehicle_id=self.vehicle_id,
-            started_at=self.started_at,
-            ended_at=self.ended_at,
-            devices=tuple(self.gateway.pairings.values()),
-            row_count=len(rows),
-            csv_sha256=sha256_hex(csv_bytes),
-        )
-        with self._lock:
-            self._rows = rows
-        return csv_bytes, manifest
+            if self._finished is None:
+                self._closed = True
+                self.ended_at = int(self.gateway.clock.now_ms())
+                rows = sort_rows(fill_session_gaps(self._rows, self.gateway._gap_period_for))
+                csv_bytes = rows_to_csv(rows)
+                manifest = SessionManifest(
+                    session_id=self.session_id,
+                    driver_id=self.driver_id,
+                    vehicle_id=self.vehicle_id,
+                    started_at=self.started_at,
+                    ended_at=self.ended_at,
+                    devices=tuple(self.gateway.pairings.values()),
+                    row_count=len(rows),
+                    csv_sha256=sha256_hex(csv_bytes),
+                )
+                self._finished = csv_bytes, manifest
+            return self._finished
 
 
 def _obd_rows(sample: ObdResponse, source: str, arrival_ms: int) -> list[TraceRow]:
@@ -359,15 +351,11 @@ def _alert_rows(sample: AlertEvent, source: str, _arrival_ms: int) -> list[Trace
     return [TraceRow(sample.at, source, "alert", sample.rule, "")]
 
 
-def _cannot_ingest(sample, _source: str, _arrival_ms: int) -> list[TraceRow]:
-    raise TypeError(f"cannot ingest {type(sample).__name__}")
-
-
 # Ingest dispatch by the exact type of the record: how its source is found
 # from the one the caller gave, then how it becomes rows. Heart and
 # respiration samples name their own device and alert events belong to the
 # alert service whatever the caller gives; context records default to
-# their service.
+# their service. A type without an entry, a subclass included, is refused.
 _INGEST_RULES = {
     ObdResponse: (lambda sample, source: source, _obd_rows),
     HeartSample: (lambda sample, source: sample.device, _heart_rows),
@@ -377,12 +365,3 @@ _INGEST_RULES = {
     WeatherObservation: (lambda sample, source: SERVICE_WEATHER if source is None else source, _weather_rows),
     AlertEvent: (lambda sample, source: SERVICE_ALERTS, _alert_rows),
 }
-
-
-def _inherited_rules(kind: type):
-    """The rules of the nearest base class of ``kind`` that has any."""
-    for cls in kind.__mro__:
-        rules = _INGEST_RULES.get(cls)
-        if rules is not None:
-            return rules
-    return (lambda sample, source: source), _cannot_ingest

@@ -11,7 +11,8 @@ The kinematic rules are documented constants, not physics:
 
 * speed moves toward the segment target, bounded by the profile's
   acceleration limit
-* throttle = clamp(k_accel * accel + k_drag * speed, 0, 100)
+* throttle = clamp(k_accel * accel + k_drag * speed, 0, 100), with
+  ``THROTTLE``'s 25 %/(m/s^2) and 0.5 %/(km/h)
 * gear comes from a fixed shift table (upshifts at 20/40/60/90 km/h)
 * rpm = 800 + speed * 120 / gear, clamped to [800, 6500]
 """
@@ -161,10 +162,14 @@ AGGRESSIVE_PROFILE = DriveProfile(
 PROFILES = {p.name: p for p in (CALM_PROFILE, AGGRESSIVE_PROFILE)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThrottleParams:
     k_accel: float = 25.0  # % per m/s^2
     k_drag: float = 0.5  # % per km/h
+
+
+# The one set every simulator ticks with, shared so that no tick allocates one.
+THROTTLE = ThrottleParams()
 
 
 @dataclass
@@ -195,20 +200,15 @@ class LatencyModel:
             return self._rng.triangular(self.min_ms, self.max_ms, self.mode_ms)
 
 
-def gear_for_speed(speed_kmh: float) -> int:
-    return 1 + bisect_right(GEAR_SHIFT_KMH, speed_kmh)
-
-
 def step(
     state: VehicleState,
     profile: DriveProfile,
     dt_ms: float,
-    params: ThrottleParams | None = None,
+    params: ThrottleParams = THROTTLE,
 ) -> VehicleState:
     """Advance the kinematic state by one tick. Inputs are clamped, never rejected."""
     if dt_ms <= 0:
         raise ValueError("dt must be positive")
-    params = params or ThrottleParams()
     dt_s = dt_ms / 1000.0
 
     # The clamps are written out rather than min(max(...)), with the same
@@ -262,12 +262,10 @@ class VehicleSimulator:
         seed: int = 0,
         tick_ms: float = DEFAULT_TICK_MS,
         start_ms: float = 0.0,
-        throttle_params: ThrottleParams | None = None,
     ):
         self.profile = profile
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.tick_ms = float(tick_ms)
-        self.throttle_params = throttle_params or ThrottleParams()
         lat, lon = profile._route.point_at(0.0)
         self._state = VehicleState(lat=lat, lon=lon, sim_time_ms=float(start_ms))
         self._lock = threading.RLock()
@@ -281,10 +279,6 @@ class VehicleSimulator:
             max_ms=config.get_float("vehicle.latency.max_ms", LatencyModel.max_ms),
             seed=config.seed,
         )
-        params = ThrottleParams(
-            k_accel=config.get_float("vehicle.throttle.k_accel", ThrottleParams.k_accel),
-            k_drag=config.get_float("vehicle.throttle.k_drag", ThrottleParams.k_drag),
-        )
         name = config.get("vehicle.profile", CALM_PROFILE.name)
         if name not in PROFILES:
             raise ConfigError(f"vehicle.profile: unknown profile {name!r}")
@@ -293,23 +287,17 @@ class VehicleSimulator:
             latency=latency,
             tick_ms=config.get_float("vehicle.tick_ms", DEFAULT_TICK_MS),
             start_ms=start_ms,
-            throttle_params=params,
         )
 
     def snapshot(self) -> VehicleState:
         with self._lock:
             return self._state
 
-    def step_once(self) -> VehicleState:
-        with self._lock:
-            self._state = step(self._state, self.profile, self.tick_ms, self.throttle_params)
-            return self._state
-
     def advance_to(self, t_ms: float) -> VehicleState:
         with self._lock:
             state, tick_ms = self._state, self.tick_ms
             while state.sim_time_ms + tick_ms <= t_ms:
-                state = self._state = step(state, self.profile, tick_ms, self.throttle_params)
+                state = self._state = step(state, self.profile, tick_ms)
             return state
 
     def measurement(self, pid: int) -> float:

@@ -129,9 +129,7 @@ class WearableDevice:
         self.device_id = device_id if device_id is not None else self.default_id
         self.physio = physio or PhysioModel()
         self.locked_to: str | None = None
-        self.battery_pct = 100.0
         self.buffer: deque = deque(maxlen=4096)
-        self._settings: dict[str, str] = {}
         self._rng = random.Random(f"{seed}:{self.device_id}")
 
     def pair(self, gateway_id: str) -> None:
@@ -139,10 +137,6 @@ class WearableDevice:
         if self.locked_to is not None and self.locked_to != gateway_id:
             raise DeviceLockedError(f"{self.device_id} is locked to {self.locked_to}")
         self.locked_to = gateway_id
-
-    def unpair(self, gateway_id: str) -> None:
-        if self.locked_to == gateway_id:
-            self.locked_to = None
 
     def require_paired(self) -> None:
         if self.locked_to is None:
@@ -152,14 +146,6 @@ class WearableDevice:
         n = len(self.buffer)
         self.buffer.clear()
         return n
-
-    def configure(self, **settings) -> dict[str, str]:
-        # Memory/alert/battery personalization is accepted and echoed only.
-        self._settings.update({k: str(v) for k, v in settings.items()})
-        return dict(self._settings)
-
-    def _drain_battery(self) -> None:
-        self.battery_pct = max(0.0, self.battery_pct - 0.01)
 
 
 class MiBand(WearableDevice):
@@ -183,7 +169,6 @@ class MiBand(WearableDevice):
                 measured_at=int(at_ms),
             )
             self.buffer.append(self._cached)
-            self._drain_battery()
         return self._cached
 
 
@@ -205,7 +190,6 @@ class SampleStream:
         sample = self.device.measure(int(self.next_due_ms))
         self.next_due_ms += self._interval()
         self.device.buffer.append(sample)
-        self.device._drain_battery()
         return sample
 
     def close(self) -> None:

@@ -85,13 +85,6 @@ class TestEngineBehaviour:
         rows = [TraceRow(r.timestamp_ms, r.source, r.channel, r.value, r.unit, 1) for r in rows]
         assert run_engine(rows) == []
 
-    def test_reset_clears_episodes(self):
-        engine = AlertEngine(default_rules())
-        for t in range(0, 9, 2):
-            engine.observe(bpm_row(t * 1000, 130.0))
-        engine.reset()
-        assert engine.observe(bpm_row(10_000, 130.0)) == []
-
     def test_custom_rule(self):
         rule = AlertRule("cold", "weather_temp_c", lambda v: v < 0.0, 0.0)
         engine = AlertEngine([rule])

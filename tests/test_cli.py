@@ -316,8 +316,8 @@ class TestBenchCommand:
             "bench-obd",
             "--duration",
             "90",
-            "--fixed-ms",
-            "100",
+            "--latency",
+            "100,100,100",
             "--out-csv",
             str(series),
         )
@@ -384,7 +384,7 @@ class TestParserOptions:
             "--clock", "--cloud-url", "--driver", "--duration", "--help", "--key-file", "--key-hex",
             "--no-upload", "--out", "--outbox-dir", "--profile", "--store-dir", "--vehicle", "-h",
         ],
-        "bench-obd": ["--clock", "--duration", "--fixed-ms", "--help", "--latency", "--out-csv", "--window-s", "-h"],
+        "bench-obd": ["--clock", "--duration", "--help", "--latency", "--out-csv", "--window-s", "-h"],
         "verify": ["--cloud-url", "--help", "--key-file", "--key-hex", "--out", "--store-dir", "--trace-ref", "-h"],
         "replay": [
             "--cloud-url", "--csv-file", "--help", "--key-file", "--key-hex", "--out", "--store-dir", "--trace-ref", "-h",

@@ -7,7 +7,6 @@ from fogtrace.gateway.envelope import (
     NONCE_LEN,
     AuthenticationError,
     EnvelopeError,
-    is_envelope,
     open_envelope,
     seal,
 )
@@ -66,11 +65,6 @@ def test_short_blob_rejected():
 def test_bad_key_length_rejected():
     with pytest.raises(EnvelopeError):
         seal(CSV, AD, b"short")
-
-
-def test_is_envelope():
-    assert is_envelope(seal(CSV, AD, KEY))
-    assert not is_envelope(CSV)
 
 
 def test_fresh_nonce_each_seal():

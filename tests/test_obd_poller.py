@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from fogtrace.clock import SimulatedClock
-from fogtrace.gateway import Gateway, NoActiveSessionError, SessionRunner
+from fogtrace.gateway import Gateway, SessionRunner
 from fogtrace.gateway.records import csv_to_rows
 from fogtrace.vehicle import PROFILES, InProcessObdLink, LatencyModel, VehicleSimulator
 from fogtrace.wearables import MiBand, PhysioModel, Polar, Spire
@@ -124,11 +124,12 @@ class _StopAfter:
         self.gateway = gateway
         self.n = n
         self.updates = 0
+        self.ended = None
 
     def update(self, accel_ms2: float, dt_ms: float) -> None:
         self.updates += 1
         if self.updates == self.n:
-            self.gateway.end_session()
+            self.ended = self.gateway.end_session()
 
 
 class TestStopConditions:
@@ -137,23 +138,28 @@ class TestStopConditions:
         sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
         link = _CountingLink(sim, sim_clock)
         gateway = Gateway(clock=sim_clock, key=key)
-        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link, physio=_StopAfter(gateway, 5))
-        with pytest.raises(NoActiveSessionError):
-            runner.run("d", "v", 10.0, upload=False)
+        stopper = _StopAfter(gateway, 5)
+        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link, physio=stopper)
+        result = runner.run("d", "v", 10.0, upload=False)
         assert link.requests == 5
         assert link.closed
+        # The runner returns the trace the stopping caller got, rendered once.
+        assert (result.csv_bytes, result.manifest) == stopper.ended
+        assert result.manifest.row_count == 5
 
     def test_session_close_stops_loop(self, sim_clock, key):
         # The session ends while the first request is in flight: its reply is
         # dropped and no second request is sent.
         sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
         gateway = Gateway(clock=sim_clock, key=key)
-        link = _CountingLink(sim, sim_clock, hook=lambda count: gateway.end_session())
+        ended = []
+        link = _CountingLink(sim, sim_clock, hook=lambda count: ended.append(gateway.end_session()))
         runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link)
-        with pytest.raises(NoActiveSessionError):
-            runner.run("d", "v", 10.0, upload=False)
+        result = runner.run("d", "v", 10.0, upload=False)
         assert link.requests == 1
         assert link.closed
+        assert [(result.csv_bytes, result.manifest)] == ended
+        assert result.manifest.row_count == 0
 
 
 class _NegativeLink(InProcessObdLink):

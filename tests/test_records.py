@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from fogtrace.gateway.records import (
@@ -141,13 +143,11 @@ class TestManifest:
     def test_json_round_trip_byte_identical(self):
         manifest = self._manifest()
         encoded = manifest.to_json()
-        again = SessionManifest.from_json(encoded)
+        again = SessionManifest.from_dict(json.loads(encoded))
         assert again == manifest
         assert again.to_json() == encoded
 
     def test_field_names_exact(self):
-        import json
-
         data = json.loads(self._manifest().to_json())
         assert set(data) == {
             "session_id",

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from fogtrace.clock import SimulatedClock
+from fogtrace.cloudstore import CloudUnreachableError
 from fogtrace.config import Config
 from fogtrace.external import (
     LocalWeatherProvider,
@@ -15,7 +16,7 @@ from fogtrace.external import (
     WeatherClient,
     WeatherService,
 )
-from fogtrace.gateway import Gateway, SessionRunner
+from fogtrace.gateway import Gateway, SessionRunner, UploadRejectedError
 from fogtrace.gateway.records import csv_to_rows, device_ts_of, sha256_hex, validate_rows
 from fogtrace.vehicle import InProcessObdLink, LatencyModel, VehicleSimulator
 from fogtrace.wearables import MiBand, PhysioModel, Polar, Spire
@@ -154,7 +155,7 @@ class TestContextPolling:
     def test_default_period_rounds_over_session(self, pipeline_factory):
         result = pipeline_factory().run("d", "v", 300.0, upload=False)
         assert abs(result.context_rounds - 10) <= 1
-        counts = result.channel_counts()
+        counts = Counter(row.channel for row in csv_to_rows(result.csv_bytes))
         assert counts["traffic_current_speed"] == result.context_rounds
         assert counts["weather_temp_c"] == result.context_rounds
         assert result.context_failures == 0
@@ -175,6 +176,41 @@ class TestConfiguredCadences:
             real = Counter(r.channel for r in rows if r.source == source and not r.interpolated)
             assert set(real.values()) <= {duration_s * 1000 // period_ms, duration_s * 1000 // period_ms - 1}
         assert [r for r in rows if r.source in sources and r.interpolated] == []
+
+
+class _UnreachableClient:
+    def upload_trace(self, manifest_json, blob):
+        raise CloudUnreachableError("synthetic outage")
+
+
+class _LyingClient:
+    def upload_trace(self, manifest_json, blob):
+        return {"trace_ref": "ff" * 32, "size_bytes": len(blob), "sha256": "ff" * 32}
+
+
+class TestRetainPlaintext:
+    """``gateway.retain_plaintext = false`` drops the plaintext CSV once its upload is verified."""
+
+    NO_PLAINTEXT = Config({"gateway.retain_plaintext": "false"})
+
+    def test_deleted_after_verified_upload(self, pipeline_factory, tmp_path, cloud_client):
+        runner = pipeline_factory(cloud_client=cloud_client, trace_dir=tmp_path / "traces", config=self.NO_PLAINTEXT)
+        result = runner.run("d", "v", 30.0)
+        assert result.receipt is not None
+        assert not result.trace_path.exists()
+        blob, _ = cloud_client.get_trace(result.receipt.trace_ref)
+        assert sha256_hex(blob) == result.receipt.trace_ref
+
+    @pytest.mark.parametrize(
+        "client,error", [(_UnreachableClient(), CloudUnreachableError), (_LyingClient(), UploadRejectedError)]
+    )
+    def test_kept_when_upload_raises(self, pipeline_factory, tmp_path, client, error):
+        traces = tmp_path / "traces"
+        runner = pipeline_factory(cloud_client=client, trace_dir=traces, config=self.NO_PLAINTEXT)
+        with pytest.raises(error):
+            runner.run("d", "v", 30.0)
+        [trace] = traces.glob("*.csv")
+        assert validate_rows(csv_to_rows(trace.read_bytes())) == []
 
 
 class TestQuotaComposition:

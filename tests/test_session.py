@@ -7,6 +7,7 @@ import pytest
 from fogtrace.clock import SimulatedClock
 from fogtrace.external import FlowSegment, WeatherObservation
 from fogtrace.gateway import Gateway
+from fogtrace.gateway import session as session_module
 from fogtrace.gateway.records import csv_to_rows, sha256_hex
 from fogtrace.gateway.session import (
     KIND_GPS,
@@ -28,6 +29,10 @@ def gateway(sim_clock, key):
 
 def heart(device="polar-1", bpm=72.0, rr=(820.0, 830.0), at=1000):
     return HeartSample(device=device, bpm=bpm, rr_intervals_ms=tuple(rr), measured_at=at)
+
+
+class _TaggedHeart(HeartSample):
+    """A subclass of a record type: ingest dispatches on the exact type."""
 
 
 class TestPairing:
@@ -86,6 +91,18 @@ class TestSessionLifecycle:
         assert manifest.row_count == len(csv_to_rows(csv_bytes))
         assert [d.device_id for d in manifest.devices] == ["polar-1"]
 
+    def test_finish_twice_returns_the_first_result(self, gateway, sim_clock, monkeypatch):
+        fills = []
+        fill = session_module.fill_session_gaps
+        monkeypatch.setattr(session_module, "fill_session_gaps", lambda *args: fills.append(1) or fill(*args))
+        gateway.pair_device(Polar("polar-1"))
+        session = gateway.start_session("d", "v")
+        session.ingest(heart())
+        first = gateway.end_session()
+        sim_clock.sleep_ms(5000)
+        assert session.finish() is first
+        assert len(fills) == 1
+
 
 class TestIngest:
     def test_heart_sample_fan_out(self, gateway):
@@ -130,6 +147,14 @@ class TestIngest:
         session = gateway.start_session("d", "v")
         with pytest.raises(UnknownSourceError):
             session.ingest(heart(device="intruder-1"))
+
+    @pytest.mark.parametrize("record", [object(), _TaggedHeart("polar-1", 72.0, (), 0)], ids=["object", "subclass"])
+    def test_record_without_rule_raises_type_error(self, gateway, record):
+        gateway.pair_device(Polar("polar-1"))
+        session = gateway.start_session("d", "v")
+        with pytest.raises(TypeError, match=f"cannot ingest {type(record).__name__}$"):
+            session.ingest(record, source="polar-1")
+        assert gateway.end_session()[1].row_count == 0
 
     def test_sample_after_end_dropped_and_counted(self, gateway):
         gateway.pair_device(Polar("polar-1"))

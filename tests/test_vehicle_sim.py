@@ -22,9 +22,14 @@ from fogtrace.vehicle import (
     ThrottleParams,
     VehicleSimulator,
     VehicleState,
-    gear_for_speed,
     step,
 )
+
+
+def gear_at(speed_kmh: float) -> int:
+    """The gear ``step`` picks for a vehicle holding ``speed_kmh``."""
+    hold = DriveProfile("hold", ((60.0, speed_kmh),), 2.0)
+    return step(VehicleState(speed_kmh=speed_kmh), hold, 100.0).gear
 
 
 class TestStep:
@@ -40,8 +45,8 @@ class TestStep:
 
     def test_rpm_rule_at_60_in_third(self):
         # 800 + 60 * 120 / 3
-        assert gear_for_speed(60.0) == 4  # 60 is the upshift boundary into 4th
-        assert gear_for_speed(59.9) == 3
+        assert gear_at(60.0) == 4  # 60 is the upshift boundary into 4th
+        assert gear_at(59.9) == 3
         profile = DriveProfile("cruise", ((600.0, 59.9),), 2.0)
         state = VehicleState()
         for _ in range(600):
@@ -58,7 +63,7 @@ class TestStep:
         assert abs(state.speed_kmh - 50.0) <= 0.5
 
     def test_gear_shift_table(self):
-        assert [gear_for_speed(v) for v in (0, 19.9, 20, 39.9, 40, 59.9, 60, 89.9, 90, 200)] == [
+        assert [gear_at(v) for v in (0, 19.9, 20, 39.9, 40, 59.9, 60, 89.9, 90, 200)] == [
             1, 1, 2, 2, 3, 3, 4, 4, 5, 5,
         ]
 
@@ -93,12 +98,12 @@ def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[Ve
     sim = VehicleSimulator(profile=profile, seed=seed)
     log = []
     while sim.snapshot().sim_time_ms + sim.tick_ms <= duration_s * 1000.0:
-        log.append(sim.step_once())
+        log.append(sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms))
     return log
 
 
 class TestRunTrip:
-    """A trip ticked through ``VehicleSimulator.step_once``."""
+    """A trip ticked one tick at a time through ``VehicleSimulator.advance_to``."""
 
     def test_calm_300s_reading_count_and_accel_bound(self):
         log = tick_log(CALM_PROFILE, 300.0)
@@ -114,7 +119,7 @@ class TestRunTrip:
         sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
         last = 0.0
         for _ in range(2000):
-            state = sim.step_once()
+            state = sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms)
             assert state.odometer_m >= last
             last = state.odometer_m
 

@@ -45,12 +45,6 @@ class TestPairingLock:
         device.pair("gw-1")
         assert device.locked_to == "gw-1"
 
-    def test_unpair_releases(self):
-        device = paired(MiBand())
-        device.unpair("gw-1")
-        device.pair("gw-2")
-        assert device.locked_to == "gw-2"
-
 
 class TestMiBand:
     def test_polls_within_window_return_cached(self):
@@ -210,14 +204,3 @@ class TestHousekeeping:
         assert len(device.buffer) == 5
         assert device.erase() == 5
         assert len(device.buffer) == 0
-
-    def test_configure_echoes(self):
-        device = MiBand()
-        assert device.configure(alert_bpm="120", sync="on") == {"alert_bpm": "120", "sync": "on"}
-
-    def test_battery_drains(self):
-        device = paired(Polar(seed=1))
-        stream = device.subscribe(0.0)
-        for _ in range(10):
-            stream.take(stream.next_due_ms)
-        assert device.battery_pct < 100.0
