@@ -31,27 +31,11 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .bench import run_obd_bench
+# Only what every command uses is imported here; each command imports the
+# rest of what it runs, so `verify` loads no vehicle, wearable or runner code.
 from .clock import SimulatedClock, SystemClock
 from .cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
 from .config import Config
-from .external import (
-    FlowService,
-    HttpFlowProvider,
-    HttpWeatherProvider,
-    LocalFlowProvider,
-    LocalWeatherProvider,
-    RateLimiter,
-    TrafficClient,
-    WeatherClient,
-    WeatherService,
-)
-from .external_httpd import ContextStubServer
-from .gateway import Gateway, Outbox, SessionRunner, flush_outbox
-from .gateway.envelope import open_envelope
-from .gateway.records import SessionManifest, csv_to_rows, sha256_hex, validate_rows
-from .vehicle import PROFILES, InProcessObdLink, TcpObdLink, VehicleSimulator, VehicleTcpServer
-from .wearables import MiBand, PhysioModel, Polar, Spire
 
 DEFAULT_CLIENT_ID = "gateway"
 DEFAULT_CLIENT_SECRET = "local-dev-secret"
@@ -85,6 +69,15 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _profile(name: str) -> str:
+    """An argparse type: the name of a drive profile."""
+    from .vehicle import PROFILES
+
+    if name not in PROFILES:
+        raise argparse.ArgumentTypeError(f"unknown profile {name!r}; choose from {', '.join(sorted(PROFILES))}")
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fogtrace", description=__doc__.split("\n\n")[0])
     parser.add_argument("--config", help="key=value configuration file")
@@ -114,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--driver", default="driver-1")
     run.add_argument("--vehicle", default="vehicle-1")
     run.add_argument("--duration", type=_seconds, default=300.0, help="trip length in seconds")
-    run.add_argument("--profile", choices=sorted(PROFILES), help="drive profile (default: calm)")
+    run.add_argument("--profile", type=_profile, help="drive profile (default: calm)")
     run.add_argument("--outbox-dir", default=None)
     run.add_argument("--no-upload", action="store_true", help="skip the cloud store entirely")
     run.set_defaults(func=cmd_run)
@@ -254,6 +247,8 @@ def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, contex
     On the real clock the vehicle is served over loopback TCP and the context
     over HTTP; on the simulated clock both stay in-process.
     """
+    from .vehicle import InProcessObdLink, TcpObdLink, VehicleTcpServer
+
     served = clock_kind == "real"
     if served:
         host, port = stack.enter_context(VehicleTcpServer(simulator, clock=clock)).address
@@ -262,6 +257,19 @@ def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, contex
         link_factory = lambda: InProcessObdLink(simulator, clock)  # noqa: E731
     if context_seed is None:
         return link_factory, None, None
+    from .external import (
+        FlowService,
+        HttpFlowProvider,
+        HttpWeatherProvider,
+        LocalFlowProvider,
+        LocalWeatherProvider,
+        RateLimiter,
+        TrafficClient,
+        WeatherClient,
+        WeatherService,
+    )
+    from .external_httpd import ContextStubServer
+
     if served:
         base_url = stack.enter_context(ContextStubServer(seed=context_seed, clock=clock)).base_url
         flow, weather = HttpFlowProvider(base_url), HttpWeatherProvider(base_url)
@@ -281,6 +289,12 @@ def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, contex
 
 
 def cmd_run(args) -> int:
+    from .gateway.runner import SessionRunner
+    from .gateway.session import Gateway
+    from .gateway.uploader import Outbox, flush_outbox
+    from .vehicle import VehicleSimulator
+    from .wearables import MiBand, PhysioModel, Polar, Spire
+
     with contextlib.ExitStack() as stack:
         with _stage("setup"):
             cfg = _load_config(args)
@@ -373,6 +387,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench_obd(args) -> int:
+    from .bench import run_obd_bench
+    from .vehicle import VehicleSimulator
+
     with contextlib.ExitStack() as stack:
         with _stage("setup"):
             clock = _make_clock(args.clock)
@@ -400,6 +417,9 @@ def _open_trace(args, cfg: Config, stack: contextlib.ExitStack, on_download=None
     Each step is a stage named as verify's check for it: download, metadata,
     decrypt (the key) and decrypt-auth. ``on_download`` sees the stored bytes.
     """
+    from .gateway.envelope import open_envelope
+    from .gateway.records import SessionManifest
+
     with _stage("download"):
         blob, metadata = _cloud_client(args, cfg, stack).get_trace(args.trace_ref)
     if on_download is not None:
@@ -415,6 +435,8 @@ def _open_trace(args, cfg: Config, stack: contextlib.ExitStack, on_download=None
 
 
 def cmd_verify(args) -> int:
+    from .gateway.records import csv_to_rows, sha256_hex, validate_rows
+
     cfg = _load_config(args)
     checks: list[tuple[str, bool, str]] = []
 
@@ -455,6 +477,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .gateway.records import csv_to_rows
+
     cfg = _load_config(args)
     if not args.csv_file and not args.trace_ref:
         print("fogtrace: replay: need --trace-ref or --csv-file", file=sys.stderr)
@@ -495,6 +519,8 @@ def cmd_replay(args) -> int:
 
 
 def cmd_erase(args) -> int:
+    from .gateway.session import Gateway
+
     with _stage("erase"):
         out_dir = Path(args.out)
         gateway = Gateway(

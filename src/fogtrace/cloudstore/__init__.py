@@ -8,6 +8,7 @@ from .service import (
     ClientAccount,
     CloudError,
     CloudStoreService,
+    CorruptObjectError,
     ForbiddenError,
     InvalidCredentialsError,
     ManifestInvalidError,
@@ -30,6 +31,7 @@ __all__ = [
     "CloudStoreHTTPServer",
     "CloudStoreService",
     "CloudUnreachableError",
+    "CorruptObjectError",
     "ForbiddenError",
     "InvalidCredentialsError",
     "ManifestInvalidError",

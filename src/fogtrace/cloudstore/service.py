@@ -96,6 +96,11 @@ class StorageFullError(CloudError):
     http_status = 507
 
 
+class CorruptObjectError(CloudError):
+    code = "corrupt-object"
+    http_status = 500
+
+
 # Every error the store answers with, by the code in its ``{error, detail}`` body.
 ERROR_TYPES = {cls.code: cls for cls in CloudError.__subclasses__()}
 
@@ -293,7 +298,12 @@ class CloudStoreService:
         path = self.root / storage_key(trace_ref)
         if metadata is None or not path.exists():
             raise NotFoundError(f"no trace {trace_ref}")
-        return path.read_bytes(), metadata
+        blob = path.read_bytes()
+        # The object is served only if it still hashes to its reference: a
+        # torn or overwritten file must not reach a reader as the trace.
+        if hashlib.sha256(blob).hexdigest() != trace_ref:
+            raise CorruptObjectError(f"stored object for {trace_ref} does not hash to its reference")
+        return blob, metadata
 
     def list_traces(
         self,

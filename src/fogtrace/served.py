@@ -1,8 +1,10 @@
 """One lifecycle for the loopback servers: a socketserver on a daemon thread.
 
 A server binds its port when constructed, serves from a background thread
-between ``start`` and ``stop``, and is a context manager. ``stop`` also
-ends the connections still open, so a stopped server answers nothing.
+between ``start`` and ``stop``, and is a context manager. The serving
+thread waits in accept without polling; ``stop`` wakes it with one loopback
+connection, which is closed unserved, and ends the connections still open,
+so a stopped server answers nothing.
 Request handlers reach the object that owns the server as
 ``self.server.owner``; the HTTP ones reply through :func:`send_reply` and
 bind :func:`send_error` as their ``send_error``.
@@ -16,11 +18,6 @@ import socket
 import socketserver
 import threading
 
-# How often serve_forever checks for a shutdown request, so stop() waits at
-# most about this long (the socketserver default of 0.5 s would be paid by
-# every CLI run and every test that starts a server).
-POLL_INTERVAL_S = 0.05
-
 
 class _ThreadingTcp(socketserver.ThreadingTCPServer):
     # The HTTP servers use this class too: http.server.ThreadingHTTPServer adds
@@ -33,6 +30,12 @@ class _ThreadingTcp(socketserver.ThreadingTCPServer):
         super().__init__(address, handler)
         # Daemon handler threads are neither tracked nor joined; their sockets are.
         self.open_requests: set[socket.socket] = set()
+        self.stopping = False
+
+    def verify_request(self, request, client_address):
+        # Once stopping, a connection (the one stop() wakes accept with, or a
+        # late client) is closed unserved: no handler thread starts for it.
+        return not self.stopping
 
     def process_request(self, request, client_address):
         self.open_requests.add(request)
@@ -41,6 +44,11 @@ class _ThreadingTcp(socketserver.ThreadingTCPServer):
     def shutdown_request(self, request):
         self.open_requests.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address):
+        # A handler whose connection stop() ended fails as expected; say nothing.
+        if not self.stopping:
+            super().handle_error(request, client_address)
 
 
 class ServedThread:
@@ -60,17 +68,23 @@ class ServedThread:
         return self._server.server_address[1]
 
     def start(self):
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
-        )
+        self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self
+
+    def _serve(self) -> None:
+        # Blocks in accept with no timeout: an idle server does not wake until
+        # a client, or stop(), connects.
+        while not self._server.stopping:
+            self._server.handle_request()
 
     def stop(self) -> None:
         """Stop serving and release the port; safe before ``start`` and when repeated."""
         thread, self._thread = self._thread, None
+        self._server.stopping = True
         if thread is not None:
-            self._server.shutdown()
+            with contextlib.suppress(OSError):
+                socket.create_connection(self.address, timeout=1).close()
             thread.join(timeout=5)
         for request in list(self._server.open_requests):
             with contextlib.suppress(OSError):

@@ -347,6 +347,15 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
+    def test_unknown_profile_exit_2_names_the_profiles(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "run", "--profile", "bogus", "--out", str(out))
+        assert code == 2
+        assert "--profile" in stderr and "'bogus'" in stderr
+        assert "aggressive" in stderr and "calm" in stderr
+        assert not stdout
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["-1", "0", "-5"])
     @pytest.mark.parametrize(
         "argv",

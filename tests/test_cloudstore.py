@@ -20,6 +20,7 @@ from fogtrace.cloudstore import (
     CloudError,
     CloudStoreHTTPServer,
     CloudStoreService,
+    CorruptObjectError,
     ForbiddenError,
     InvalidCredentialsError,
     MissingPartError,
@@ -244,6 +245,18 @@ class TestGetAndList:
         with pytest.raises(NotFoundError):
             service.get_trace(upload_token(service), "00" * 32)
 
+    @pytest.mark.parametrize("damage", ["truncated", "same-size"])
+    def test_object_that_no_longer_hashes_to_its_ref_is_not_served(self, sim_service, tmp_path, damage):
+        service, _ = sim_service
+        token = upload_token(service)
+        blob = (bytes(range(256)) * 79)[:20_000]
+        ref = service.upload_trace(token, MANIFEST, blob)["trace_ref"]
+        path = tmp_path / "store" / storage_key(ref)
+        path.write_bytes(blob[:100] if damage == "truncated" else bytes(len(blob)))
+        with pytest.raises(CorruptObjectError, match=ref) as caught:
+            service.get_trace(token, ref)
+        assert caught.value.http_status == 500
+
     def test_empty_store_lists_empty(self, sim_service):
         service, _ = sim_service
         assert service.list_traces(upload_token(service)) == []
@@ -366,6 +379,17 @@ class TestHttpSurface:
         with pytest.raises(NotFoundError):
             cloud_client.get_trace("00" * 32)
 
+    def test_corrupt_object_500(self, store_service, store_http, cloud_client):
+        blob = (bytes(range(256)) * 79)[:20_000]
+        ref = cloud_client.upload_trace(MANIFEST, blob)["trace_ref"]
+        (store_service.root / storage_key(ref)).write_bytes(blob[:100])
+        token = cloud_client.issue_token()["access_token"]
+        response = store_http.request("GET", f"/api/v1/traces/{ref}", headers={"Authorization": f"Bearer {token}"})
+        assert response.status == 500
+        assert response.json()["error"] == "corrupt-object"
+        with pytest.raises(CorruptObjectError):
+            cloud_client.get_trace(ref)
+
     def test_scope_forbidden_403(self, store_server):
         uploader = CloudClient(store_server.base_url, "uploader", "up-secret")
         with contextlib.closing(uploader.session):
@@ -480,6 +504,7 @@ def test_registry_holds_the_store_errors_only():
             ManifestInvalidError,
             PayloadTooLargeError,
             StorageFullError,
+            CorruptObjectError,
         )
     )
 

@@ -138,3 +138,63 @@ def test_errors_http_server_answers_are_json(name, tmp_path, request_bytes, stat
         assert json.loads(body) == {"error": error, "detail": detail}
         # A new connection is served as usual.
         one_request(server)
+
+
+def test_idle_stop_does_not_wait_for_a_poll(served):
+    make, one_request = served
+    stops = []
+    for _ in range(5):
+        server = make().start()
+        one_request(server)
+        t0 = time.perf_counter()
+        server.stop()
+        stops.append(time.perf_counter() - t0)
+    assert min(stops) < 0.010, stops
+
+
+# Each server's request cut short, so that its handler is still reading it.
+PARTIAL_REQUESTS = {
+    "vehicle": b"01 0",
+    "store": b"POST /api/v1/traces HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\nabc",
+    "context-stub": b"GET /flow HTTP/1.1\r\nHost: x\r\n",
+}
+
+
+def _wait_for(condition) -> bool:
+    deadline = time.monotonic() + 5
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return condition()
+
+
+def _handler_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if "process_request_thread" in t.name}
+
+
+@pytest.mark.parametrize("name", sorted(SERVERS))
+def test_stop_mid_request_prints_nothing(name, tmp_path, capfd):
+    server = SERVERS[name][0](tmp_path).start()
+    before = _handler_threads()
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(PARTIAL_REQUESTS[name])
+        assert _wait_for(lambda: server._server.open_requests)
+        time.sleep(0.02)  # the handler is now blocked reading the rest
+        server.stop()
+    assert _wait_for(lambda: not _handler_threads() - before)
+    assert capfd.readouterr().err == ""
+
+
+def test_wake_connection_is_not_served(served):
+    make, one_request = served
+    server = make().start()
+    tcp = server._server
+    one_request(server)  # the server is serving, and that connection is then closed
+    assert _wait_for(lambda: not tcp.open_requests)
+    verified, processed = [], []
+    verify_request, process_request = tcp.verify_request, tcp.process_request
+    tcp.verify_request = lambda request, address: verified.append(address) or verify_request(request, address)
+    tcp.process_request = lambda request, address: processed.append(address) or process_request(request, address)
+    server.stop()
+    assert len(verified) == 1
+    assert processed == []
+    assert tcp.open_requests == set()

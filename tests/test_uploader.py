@@ -206,15 +206,18 @@ class TestTamperDetection:
             CSV, manifest, key, cloud_client, Outbox(tmp_path / "outbox"), sim_clock
         )
         # Corrupt the stored object in place, then re-download.
-        from fogtrace.cloudstore import storage_key
+        from fogtrace.cloudstore import CorruptObjectError, storage_key
 
         path = store_service.root / storage_key(receipt.trace_ref)
         corrupted = bytearray(path.read_bytes())
         corrupted[len(corrupted) // 2] ^= 0x40
         path.write_bytes(bytes(corrupted))
-        blob, _ = cloud_client.get_trace(receipt.trace_ref)
+        # The store no longer serves bytes that miss their reference...
+        with pytest.raises(CorruptObjectError):
+            cloud_client.get_trace(receipt.trace_ref)
+        # ...and the envelope fails to authenticate them all the same.
         with pytest.raises(AuthenticationError):
-            open_envelope(blob, manifest.to_json(), key)
+            open_envelope(bytes(corrupted), manifest.to_json(), key)
 
     def test_manifest_swap_fails_authentication(self, sim_clock, key, tmp_path, cloud_client):
         manifest = make_manifest()
