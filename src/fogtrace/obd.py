@@ -20,7 +20,7 @@ PIDs outside the table decode to the raw big-endian integer with unit
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 MODE_CURRENT_DATA = 0x01
@@ -98,21 +98,20 @@ class PidDefinition:
     max_value: float
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
-
-
+# The clamps are written out rather than a helper's call: the reply path
+# encodes once per exchange.
 def _encode_rpm(value: float) -> bytes:
-    raw = int(round(_clamp(value, 0.0, 16383.75) * 4))
-    return bytes([(raw >> 8) & 0xFF, raw & 0xFF])
+    value = 0.0 if value < 0.0 else 16383.75 if value > 16383.75 else value
+    return round(value * 4).to_bytes(2, "big")
 
 
 def _encode_byte(value: float) -> bytes:
-    return bytes([int(round(_clamp(value, 0, 255)))])
+    return bytes((round(0 if value < 0 else 255 if value > 255 else value),))
 
 
 def _encode_throttle(value: float) -> bytes:
-    return bytes([int(round(_clamp(value, 0.0, 100.0) * 255 / 100))])
+    value = 0.0 if value < 0.0 else 100.0 if value > 100.0 else value
+    return bytes((round(value * 255 / 100),))
 
 
 PID_TABLE: dict[int, PidDefinition] = {
@@ -151,13 +150,26 @@ PID_TABLE: dict[int, PidDefinition] = {
 CORE_PIDS = (PID_RPM, PID_SPEED, PID_THROTTLE)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ObdResponse:
     pid_id: PidId
     data: bytes
     value: float
     unit: str
     received_at: float  # monotonic ms
+
+    # Written out because every exchange builds one; see records.TraceRow.
+    def __init__(self, pid_id: PidId, data: bytes, value: float, unit: str, received_at: float):
+        _set_pid_id(self, pid_id)
+        _set_data(self, data)
+        _set_value(self, value)
+        _set_unit(self, unit)
+        _set_received_at(self, received_at)
+
+
+_set_pid_id, _set_data, _set_value, _set_unit, _set_received_at = (
+    vars(ObdResponse)[field.name].__set__ for field in fields(ObdResponse)
+)
 
 
 def encode_request(pid_id: PidId) -> bytes:
@@ -174,7 +186,7 @@ def render_response(pid_id: PidId, data: bytes) -> bytes:
     not fit one byte.
     """
     frame = bytes((pid_id.mode + REPLY_MODE_OFFSET, pid_id.pid)) + data
-    return frame.hex(" ").upper().encode("ascii") + b"\r"
+    return (frame.hex(" ").upper() + "\r").encode("ascii")
 
 
 def render_negative_response(mode: int, nrc: int = NRC_SUBFUNCTION_NOT_SUPPORTED) -> bytes:
@@ -215,10 +227,6 @@ def _tokenize(line: bytes) -> bytes | list[int]:
 
 def parse_request(line: bytes) -> PidId:
     """Parse a query frame (responder side)."""
-    if type(line) is bytes:
-        known = _CANONICAL_REQUESTS.get(line)
-        if known is not None:
-            return known
     values = _tokenize(line)
     if len(values) != 2:
         raise MalformedFrameError(f"request must be exactly two bytes, got {len(values)}")
@@ -235,6 +243,15 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     :class:`PidMismatchError` when the echoed PID differs from ``expected``
     and :class:`MalformedFrameError` for anything that is not a frame.
     """
+    # A positive reply to a core PID as the codec renders it: the echo is one
+    # prefix comparison and only the payload goes through the frame pattern.
+    echo = _CORE_ECHOES.get(expected.pid)
+    if echo is not None and expected.mode == MODE_CURRENT_DATA and line.startswith(echo):
+        match = _CANONICAL_FRAME.fullmatch(line, len(echo))
+        if match is not None:
+            data = bytes.fromhex(match[1].decode("ascii"))
+            value, unit = decode_pid(expected, data)
+            return ObdResponse(expected, data, value, unit, received_at)
     values = _tokenize(line)
     if values[0] == NEGATIVE_REPLY_MODE:
         if len(values) != 3:
@@ -250,13 +267,16 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
         raise PidMismatchError(f"expected PID 0x{expected.pid:02X}, reply echoed 0x{values[1]:02X}")
     data = bytes(values[2:])
     value, unit = decode_pid(expected, data)
-    return ObdResponse(pid_id=expected, data=data, value=value, unit=unit, received_at=received_at)
+    return ObdResponse(expected, data, value, unit, received_at)
 
 
 # The address and query frame of each core PID, the frame exactly as
-# ``encode_request`` renders it, and the reverse lookup ``parse_request`` uses.
+# ``encode_request`` renders it; the reverse lookup with which the responder
+# answers those frames without parsing them; and the echo that opens each
+# core PID's positive reply as ``render_response`` renders it, keyed by PID.
 CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
-_CANONICAL_REQUESTS = {frame: pid_id for pid_id, frame in CORE_REQUESTS.values()}
+CORE_FRAMES = {frame: pid_id for pid_id, frame in CORE_REQUESTS.values()}
+_CORE_ECHOES = {pid: render_response(pid_id, b"")[:-1] + b" " for pid, (pid_id, _) in CORE_REQUESTS.items()}
 
 
 def decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:

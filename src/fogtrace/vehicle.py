@@ -25,12 +25,14 @@ import socket
 import socketserver
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
+from operator import attrgetter
 
 from .clock import SystemClock
 from .config import Config, ConfigError
 from .obd import (
+    CORE_FRAMES,
     CORE_PIDS,
     CORE_REQUESTS,
     NRC_SERVICE_NOT_SUPPORTED,
@@ -66,7 +68,7 @@ DEFAULT_ROUTE = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VehicleState:
     speed_kmh: float = 0.0
     rpm: float = IDLE_RPM
@@ -77,6 +79,44 @@ class VehicleState:
     lon: float = DEFAULT_ROUTE[0][1]
     sim_time_ms: float = 0.0
     elapsed_ms: float = 0.0  # time since trip start, drives the profile
+
+    # Written out because every tick builds one: the generated frozen
+    # __init__ goes through object.__setattr__ once per field, while the
+    # slot setters below store each field directly.
+    def __init__(
+        self,
+        speed_kmh: float = 0.0,
+        rpm: float = IDLE_RPM,
+        throttle_pct: float = 0.0,
+        gear: int = 1,
+        odometer_m: float = 0.0,
+        lat: float = DEFAULT_ROUTE[0][0],
+        lon: float = DEFAULT_ROUTE[0][1],
+        sim_time_ms: float = 0.0,
+        elapsed_ms: float = 0.0,
+    ):
+        _set_speed_kmh(self, speed_kmh)
+        _set_rpm(self, rpm)
+        _set_throttle_pct(self, throttle_pct)
+        _set_gear(self, gear)
+        _set_odometer_m(self, odometer_m)
+        _set_lat(self, lat)
+        _set_lon(self, lon)
+        _set_sim_time_ms(self, sim_time_ms)
+        _set_elapsed_ms(self, elapsed_ms)
+
+
+(
+    _set_speed_kmh,
+    _set_rpm,
+    _set_throttle_pct,
+    _set_gear,
+    _set_odometer_m,
+    _set_lat,
+    _set_lon,
+    _set_sim_time_ms,
+    _set_elapsed_ms,
+) = (vars(VehicleState)[field.name].__set__ for field in fields(VehicleState))
 
 
 class Route:
@@ -182,8 +222,16 @@ class LatencyModel:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("min_ms", "mode_ms", "max_ms"):
+            bound = getattr(self, name)
+            if not 0 <= bound < math.inf:
+                raise ValueError(f"latency {name} must be finite and not negative, got {bound}")
         if not self.min_ms <= self.mode_ms <= self.max_ms:
             raise ValueError("latency model requires min <= mode <= max")
+        # With every delay 0 a simulated clock never moves, so nothing that
+        # polls until a deadline would end.
+        if self.max_ms == 0:
+            raise ValueError("latency max_ms must be above 0")
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
 
@@ -214,7 +262,8 @@ def step(
     # The clamps are written out rather than min(max(...)), with the same
     # comparisons, so the results are bit for bit those of the builtins.
     previous = state.speed_kmh
-    target = profile.target_speed_at(state.elapsed_ms / 1000.0)
+    elapsed = state.elapsed_ms
+    target = profile.target_speed_at(elapsed / 1000.0)
     max_delta_kmh = profile.accel_limit_mps2 * dt_s * 3.6
     delta = target - previous
     delta = -max_delta_kmh if -max_delta_kmh > delta else delta
@@ -233,18 +282,11 @@ def step(
 
     odometer = state.odometer_m + (previous + speed) / 2.0 / 3.6 * dt_s
     lat, lon = profile._route.point_at(odometer)
+    return VehicleState(speed, rpm, throttle, gear, odometer, lat, lon, state.sim_time_ms + dt_ms, elapsed + dt_ms)
 
-    return VehicleState(
-        speed_kmh=speed,
-        rpm=rpm,
-        throttle_pct=throttle,
-        gear=gear,
-        odometer_m=odometer,
-        lat=lat,
-        lon=lon,
-        sim_time_ms=state.sim_time_ms + dt_ms,
-        elapsed_ms=state.elapsed_ms + dt_ms,
-    )
+
+# The state field each core PID reports.
+_CHANNEL_OF = {pid: attrgetter(PID_TABLE[pid].channel) for pid in CORE_PIDS}
 
 
 class VehicleSimulator:
@@ -268,7 +310,7 @@ class VehicleSimulator:
         self.tick_ms = float(tick_ms)
         lat, lon = profile._route.point_at(0.0)
         self._state = VehicleState(lat=lat, lon=lon, sim_time_ms=float(start_ms))
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     @classmethod
     def from_config(cls, config: Config, start_ms: float = 0.0) -> "VehicleSimulator":
@@ -295,9 +337,10 @@ class VehicleSimulator:
 
     def advance_to(self, t_ms: float) -> VehicleState:
         with self._lock:
-            state, tick_ms = self._state, self.tick_ms
+            state, profile, tick_ms = self._state, self.profile, self.tick_ms
             while state.sim_time_ms + tick_ms <= t_ms:
-                state = self._state = step(state, self.profile, tick_ms)
+                state = step(state, profile, tick_ms)
+            self._state = state
             return state
 
     def measurement(self, pid: int) -> float:
@@ -305,16 +348,22 @@ class VehicleSimulator:
 
     def reply_frame(self, raw_request: bytes) -> bytes:
         """Frame in, frame out. Unsupported or broken requests get a 7F frame."""
-        try:
-            pid_id = parse_request(raw_request)
-        except UnsupportedModeError as exc:
-            return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
-        except MalformedFrameError:
-            return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
-        if pid_id.pid not in CORE_PIDS:
-            return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
-        data = encode_measurement(pid_id.pid, self.measurement(pid_id.pid))
-        return render_response(pid_id, data)
+        return self._reply(self.snapshot(), raw_request)
+
+    def _reply(self, state: VehicleState, raw_request: bytes) -> bytes:
+        """``reply_frame`` answered from ``state``."""
+        pid_id = CORE_FRAMES.get(raw_request) if type(raw_request) is bytes else None
+        if pid_id is None:
+            try:
+                pid_id = parse_request(raw_request)
+            except UnsupportedModeError as exc:
+                return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
+            except MalformedFrameError:
+                return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
+            if pid_id.pid not in CORE_PIDS:
+                return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
+        pid = pid_id.pid
+        return render_response(pid_id, encode_measurement(pid, _CHANNEL_OF[pid](state)))
 
 
 class _RequestHelper:
@@ -353,18 +402,28 @@ class InProcessObdLink(_RequestHelper):
     def transact(self, raw_request: bytes) -> bytes:
         if self.closed:
             raise ConnectionError("link is closed")
-        t_reply = self.clock.now_ms() + self.latency.sample()
-        self.simulator.advance_to(t_reply)
-        reply = self.simulator.reply_frame(raw_request)
-        self.clock.sleep_ms(t_reply - self.clock.now_ms())
+        clock, simulator = self.clock, self.simulator
+        t_reply = clock.now_ms() + self.latency.sample()
+        reply = simulator._reply(simulator.advance_to(t_reply), raw_request)
+        clock.sleep_ms(t_reply - clock.now_ms())
         return reply
 
     def close(self) -> None:
         self.closed = True
 
 
+# The most bytes either end buffers without a CR, a line buffer as small as
+# an adapter's: far above any frame of the codec, and small enough that a
+# peer that never sends a CR cannot grow the buffer, or its rescans.
+MAX_FRAME_BYTES = 256
+
+
 def _frames(sock: socket.socket):
-    """The CR-terminated frames read from ``sock``, in order, until the peer closes."""
+    """The CR-terminated frames read from ``sock``, in order, until the peer closes.
+
+    Raises :class:`MalformedFrameError` once more than ``MAX_FRAME_BYTES``
+    arrive without a CR.
+    """
     buffer = bytearray()
     while chunk := sock.recv(4096):
         buffer += chunk
@@ -372,6 +431,8 @@ def _frames(sock: socket.socket):
             frame = bytes(buffer[: idx + 1])
             del buffer[: idx + 1]
             yield frame
+        if len(buffer) > MAX_FRAME_BYTES:
+            raise MalformedFrameError(f"no CR within {MAX_FRAME_BYTES} bytes")
 
 
 class TcpObdLink(_RequestHelper):
@@ -403,8 +464,12 @@ class _VehicleHandler(socketserver.BaseRequestHandler):
         # same way the in-process link answers them on the simulated clock.
         link = InProcessObdLink(server.simulator, server.clock)
         try:
-            for frame in _frames(self.request):
-                self.request.sendall(link.transact(frame.lstrip(b"\n>")))
+            try:
+                for frame in _frames(self.request):
+                    self.request.sendall(link.transact(frame.lstrip(b"\n>")))
+            except MalformedFrameError:
+                # A frame past MAX_FRAME_BYTES is answered as malformed, and the connection ends.
+                self.request.sendall(render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED))
         except OSError:
             return
 

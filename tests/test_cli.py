@@ -336,6 +336,12 @@ class TestBenchCommand:
         assert code == 1
         assert "setup" in stderr
 
+    def test_negative_latency_bound_fails_setup_and_names_it(self, capsys):
+        code, _, stderr = run_cli(capsys, "bench-obd", "--latency=-1,50,80", "--duration", "1")
+        assert code == 1
+        assert "setup" in stderr
+        assert "min_ms" in stderr
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):

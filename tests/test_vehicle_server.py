@@ -7,8 +7,24 @@ import threading
 import pytest
 
 from fogtrace.clock import SimulatedClock
-from fogtrace.obd import CORE_PIDS, PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId, encode_request
-from fogtrace.vehicle import InProcessObdLink, LatencyModel, TcpObdLink, VehicleSimulator, VehicleTcpServer
+from fogtrace.obd import (
+    CORE_PIDS,
+    PID_RPM,
+    PID_SPEED,
+    PID_THROTTLE,
+    NegativeResponseError,
+    ObdError,
+    PidId,
+    encode_request,
+)
+from fogtrace.vehicle import (
+    MAX_FRAME_BYTES,
+    InProcessObdLink,
+    LatencyModel,
+    TcpObdLink,
+    VehicleSimulator,
+    VehicleTcpServer,
+)
 
 
 @pytest.fixture
@@ -109,3 +125,51 @@ def test_served_vehicle_replies_as_the_in_process_link():
     local = _exchanges(InProcessObdLink(local_sim, local_clock))
     assert served == local
     assert local[3][0].startswith(b"7F 01 12")  # the unsupported PID's negative reply
+
+
+def test_frame_without_cr_past_the_cap_is_refused_and_the_server_keeps_serving(quick_server):
+    import socket
+
+    # Far past the cap, and small enough for the loopback buffers to take at once.
+    with socket.create_connection(quick_server.address, timeout=5) as sock:
+        sock.sendall(b"0" * (64 * 1024))
+        data = b""
+        while not data.endswith(b"\r"):
+            chunk = sock.recv(64)
+            if not chunk:
+                break
+            data += chunk
+        assert data == b"7F 00 11\r"
+        try:
+            assert sock.recv(64) == b""  # then the server ends the connection
+        except ConnectionResetError:
+            pass  # unread bytes make the close a reset
+    link = TcpObdLink(*quick_server.address)
+    try:
+        assert link.request(PID_RPM).pid_id.pid == PID_RPM
+    finally:
+        link.close()
+
+
+def test_reply_without_cr_past_the_cap_is_an_obd_error():
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(64)
+                conn.sendall(b"41" * MAX_FRAME_BYTES)
+                conn.recv(64)  # until the client closes
+
+        server = threading.Thread(target=answer)
+        server.start()
+        link = TcpObdLink(*listener.getsockname(), timeout_s=5.0)
+        try:
+            with pytest.raises(ObdError):
+                link.request(PID_RPM)
+        finally:
+            link.close()
+            server.join(timeout=5)
+        assert not server.is_alive()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import statistics
 
 import pytest
@@ -140,6 +141,26 @@ class TestLatencyModel:
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
             LatencyModel(min_ms=100, mode_ms=50, max_ms=200)
+
+    # Each would stall a simulated clock: an infinite delay ticks forever in
+    # advance_to, and delays that are all 0 (or negative) never move it.
+    @pytest.mark.parametrize(
+        "bounds,named",
+        [
+            ((0.0, 0.0, 0.0), "max_ms"),
+            ((50.0, 80.0, math.inf), "max_ms"),
+            ((math.nan, 80.0, 200.0), "min_ms"),
+            ((-10.0, -5.0, -1.0), "min_ms"),
+            ((-1.0, 50.0, 80.0), "min_ms"),
+            ((50.0, math.inf, math.inf), "mode_ms"),
+        ],
+    )
+    def test_bounds_that_stall_the_clock_are_refused(self, bounds, named):
+        with pytest.raises(ValueError, match=named):
+            LatencyModel(*bounds)
+
+    def test_zero_minimum_is_accepted(self):
+        assert LatencyModel(0.0, 0.0, 10.0).mean_ms == pytest.approx(10.0 / 3)
 
 
 class TestHandleRequest:

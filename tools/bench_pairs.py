@@ -1,0 +1,96 @@
+"""Compare a parent commit with the working tree in alternating benchmark runs.
+
+    python3 tools/bench_pairs.py --parent HEAD --workload obd-bench --pairs 10
+
+The parent is a ``git archive`` of ``--parent`` unpacked in a temporary
+directory; the change is this checkout's working tree, uncommitted edits
+included. Each pair runs ``perfbench/run.py --seed 7 --trace 0`` once on
+each side, for the ``run_seconds`` of this checkout's ``BENCHMARK.json``,
+in fresh processes one after the other; the parent goes first in the even
+pairs and the change in the odd ones. For every end-to-end metric it
+prints each side's median and quartiles and the pairs the change won, ties
+counting for neither, and whether the medians differ by more than the
+distance between the parent's quartiles. The exit status is 1 when any run
+failed a check or an operation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_record import REPO, SEED, run_once
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def unpack(rev: str, into: Path) -> None:
+    """``git archive`` of ``rev`` unpacked into ``into``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def figure(value: float) -> str:
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
+def report(declared: list[dict], runs: dict[str, list[dict]]) -> list[str]:
+    """One line per end-to-end metric: both sides' median and quartiles, and pairs won."""
+    header = f"{'metric':<18}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}{'change/parent':>15}"
+    lines = [header + "  won  beyond parent IQR"]
+    for metric in declared:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [r["metrics"][name][0] for r in runs["parent"]]
+        change = [r["metrics"][name][0] for r in runs["change"]]
+        won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
+        sides = [f"{figure(m)} [{figure(q1)}, {figure(q3)}]" for q1, m, q3 in ((pq1, pm, pq3), (cq1, cm, cq3))]
+        beyond = "yes" if abs(cm - pm) > pq3 - pq1 else "no"
+        lines.append(f"{name:<18}{sides[0]:>32}{sides[1]:>32}{cm / pm:>15.3f}  {won}/{len(parent)}  {beyond}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    declared = json.loads((REPO / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the git revision to compare against")
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in declared["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs (default: 10)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    seconds = declared["run_seconds"]
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent = Path(tmp)
+        unpack(args.parent, parent)
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(parent if side == "parent" else REPO, args.workload, seconds, False)
+                runs[side].append(run)
+                figures = {n: round(v, 4) for n, (v, _) in run["metrics"].items()}
+                print(f"pair {pair + 1} {side}: {figures}", file=sys.stderr)
+
+    print(f"{args.workload}: {args.pairs} alternating pairs, seed {SEED}, {seconds} s per run, parent {args.parent}")
+    print("\n".join(report(declared["end_to_end"], runs)))
+    outcomes = [r["outcome"] for side in runs.values() for r in side]
+    bad = [o for o in outcomes if not o["correct"] or o["failed"]]
+    for outcome in bad:
+        print(f"incorrect or failed run: {outcome}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
