@@ -368,7 +368,6 @@ def cmd_run(args) -> int:
         "row_count": result.manifest.row_count,
         "csv_sha256": result.manifest.csv_sha256,
         "alerts": len(result.alerts),
-        "dropped": result.dropped,
         "obd_rows": result.obd.rows,
         "trace_ref": result.receipt.trace_ref if result.receipt else None,
         "out_dir": str(out_dir),

@@ -38,7 +38,6 @@ class RunResult:
     manifest: SessionManifest
     receipt: UploadReceipt | None
     alerts: list[AlertEvent]
-    dropped: int
     obd: PollStats
     context_rounds: int
     context_failures: int
@@ -87,21 +86,17 @@ class SessionRunner:
         # exchanges set the pace; without one, the loop sleeps until the next
         # producer is due. The others are serviced after each step.
         pace = obd.step if obd is not None else lambda: producers.wait_until_due(t_end)
+        # The loop owns the session: it makes every ingest and ends it, also
+        # when a producer raises, so the gateway is free for the next trip.
         try:
-            while not session.closed and self.clock.now_ms() < t_end:
+            while self.clock.now_ms() < t_end:
                 if pace():
                     producers.service(self.clock.now_ms())
         finally:
             producers.close()
             if obd is not None:
                 obd.close()
-
-        # Someone else (a stop command, another thread) may have ended the
-        # session already; its first result is the trace either way.
-        with self.gateway._control:
-            if self.gateway.active is session:
-                self.gateway.active = None
-        csv_bytes, manifest = session.finish()
+            csv_bytes, manifest = self.gateway.end_session()
         trace_path = self._persist_trace(csv_bytes, manifest)
         receipt = None
         if upload and self.cloud_client is not None:
@@ -111,7 +106,6 @@ class SessionRunner:
             manifest=manifest,
             receipt=receipt,
             alerts=list(session.alerts),
-            dropped=session.dropped,
             obd=obd.stats if obd is not None else PollStats(),
             context_rounds=producers.context_rounds,
             context_failures=producers.context_failures,

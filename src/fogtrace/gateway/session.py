@@ -7,14 +7,15 @@ record out into trace rows stamped with the gateway's arrival clock.
 Ending a session flushes everything: gap filling, a stable sort, CSV
 rendering, hashing, and the session manifest.
 
-Ingest is thread safe so concurrent producers may feed one session; the
-session object is the only writer of its row store.
+A session has one owner: the trip loop that started it makes every
+``ingest`` call, on its own thread, and ends it once through
+``Gateway.end_session``. Nothing else feeds or ends it, so it takes no
+lock, and the session object is the only writer of its row store.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from pathlib import Path
 
 from ..clock import SystemClock
@@ -118,7 +119,6 @@ class Gateway:
         self.devices: dict[str, object] = {}
         self.services: set[str] = {SERVICE_TRAFFIC, SERVICE_WEATHER, SERVICE_ALERTS}
         self.active: Session | None = None
-        self._control = threading.Lock()
 
     def pair_device(self, device) -> Pairing:
         """Bond ``device`` (anything with device_id/kind/pair) and lock it here."""
@@ -137,24 +137,22 @@ class Gateway:
         return pairing
 
     def start_session(self, driver_id: str, vehicle_id: str) -> "Session":
-        with self._control:
-            if self.active is not None:
-                raise SessionAlreadyActiveError("a session is already running")
-            if not self.pairings:
-                raise NoDevicesError("no devices paired")
-            rules = default_rules(
-                hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", 120.0),
-                overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", 120.0),
-            )
-            self.active = Session(self, driver_id, vehicle_id, rules)
-            return self.active
+        if self.active is not None:
+            raise SessionAlreadyActiveError("a session is already running")
+        if not self.pairings:
+            raise NoDevicesError("no devices paired")
+        rules = default_rules(
+            hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", 120.0),
+            overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", 120.0),
+        )
+        self.active = Session(self, driver_id, vehicle_id, rules)
+        return self.active
 
     def end_session(self) -> tuple[bytes, SessionManifest]:
-        with self._control:
-            if self.active is None:
-                raise NoActiveSessionError("no session running")
-            session = self.active
-            self.active = None
+        """Free the gateway for the next session and render the one that ran."""
+        if self.active is None:
+            raise NoActiveSessionError("no session running")
+        session, self.active = self.active, None
         return session.finish()
 
     def erase_data(self, scope: str) -> dict[str, int]:
@@ -221,50 +219,34 @@ class Session:
         self.started_at = int(gateway.clock.now_ms())
         self.ended_at: int | None = None
         self.alerts: list[AlertEvent] = []
-        self.dropped = 0
         self._rows: list[TraceRow] = []
         self._engine = AlertEngine(alert_rules)
-        self._lock = threading.Lock()
-        self._closed = False
-        self._finished: tuple[bytes, SessionManifest] | None = None
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def ingest(self, sample, source: str | None = None) -> list[TraceRow]:
-        """Fan a source record out into rows stamped with the arrival time.
-
-        Samples arriving after the session closed are dropped and counted,
-        never raised: producers may race the shutdown.
-        """
+        """Fan a source record out into rows stamped with the arrival time."""
         arrival = int(self.gateway.clock.now_ms())
-        with self._lock:
-            if self._closed:
-                self.dropped += 1
-                return []
-            try:
-                source_of, fan_out = _INGEST_RULES[type(sample)]
-            except KeyError:
-                raise TypeError(f"cannot ingest {type(sample).__name__}") from None
-            resolved = self._check_source(source_of(sample, source), sample)
-            appended = []
-            for row in fan_out(sample, resolved, arrival):
-                appended.append(row)
-                for event in self._engine.observe(row):
-                    self.alerts.append(event)
-                    appended.append(
-                        TraceRow(
-                            timestamp_ms=event.at,
-                            source=SERVICE_ALERTS,
-                            channel="alert",
-                            value=event.rule,
-                            unit="",
-                            interpolated=0,
-                        )
+        try:
+            source_of, fan_out = _INGEST_RULES[type(sample)]
+        except KeyError:
+            raise TypeError(f"cannot ingest {type(sample).__name__}") from None
+        resolved = self._check_source(source_of(sample, source), sample)
+        appended = []
+        for row in fan_out(sample, resolved, arrival):
+            appended.append(row)
+            for event in self._engine.observe(row):
+                self.alerts.append(event)
+                appended.append(
+                    TraceRow(
+                        timestamp_ms=event.at,
+                        source=SERVICE_ALERTS,
+                        channel="alert",
+                        value=event.rule,
+                        unit="",
+                        interpolated=0,
                     )
-            self._rows.extend(appended)
-            return appended
+                )
+        self._rows.extend(appended)
+        return appended
 
     def _check_source(self, source: str | None, sample) -> str:
         if source is None:
@@ -274,25 +256,21 @@ class Session:
         return source
 
     def finish(self) -> tuple[bytes, SessionManifest]:
-        """Close the session and render its trace; a later call returns the first result."""
-        with self._lock:
-            if self._finished is None:
-                self._closed = True
-                self.ended_at = int(self.gateway.clock.now_ms())
-                rows = sort_rows(fill_session_gaps(self._rows, self.gateway._gap_period_for))
-                csv_bytes = rows_to_csv(rows)
-                manifest = SessionManifest(
-                    session_id=self.session_id,
-                    driver_id=self.driver_id,
-                    vehicle_id=self.vehicle_id,
-                    started_at=self.started_at,
-                    ended_at=self.ended_at,
-                    devices=tuple(self.gateway.pairings.values()),
-                    row_count=len(rows),
-                    csv_sha256=sha256_hex(csv_bytes),
-                )
-                self._finished = csv_bytes, manifest
-            return self._finished
+        """Render the trace: gap fill, stable sort, CSV, hash and manifest."""
+        self.ended_at = int(self.gateway.clock.now_ms())
+        rows = sort_rows(fill_session_gaps(self._rows, self.gateway._gap_period_for))
+        csv_bytes = rows_to_csv(rows)
+        manifest = SessionManifest(
+            session_id=self.session_id,
+            driver_id=self.driver_id,
+            vehicle_id=self.vehicle_id,
+            started_at=self.started_at,
+            ended_at=self.ended_at,
+            devices=tuple(self.gateway.pairings.values()),
+            row_count=len(rows),
+            csv_sha256=sha256_hex(csv_bytes),
+        )
+        return csv_bytes, manifest
 
 
 def _obd_rows(sample: ObdResponse, source: str, arrival_ms: int) -> list[TraceRow]:

@@ -3,11 +3,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import threading
 
 import pytest
 
 from fogtrace.cli import build_parser, main
-from fogtrace.gateway import Outbox
+from fogtrace.gateway import Outbox, Session
 from fogtrace.gateway.envelope import open_envelope
 
 
@@ -154,12 +155,26 @@ class TestRealClock:
         assert code == 0
         assert json.loads(stdout)["replies"] > 0
 
-    def test_run_without_upload(self, tmp_path, capsys):
+    def test_run_without_upload(self, tmp_path, capsys, monkeypatch):
+        # The vehicle and the context services answer from server threads, but
+        # every sample reaches the session from the trip loop's own thread.
+        ingest_threads = []
+        ingest = Session.ingest
+
+        def recording_ingest(self, *args, **kwargs):
+            ingest_threads.append(threading.get_ident())
+            return ingest(self, *args, **kwargs)
+
+        monkeypatch.setattr(Session, "ingest", recording_ingest)
         code, stdout, _ = run_cli(
             capsys, "--json", "run", "--clock", "real", "--no-upload", "--duration", "1", "--out", str(tmp_path / "o")
         )
         assert code == 0
-        assert json.loads(stdout)["trace_ref"] is None
+        summary = json.loads(stdout)
+        assert summary["trace_ref"] is None
+        assert summary["obd_rows"] > 0
+        assert len(ingest_threads) >= summary["obd_rows"]
+        assert set(ingest_threads) == {threading.get_ident()}
 
 
 class TestVerifyCommand:

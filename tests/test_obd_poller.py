@@ -35,10 +35,21 @@ class TestThroughput:
         assert abs(result.obd.rows - expected) <= expected * 0.02
 
     def test_rows_land_in_session(self, sim_clock, key):
-        result = poll(sim_clock, key, make_link_factory(sim_clock, LatencyModel.fixed(100.0)), 3.0)
+        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
+        links = []
+
+        def factory():
+            links.append(InProcessObdLink(sim, sim_clock))
+            return links[-1]
+
+        gateway = Gateway(clock=sim_clock, key=key)
+        result = SessionRunner(gateway, sim_clock, obd_link_factory=factory).run("d", "v", 3.0, upload=False)
         assert result.manifest.row_count == 30
         csv_bytes = result.csv_bytes
         assert b"rpm" in csv_bytes and b"speed_kmh" in csv_bytes and b"throttle_pct" in csv_bytes
+        # The loop closes its one link and ends the session, freeing the gateway.
+        assert [link.closed for link in links] == [True]
+        assert gateway.active is None
 
 
 class _FlakyLink:
@@ -101,65 +112,6 @@ class TestReconnect:
         assert result.obd.rows == 0
         # The last backoff sleep may cross the deadline, but no attempt follows it.
         assert sim_clock.now_ms() - start < 5_000.0 + 4_000.0
-
-
-class _CountingLink(InProcessObdLink):
-    """Counts requests and runs ``hook`` with the count before each reply."""
-
-    def __init__(self, simulator, clock, hook=lambda count: None):
-        super().__init__(simulator, clock)
-        self.requests = 0
-        self.hook = hook
-
-    def transact(self, raw_request: bytes) -> bytes:
-        self.requests += 1
-        self.hook(self.requests)
-        return super().transact(raw_request)
-
-
-class _StopAfter:
-    """A physiology model that ends the session on its ``n``-th update."""
-
-    def __init__(self, gateway: Gateway, n: int):
-        self.gateway = gateway
-        self.n = n
-        self.updates = 0
-        self.ended = None
-
-    def update(self, accel_ms2: float, dt_ms: float) -> None:
-        self.updates += 1
-        if self.updates == self.n:
-            self.ended = self.gateway.end_session()
-
-
-class TestStopConditions:
-    def test_session_ended_mid_run_stops_polling(self, sim_clock, key):
-        # Producers are serviced after each reply; the fifth service ends the session.
-        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
-        link = _CountingLink(sim, sim_clock)
-        gateway = Gateway(clock=sim_clock, key=key)
-        stopper = _StopAfter(gateway, 5)
-        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link, physio=stopper)
-        result = runner.run("d", "v", 10.0, upload=False)
-        assert link.requests == 5
-        assert link.closed
-        # The runner returns the trace the stopping caller got, rendered once.
-        assert (result.csv_bytes, result.manifest) == stopper.ended
-        assert result.manifest.row_count == 5
-
-    def test_session_close_stops_loop(self, sim_clock, key):
-        # The session ends while the first request is in flight: its reply is
-        # dropped and no second request is sent.
-        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
-        gateway = Gateway(clock=sim_clock, key=key)
-        ended = []
-        link = _CountingLink(sim, sim_clock, hook=lambda count: ended.append(gateway.end_session()))
-        runner = SessionRunner(gateway, sim_clock, obd_link_factory=lambda: link)
-        result = runner.run("d", "v", 10.0, upload=False)
-        assert link.requests == 1
-        assert link.closed
-        assert [(result.csv_bytes, result.manifest)] == ended
-        assert result.manifest.row_count == 0
 
 
 class _NegativeLink(InProcessObdLink):

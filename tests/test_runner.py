@@ -10,6 +10,7 @@ from fogtrace.clock import SimulatedClock
 from fogtrace.cloudstore import CloudUnreachableError
 from fogtrace.config import Config
 from fogtrace.external import (
+    FlowSegment,
     LocalWeatherProvider,
     RateLimiter,
     ServiceUnavailableError,
@@ -149,6 +150,33 @@ class TestDegenerateAndDegraded:
         result = runner.run("d", "v", 60.0, upload=False)
         rows = csv_to_rows(result.csv_bytes)
         assert abs(counts_by(rows, "polar-1")["bpm"] - 30) <= 2
+
+    def test_producer_error_propagates_and_frees_the_gateway(self, sim_clock, key):
+        class BrokenOnce:
+            calls = 0
+
+            def get_flow_segment(self, lat, lon):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("synthetic producer bug")
+                return FlowSegment(40.0, 60.0, 45.0, 30.0, 0.9, 500.0, (lat, lon))
+
+        sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
+        gateway = Gateway(clock=sim_clock, key=key)
+        runner = SessionRunner(
+            gateway,
+            sim_clock,
+            simulator=sim,
+            obd_link_factory=lambda: InProcessObdLink(sim, sim_clock),
+            traffic=BrokenOnce(),
+        )
+        with pytest.raises(RuntimeError, match="synthetic producer bug"):
+            runner.run("d", "v", 60.0, upload=False)
+        assert gateway.active is None
+        result = runner.run("d", "v", 60.0, upload=False)
+        assert result.context_rounds > 0 and result.context_failures == 0
+        assert b"traffic_current_speed" in result.csv_bytes
+        assert gateway.active is None
 
 
 class TestContextPolling:

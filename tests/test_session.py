@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import threading
-
 import pytest
 
 from fogtrace.clock import SimulatedClock
 from fogtrace.external import FlowSegment, WeatherObservation
 from fogtrace.gateway import Gateway
-from fogtrace.gateway import session as session_module
 from fogtrace.gateway.records import csv_to_rows, sha256_hex
 from fogtrace.gateway.session import (
     KIND_GPS,
@@ -91,18 +88,6 @@ class TestSessionLifecycle:
         assert manifest.row_count == len(csv_to_rows(csv_bytes))
         assert [d.device_id for d in manifest.devices] == ["polar-1"]
 
-    def test_finish_twice_returns_the_first_result(self, gateway, sim_clock, monkeypatch):
-        fills = []
-        fill = session_module.fill_session_gaps
-        monkeypatch.setattr(session_module, "fill_session_gaps", lambda *args: fills.append(1) or fill(*args))
-        gateway.pair_device(Polar("polar-1"))
-        session = gateway.start_session("d", "v")
-        session.ingest(heart())
-        first = gateway.end_session()
-        sim_clock.sleep_ms(5000)
-        assert session.finish() is first
-        assert len(fills) == 1
-
 
 class TestIngest:
     def test_heart_sample_fan_out(self, gateway):
@@ -156,13 +141,6 @@ class TestIngest:
             session.ingest(record, source="polar-1")
         assert gateway.end_session()[1].row_count == 0
 
-    def test_sample_after_end_dropped_and_counted(self, gateway):
-        gateway.pair_device(Polar("polar-1"))
-        session = gateway.start_session("d", "v")
-        gateway.end_session()
-        assert session.ingest(heart()) == []
-        assert session.dropped == 1
-
     def test_arrival_timestamp_not_device_clock(self, gateway, sim_clock):
         gateway.pair_device(Polar("polar-1"))
         session = gateway.start_session("d", "v")
@@ -206,29 +184,6 @@ class TestOrderInsensitivity:
             return miband + polar
 
         assert self._run(factory, order_a) == self._run(factory, order_b)
-
-
-class TestConcurrentIngest:
-    def test_threaded_producers_all_accounted(self, gateway):
-        gateway.pair_device(Polar("polar-1"))
-        gateway.pair_device(MiBand("miband-1"))
-        session = gateway.start_session("d", "v")
-
-        def produce(device, n):
-            for i in range(n):
-                session.ingest(heart(device=device, bpm=70.0, rr=(), at=i))
-
-        threads = [
-            threading.Thread(target=produce, args=("polar-1", 200)),
-            threading.Thread(target=produce, args=("miband-1", 200)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        csv_bytes, manifest = gateway.end_session()
-        assert manifest.row_count == 400
-        assert len(csv_to_rows(csv_bytes)) == 400
 
 
 class TestErase:
