@@ -20,8 +20,9 @@ import hashlib
 import io
 import json
 import uuid
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 CSV_HEADER = ("timestamp_ms", "source", "channel", "value", "unit", "interpolated")
 
@@ -89,8 +90,7 @@ def device_ts_of(value: str) -> int | None:
         return None
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class TraceRow:
+class _TraceRowFields(NamedTuple):
     timestamp_ms: int
     source: str
     channel: str
@@ -98,27 +98,25 @@ class TraceRow:
     unit: str
     interpolated: int = 0
 
-    # Written out because a session builds one per sample: the generated
-    # frozen __init__ goes through object.__setattr__ once per field, while
-    # the slot setters below store each field directly.
-    def __init__(
-        self, timestamp_ms: int, source: str, channel: str, value: str, unit: str, interpolated: int = 0
+
+class TraceRow(_TraceRowFields):
+    """One trace cell; its fields are the CSV columns in ``CSV_HEADER`` order."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, timestamp_ms: int, source: str, channel: str, value: str, unit: str, interpolated: int = 0
     ):
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
         if interpolated not in (0, 1):
             raise ValueError("interpolated flag must be 0 or 1")
-        _set_timestamp_ms(self, timestamp_ms)
-        _set_source(self, source)
-        _set_channel(self, channel)
-        _set_value(self, value)
-        _set_unit(self, unit)
-        _set_interpolated(self, interpolated)
+        return tuple.__new__(cls, (timestamp_ms, source, channel, value, unit, interpolated))
 
-
-_set_timestamp_ms, _set_source, _set_channel, _set_value, _set_unit, _set_interpolated = (
-    vars(TraceRow)[field.name].__set__ for field in fields(TraceRow)
-)
+    # ``_replace`` builds through ``_make``, so both go through the checks.
+    @classmethod
+    def _make(cls, iterable) -> "TraceRow":
+        return cls(*iterable)
 
 
 def sort_rows(rows: list[TraceRow]) -> list[TraceRow]:
@@ -129,7 +127,7 @@ def rows_to_csv(rows: list[TraceRow]) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    writer.writerows(map(attrgetter(*CSV_HEADER), rows))
+    writer.writerows(rows)
     return out.getvalue().encode("utf-8")
 
 

@@ -77,23 +77,26 @@ class SessionRunner:
             gps_source = self.gateway.pair_device(LocalSource("gps-1", KIND_GPS)).device_id
 
         session = self.gateway.start_session(driver_id, vehicle_id)
-        start = self.clock.now_ms()
-        t_end = start + duration_s * 1000.0
-
-        obd = ObdPoller(self.obd_link_factory, session, self.clock, obd_source, t_end) if obd_source else None
-        producers = _ProducerState(self, session, gps_source, start)
-        # One producer paces the loop: a live OBD link is always due, so its
-        # exchanges set the pace; without one, the loop sleeps until the next
-        # producer is due. The others are serviced after each step.
-        pace = obd.step if obd is not None else lambda: producers.wait_until_due(t_end)
         # The loop owns the session: it makes every ingest and ends it, also
-        # when a producer raises, so the gateway is free for the next trip.
+        # when setting up or running a producer raises, so the gateway is
+        # free for the next trip and every stream opened is closed.
+        obd = producers = None
         try:
+            start = self.clock.now_ms()
+            t_end = start + duration_s * 1000.0
+            obd = ObdPoller(self.obd_link_factory, session, self.clock, obd_source, t_end) if obd_source else None
+            producers = _ProducerState(self, session, gps_source, start)
+            producers.subscribe(start)
+            # One producer paces the loop: a live OBD link is always due, so
+            # its exchanges set the pace; without one, the loop sleeps until
+            # the next producer is due. The others are serviced after each step.
+            pace = obd.step if obd is not None else lambda: producers.wait_until_due(t_end)
             while self.clock.now_ms() < t_end:
                 if pace():
                     producers.service(self.clock.now_ms())
         finally:
-            producers.close()
+            if producers is not None:
+                producers.close()
             if obd is not None:
                 obd.close()
             csv_bytes, manifest = self.gateway.end_session()
@@ -151,8 +154,6 @@ class _ProducerState:
             if isinstance(device, MiBand):
                 self.miband.append(device)
                 self.miband_due[device.device_id] = start_ms
-            elif hasattr(device, "subscribe"):
-                self.streams.append(device.subscribe(start_ms))
         self.gps_active = gps_source is not None and runner.simulator is not None
         self.context_active = runner.traffic is not None or runner.weather is not None
         self.gps_due = start_ms + runner.gateway.gps_period_ms
@@ -161,6 +162,12 @@ class _ProducerState:
         self.context_failures = 0
         self._phys_t = start_ms
         self._phys_speed = runner.simulator.snapshot().speed_kmh if runner.simulator is not None else 0.0
+
+    def subscribe(self, start_ms: float) -> None:
+        """Open the push streams one by one, so ``close`` ends those opened if one fails."""
+        for device in self.runner.wearables:
+            if not isinstance(device, MiBand) and hasattr(device, "subscribe"):
+                self.streams.append(device.subscribe(start_ms))
 
     def service(self, now: float) -> None:
         sim = self.runner.simulator

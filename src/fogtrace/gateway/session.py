@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from pathlib import Path
+from typing import NamedTuple
 
 from ..clock import SystemClock
 from ..config import Config
@@ -74,15 +75,12 @@ class UnknownSourceError(GatewayError):
     pass
 
 
-class GpsFix:
+class GpsFix(NamedTuple):
     """A position sample from the coordinator's own GPS."""
 
-    __slots__ = ("lat", "lon", "at")
-
-    def __init__(self, lat: float, lon: float, at: float):
-        self.lat = lat
-        self.lon = lon
-        self.at = at
+    lat: float
+    lon: float
+    at: float
 
 
 class LocalSource:
@@ -230,21 +228,14 @@ class Session:
         except KeyError:
             raise TypeError(f"cannot ingest {type(sample).__name__}") from None
         resolved = self._check_source(source_of(sample, source), sample)
+        if type(sample) is AlertEvent:
+            self.alerts.append(sample)
         appended = []
         for row in fan_out(sample, resolved, arrival):
             appended.append(row)
             for event in self._engine.observe(row):
                 self.alerts.append(event)
-                appended.append(
-                    TraceRow(
-                        timestamp_ms=event.at,
-                        source=SERVICE_ALERTS,
-                        channel="alert",
-                        value=event.rule,
-                        unit="",
-                        interpolated=0,
-                    )
-                )
+                appended.extend(_alert_rows(event, SERVICE_ALERTS, arrival))
         self._rows.extend(appended)
         return appended
 

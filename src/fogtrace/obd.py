@@ -20,8 +20,8 @@ PIDs outside the table decode to the raw big-endian integer with unit
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 MODE_CURRENT_DATA = 0x01
 REPLY_MODE_OFFSET = 0x40
@@ -150,26 +150,12 @@ PID_TABLE: dict[int, PidDefinition] = {
 CORE_PIDS = (PID_RPM, PID_SPEED, PID_THROTTLE)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ObdResponse:
+class ObdResponse(NamedTuple):
     pid_id: PidId
     data: bytes
     value: float
     unit: str
     received_at: float  # monotonic ms
-
-    # Written out because every exchange builds one; see records.TraceRow.
-    def __init__(self, pid_id: PidId, data: bytes, value: float, unit: str, received_at: float):
-        _set_pid_id(self, pid_id)
-        _set_data(self, data)
-        _set_value(self, value)
-        _set_unit(self, unit)
-        _set_received_at(self, received_at)
-
-
-_set_pid_id, _set_data, _set_value, _set_unit, _set_received_at = (
-    vars(ObdResponse)[field.name].__set__ for field in fields(ObdResponse)
-)
 
 
 def encode_request(pid_id: PidId) -> bytes:

@@ -25,9 +25,10 @@ import socket
 import socketserver
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
+from typing import NamedTuple
 
 from .clock import SystemClock
 from .config import Config, ConfigError
@@ -68,8 +69,7 @@ DEFAULT_ROUTE = (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class VehicleState:
+class VehicleState(NamedTuple):
     speed_kmh: float = 0.0
     rpm: float = IDLE_RPM
     throttle_pct: float = 0.0
@@ -79,44 +79,6 @@ class VehicleState:
     lon: float = DEFAULT_ROUTE[0][1]
     sim_time_ms: float = 0.0
     elapsed_ms: float = 0.0  # time since trip start, drives the profile
-
-    # Written out because every tick builds one: the generated frozen
-    # __init__ goes through object.__setattr__ once per field, while the
-    # slot setters below store each field directly.
-    def __init__(
-        self,
-        speed_kmh: float = 0.0,
-        rpm: float = IDLE_RPM,
-        throttle_pct: float = 0.0,
-        gear: int = 1,
-        odometer_m: float = 0.0,
-        lat: float = DEFAULT_ROUTE[0][0],
-        lon: float = DEFAULT_ROUTE[0][1],
-        sim_time_ms: float = 0.0,
-        elapsed_ms: float = 0.0,
-    ):
-        _set_speed_kmh(self, speed_kmh)
-        _set_rpm(self, rpm)
-        _set_throttle_pct(self, throttle_pct)
-        _set_gear(self, gear)
-        _set_odometer_m(self, odometer_m)
-        _set_lat(self, lat)
-        _set_lon(self, lon)
-        _set_sim_time_ms(self, sim_time_ms)
-        _set_elapsed_ms(self, elapsed_ms)
-
-
-(
-    _set_speed_kmh,
-    _set_rpm,
-    _set_throttle_pct,
-    _set_gear,
-    _set_odometer_m,
-    _set_lat,
-    _set_lon,
-    _set_sim_time_ms,
-    _set_elapsed_ms,
-) = (vars(VehicleState)[field.name].__set__ for field in fields(VehicleState))
 
 
 class Route:
@@ -342,9 +304,6 @@ class VehicleSimulator:
                 state = step(state, profile, tick_ms)
             self._state = state
             return state
-
-    def measurement(self, pid: int) -> float:
-        return getattr(self.snapshot(), PID_TABLE[pid].channel)
 
     def reply_frame(self, raw_request: bytes) -> bytes:
         """Frame in, frame out. Unsupported or broken requests get a 7F frame."""

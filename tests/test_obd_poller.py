@@ -86,6 +86,17 @@ class TestReconnect:
         assert result.obd.rows > 10  # polling resumed after the loss
         assert b"obd-reconnect" in result.csv_bytes
 
+    def test_run_alerts_match_the_trace_alert_rows(self, sim_clock, key):
+        sim = VehicleSimulator(
+            profile=PROFILES["aggressive"], latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms()
+        )
+        result = poll(sim_clock, key, lambda: _FlakyLink(InProcessObdLink(sim, sim_clock), 500), 180.0)
+        alert_rows = [row.value for row in csv_to_rows(result.csv_bytes) if row.channel == "alert"]
+        # The rule engine's alerts and the poller's reconnect markers both count.
+        assert Counter(alert_rows) == Counter(event.rule for event in result.alerts)
+        assert {"obd-reconnect", "overspeed"} <= set(alert_rows)
+        assert alert_rows.count("obd-reconnect") == result.obd.reconnects
+
     def test_backoff_doubles_between_attempts(self, sim_clock, key):
         sim = VehicleSimulator(latency=LatencyModel.fixed(100.0), start_ms=sim_clock.now_ms())
         attempts = []

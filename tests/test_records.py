@@ -58,6 +58,14 @@ class TestTraceRow:
         with pytest.raises(ValueError):
             TraceRow(0, "x", "bpm", "1", "", interpolated=2)
 
+    def test_replace_is_checked_too(self):
+        row = TraceRow(0, "x", "bpm", "1", "")
+        assert row._replace(value="2") == TraceRow(0, "x", "bpm", "2", "")
+        with pytest.raises(ValueError):
+            row._replace(channel="nope")
+        with pytest.raises(ValueError):
+            row._replace(interpolated=2)
+
 
 class TestCsv:
     def _rows(self):
@@ -67,6 +75,10 @@ class TestCsv:
             TraceRow(2, "gps-1", "lat", "52.52", "deg"),
             TraceRow(2, "gps-1", "lon", "13.405", "deg"),
         ]
+
+    def test_row_fields_are_the_csv_columns(self):
+        # rows_to_csv writes each row as it is, so its fields are the columns.
+        assert TraceRow._fields == CSV_HEADER
 
     def test_header_bit_exact(self):
         data = rows_to_csv([])

@@ -20,7 +20,7 @@ from fogtrace.external import (
 from fogtrace.gateway import Gateway, SessionRunner, UploadRejectedError
 from fogtrace.gateway.records import csv_to_rows, device_ts_of, sha256_hex, validate_rows
 from fogtrace.vehicle import InProcessObdLink, LatencyModel, VehicleSimulator
-from fogtrace.wearables import MiBand, PhysioModel, Polar, Spire
+from fogtrace.wearables import AlreadySubscribedError, MiBand, PhysioModel, Polar, Spire
 
 
 def counts_by(rows, source: str) -> Counter:
@@ -177,6 +177,21 @@ class TestDegenerateAndDegraded:
         assert result.context_rounds > 0 and result.context_failures == 0
         assert b"traffic_current_speed" in result.csv_bytes
         assert gateway.active is None
+
+    def test_failed_producer_setup_frees_the_gateway(self, sim_clock, key, tmp_path):
+        physio = PhysioModel()
+        polar, spire = Polar("polar-1", physio, 3), Spire("spire-1", physio, 3)
+        # The Spire's one subscription is already taken elsewhere.
+        spire.pair("gateway-1")
+        spire.subscribe(sim_clock.now_ms())
+        gateway = Gateway(clock=sim_clock, key=key, outbox_dir=tmp_path)
+        runner = SessionRunner(gateway, sim_clock, wearables=(polar, spire), physio=physio)
+        with pytest.raises(AlreadySubscribedError):
+            runner.run("d", "v", 60.0, upload=False)
+        assert gateway.active is None
+        assert gateway.erase_data("local") == {"device_samples": 0, "local_files": 0}
+        # The Polar stream, opened before the Spire's failed, was closed.
+        polar.subscribe(sim_clock.now_ms()).close()
 
 
 class TestContextPolling:

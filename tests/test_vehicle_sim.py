@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 import statistics
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogtrace.clock import SimulatedClock
-from fogtrace.obd import PID_RPM, PID_SPEED, PID_THROTTLE, NegativeResponseError, PidId, encode_request
+from fogtrace.obd import PID_RPM, PID_SPEED, NegativeResponseError, PidId, encode_request
 from fogtrace.vehicle import (
     AGGRESSIVE_PROFILE,
     CALM_PROFILE,
@@ -178,16 +177,6 @@ class TestHandleRequest:
         assert 50.0 <= delay <= 200.0
         assert resp.value == 60.0  # encoded to the byte grid at steady state
 
-    def test_measurement_reads_the_pid_channel(self):
-        sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
-        sim.advance_to(30_000.0)
-        state = sim.snapshot()
-        assert sim.measurement(PID_RPM) == state.rpm
-        assert sim.measurement(PID_SPEED) == state.speed_kmh
-        assert sim.measurement(PID_THROTTLE) == state.throttle_pct
-        with pytest.raises(KeyError):
-            sim.measurement(0x99)
-
     def test_unsupported_pid_negative_response(self):
         clock = SimulatedClock()
         sim = VehicleSimulator(start_ms=clock.now_ms())
@@ -297,8 +286,7 @@ def _reference_step(
     rpm = min(max(IDLE_RPM + speed * 120.0 / gear, IDLE_RPM), MAX_RPM)
     odometer = state.odometer_m + (state.speed_kmh + speed) / 2.0 / 3.6 * dt_s
     lat, lon = _walk_point(Route(profile.route), odometer)
-    return dataclasses.replace(
-        state,
+    return state._replace(
         speed_kmh=speed,
         rpm=rpm,
         throttle_pct=throttle,
