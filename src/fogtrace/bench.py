@@ -5,17 +5,19 @@ update, recording the number of replies inside the trailing 60 s window at
 that moment. The resulting series rises by one per update until the window
 first fills (roughly 60 s / mean-cycle updates in) and then plateaus at
 60000 / mean-cycle-ms replies, which for the default triangular
-(50, 80, 200) latency model lands around 545 per window.
+(50, 80, 200) latency model lands around 545 per window. A ``7F`` reply
+carries no reading: it is counted as a negative and adds no update.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import statistics
 from collections import deque
 from dataclasses import dataclass
 
-from .obd import CORE_PIDS
+from .obd import CORE_PIDS, NegativeResponseError, ObdError
 
 DEFAULT_WINDOW_MS = 60_000.0
 RAMP_FRACTION = 0.95
@@ -48,6 +50,7 @@ class BenchReport:
     latency: LatencyStats | None
     plateau: float | None
     ramp_updates: int | None
+    negatives: int = 0
     interrupted: bool = False
 
     def to_dict(self) -> dict:
@@ -55,6 +58,7 @@ class BenchReport:
             "duration_ms": self.duration_ms,
             "window_ms": self.window_ms,
             "replies": self.replies,
+            "negatives": self.negatives,
             "latency": self.latency.to_dict() if self.latency else None,
             "plateau": self.plateau,
             "ramp_updates": self.ramp_updates,
@@ -71,6 +75,7 @@ class BenchReport:
     def summary(self) -> str:
         lines = [
             f"replies: {self.replies} over {self.duration_ms / 1000.0:.0f}s",
+            f"negative replies: {self.negatives}",
             f"plateau (window count): {self.plateau:.1f}" if self.plateau is not None else "plateau: n/a",
             f"ramp complete at update: {self.ramp_updates}" if self.ramp_updates else "ramp: n/a",
         ]
@@ -101,19 +106,23 @@ def run_obd_bench(
     duration_ms: float,
     window_ms: float = DEFAULT_WINDOW_MS,
 ) -> BenchReport:
-    """Poll the core PIDs back to back until the deadline, one window count per reply."""
+    """Poll the core PIDs back to back until the deadline, one window count per reading."""
     reply_times: deque[float] = deque()
     window_counts: list[int] = []
     latencies: list[float] = []
     t_start = clock.now_ms()
     deadline = t_start + duration_ms
-    index = 0
+    pids = itertools.cycle(CORE_PIDS)
+    negatives = 0
     interrupted = False
     while clock.now_ms() < deadline:
         issued = clock.now_ms()
         try:
-            link.request(CORE_PIDS[index % len(CORE_PIDS)])
-        except (ConnectionError, OSError):
+            link.request(next(pids))
+        except NegativeResponseError:
+            negatives += 1
+            continue
+        except (ConnectionError, OSError, ObdError):
             # Emit whatever was measured so far as a partial report.
             interrupted = True
             break
@@ -123,7 +132,6 @@ def run_obd_bench(
         while reply_times and reply_times[0] <= received - window_ms:
             reply_times.popleft()
         window_counts.append(len(reply_times))
-        index += 1
 
     latency_stats = None
     if latencies:
@@ -145,6 +153,7 @@ def run_obd_bench(
         latency=latency_stats,
         plateau=plateau,
         ramp_updates=ramp,
+        negatives=negatives,
         interrupted=interrupted,
     )
 

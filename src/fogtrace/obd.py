@@ -14,13 +14,22 @@ Decode formulas for the three collected channels:
 * 0x11 throttle position: percent = A * 100 / 255
 
 PIDs outside the table decode to the raw big-endian integer with unit
-``raw`` so the table stays extensible. The codec is pure and stateless.
+``raw`` so the table stays extensible.
+
+The codec is pure, so a repeated frame is a lookup: ``render_response``
+and the core-PID path of ``parse_response`` memoize their work in two
+``functools.lru_cache`` tables of at most ``CODEC_CACHE_SIZE`` entries each,
+whatever a peer sends. A reply is keyed by its bytes and the expected PID,
+so a mismatched echo is never served from another PID's entry. Errors are
+never cached: a ``7F``, malformed or out-of-range frame raises on every
+call.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 MODE_CURRENT_DATA = 0x01
@@ -33,6 +42,10 @@ NRC_SUBFUNCTION_NOT_SUPPORTED = 0x12
 PID_RPM = 0x0C
 PID_SPEED = 0x0D
 PID_THROTTLE = 0x11
+
+# Entries in each codec memo. A polled trip repeats a few hundred distinct
+# replies, since speed and throttle are one byte each.
+CODEC_CACHE_SIZE = 4096
 
 
 class ObdError(Exception):
@@ -171,7 +184,15 @@ def render_response(pid_id: PidId, data: bytes) -> bytes:
     Raises ``ValueError`` for modes from 0xC0 up, whose reply mode does
     not fit one byte.
     """
-    frame = bytes((pid_id.mode + REPLY_MODE_OFFSET, pid_id.pid)) + data
+    # Only exact bytes are memo keys (a bytearray is unhashable); any other
+    # payload is worked out afresh by the same function.
+    render = _render if type(data) is bytes else _render.__wrapped__
+    return render(pid_id.mode, pid_id.pid, data)
+
+
+@lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _render(mode: int, pid: int, data: bytes) -> bytes:
+    frame = bytes((mode + REPLY_MODE_OFFSET, pid)) + data
     return (frame.hex(" ").upper() + "\r").encode("ascii")
 
 
@@ -229,14 +250,12 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     :class:`PidMismatchError` when the echoed PID differs from ``expected``
     and :class:`MalformedFrameError` for anything that is not a frame.
     """
-    # A positive reply to a core PID as the codec renders it: the echo is one
-    # prefix comparison and only the payload goes through the frame pattern.
-    echo = _CORE_ECHOES.get(expected.pid)
-    if echo is not None and expected.mode == MODE_CURRENT_DATA and line.startswith(echo):
-        match = _CANONICAL_FRAME.fullmatch(line, len(echo))
-        if match is not None:
-            data = bytes.fromhex(match[1].decode("ascii"))
-            value, unit = decode_pid(expected, data)
+    if expected.pid in _CORE_ECHOES and expected.mode == MODE_CURRENT_DATA:
+        # Exact bytes only, as in render_response.
+        core_reply = _core_reply if type(line) is bytes else _core_reply.__wrapped__
+        reply = core_reply(line, expected.pid)
+        if reply is not None:
+            data, value, unit = reply
             return ObdResponse(expected, data, value, unit, received_at)
     values = _tokenize(line)
     if values[0] == NEGATIVE_REPLY_MODE:
@@ -263,6 +282,23 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
 CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
 CORE_FRAMES = {frame: pid_id for pid_id, frame in CORE_REQUESTS.values()}
 _CORE_ECHOES = {pid: render_response(pid_id, b"")[:-1] + b" " for pid, (pid_id, _) in CORE_REQUESTS.items()}
+
+
+@lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _core_reply(line: bytes, pid: int) -> tuple[bytes, float, str] | None:
+    """``(data, value, unit)`` of a canonical positive reply to core ``pid``, else None.
+
+    The echo is one prefix comparison and only the payload goes through the
+    frame pattern.
+    """
+    echo = _CORE_ECHOES[pid]
+    if not line.startswith(echo):
+        return None
+    match = _CANONICAL_FRAME.fullmatch(line, len(echo))
+    if match is None:
+        return None
+    data = bytes.fromhex(match[1].decode("ascii"))
+    return (data, *decode_pid(CORE_REQUESTS[pid][0], data))
 
 
 def decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:

@@ -298,6 +298,11 @@ class VehicleSimulator:
             return self._state
 
     def advance_to(self, t_ms: float) -> VehicleState:
+        # No tick due, as for a second call at the same time: the state is
+        # immutable and replaced whole, so it is read without the lock.
+        state = self._state
+        if state.sim_time_ms + self.tick_ms > t_ms:
+            return state
         with self._lock:
             state, profile, tick_ms = self._state, self.profile, self.tick_ms
             while state.sim_time_ms + tick_ms <= t_ms:

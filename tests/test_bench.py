@@ -90,6 +90,7 @@ class TestReportOutputs:
         report = run_obd_bench(link, clock, 5_000.0)
         data = report.to_dict()
         assert data["replies"] == 50
+        assert data["negatives"] == 0
         assert not data["interrupted"]
 
     def test_percentile_nearest_rank(self):
@@ -115,3 +116,45 @@ class TestPartialReport:
         report = run_obd_bench(DyingLink(link, 25), clock, 60_000.0)
         assert report.interrupted
         assert report.replies == 25
+
+
+class ScriptedLink(InProcessObdLink):
+    """The simulator's link, but the n-th request is answered with ``frames[n]``."""
+
+    def __init__(self, frames: dict[int, bytes], latency: LatencyModel):
+        clock = SimulatedClock()
+        super().__init__(VehicleSimulator(latency=latency, start_ms=clock.now_ms()), clock)
+        self.frames = frames
+        self.requests = 0
+
+    def transact(self, raw_request: bytes) -> bytes:
+        reply = super().transact(raw_request)
+        self.requests += 1
+        return self.frames.get(self.requests, reply)
+
+
+class TestNegativeReplies:
+    def test_negative_reply_is_counted_and_the_run_goes_on(self):
+        link = ScriptedLink({5: b"7F 01 12\r"}, LatencyModel.fixed(100.0))
+        report = run_obd_bench(link, link.clock, 10_000.0)
+        assert not report.interrupted
+        assert report.negatives == 1
+        assert report.replies + report.negatives == link.requests == 100
+        # A negative is no reading: no window update and no latency sample.
+        assert len(report.window_counts) == report.replies == 99
+        assert report.window_counts[4] == 5  # the sixth request: five readings in the window
+        assert report.to_dict()["negatives"] == 1
+        assert "negative replies: 1" in report.summary()
+
+    def test_only_negatives_still_ends_at_the_deadline(self):
+        link = ScriptedLink({n: b"7F 01 12\r" for n in range(1, 51)}, LatencyModel.fixed(100.0))
+        report = run_obd_bench(link, link.clock, 5_000.0)
+        assert (report.replies, report.negatives, report.interrupted) == (0, 50, False)
+        assert report.latency is None and report.plateau is None
+
+    @pytest.mark.parametrize("frame", [b"41 0C\r", b"no frame\r", b"41 0D 3C 00\r", b"7F 01\r"])
+    def test_other_codec_error_ends_with_a_partial_report(self, frame):
+        link = ScriptedLink({5: frame}, LatencyModel.fixed(100.0))
+        report = run_obd_bench(link, link.clock, 10_000.0)
+        assert report.interrupted
+        assert (report.replies, report.negatives) == (4, 0)

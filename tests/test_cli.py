@@ -339,12 +339,14 @@ class TestBenchCommand:
         assert code == 0
         report = json.loads(stdout)
         assert report["plateau"] == pytest.approx(600.0, rel=0.01)
+        assert report["negatives"] == 0
         assert series.read_text().startswith("update_index,commands_in_window")
 
     def test_triangular_defaults_text_summary(self, capsys):
         code, stdout, _ = run_cli(capsys, "bench-obd", "--duration", "120")
         assert code == 0
         assert "plateau" in stdout
+        assert "negative replies: 0" in stdout
 
     def test_bad_latency_spec_fails_setup(self, capsys):
         code, _, stderr = run_cli(capsys, "bench-obd", "--latency", "50,80")

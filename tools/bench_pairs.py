@@ -4,14 +4,17 @@
 
 The parent is a ``git archive`` of ``--parent`` unpacked in a temporary
 directory; the change is this checkout's working tree, uncommitted edits
-included. Each pair runs ``perfbench/run.py --seed 7 --trace 0`` once on
-each side, for the ``run_seconds`` of this checkout's ``BENCHMARK.json``,
-in fresh processes one after the other; the parent goes first in the even
-pairs and the change in the odd ones. For every end-to-end metric it
-prints each side's median and quartiles and the pairs the change won, ties
-counting for neither, and whether the medians differ by more than the
-distance between the parent's quartiles. The exit status is 1 when any run
-failed a check or an operation.
+included. Each side keeps its bytecode in its own fresh cache in that
+directory (``PYTHONPYCACHEPREFIX``), so neither reads a stale
+``__pycache__`` left in its tree; each side's first run compiles it. Each
+pair runs ``perfbench/run.py --seed 7 --trace 0`` once on each side, for
+the ``run_seconds`` of this checkout's ``BENCHMARK.json``, in fresh
+processes one after the other; the parent goes first in the even pairs and
+the change in the odd ones. For every end-to-end metric it prints each
+side's median and quartiles and the pairs the change won, ties counting for
+neither, and whether the medians differ by more than the distance between
+the parent's quartiles. The exit status is 1 when any run failed a check or
+an operation.
 """
 
 from __future__ import annotations
@@ -73,12 +76,13 @@ def main(argv: list[str] | None = None) -> int:
     seconds = declared["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent = Path(tmp)
-        unpack(args.parent, parent)
+        trees = {"parent": Path(tmp, "parent"), "change": REPO}
+        trees["parent"].mkdir()
+        unpack(args.parent, trees["parent"])
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(parent if side == "parent" else REPO, args.workload, seconds, False)
+                run = run_once(trees[side], args.workload, seconds, False, Path(tmp, f"pycache-{side}"))
                 runs[side].append(run)
                 figures = {n: round(v, 4) for n, (v, _) in run["metrics"].items()}
                 print(f"pair {pair + 1} {side}: {figures}", file=sys.stderr)

@@ -44,12 +44,20 @@ def measured_trees(checkout: Path) -> dict:
     return {path: _git(checkout, "rev-parse", f"{snapshot}:{path}") for path in ("src", "perfbench")}
 
 
-def run_once(checkout: Path, workload: str, seconds: float, trace: bool) -> dict:
-    """One ``run.py`` process: its outcome, metrics and detail lines, each figure a ``(value, unit)``."""
+def run_once(checkout: Path, workload: str, seconds: float, trace: bool, pycache: Path | None = None) -> dict:
+    """One ``run.py`` process: its outcome, metrics and detail lines, each figure a ``(value, unit)``.
+
+    With ``pycache``, the process reads and writes all its bytecode, the
+    standard library's included, there rather than in any ``__pycache__``;
+    only the first run with a fresh ``pycache`` compiles.
+    """
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)]
     command += ["--seconds", str(seconds), "--trace", str(int(trace))]
     # run.py imports the checkout's own src; an inherited path must not win over it.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
+    if pycache is not None:
+        env["PYTHONPYCACHEPREFIX"] = str(pycache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
     done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines or not lines[-1].startswith("{"):
