@@ -2,9 +2,15 @@
 
 A trace is a long-format CSV: one row per (timestamp, source, channel,
 value) so heterogeneous cadences stay lossless. Header and quoting are
-fixed (UTF-8, LF line endings, RFC 4180 quoting via the csv module):
+fixed (UTF-8, LF line endings, RFC 4180 quoting):
 
     timestamp_ms,source,channel,value,unit,interpolated
+
+Rows render with one join; a field holding ``,``, ``"``, CR or LF is
+quoted, its quotes doubled, so a trace whose text needs no quoting (every
+trace the simulator makes) is a plain join. Parsing splits on LF and ``,``
+when the text has nothing to unquote, and goes through ``csv.reader``
+otherwise.
 
 Timestamps are the gateway's arrival clock in Unix epoch milliseconds;
 device clocks are untrusted, but for physiological samples the device's
@@ -21,7 +27,7 @@ import io
 import json
 import uuid
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 CSV_HEADER = ("timestamp_ms", "source", "channel", "value", "unit", "interpolated")
@@ -120,27 +126,60 @@ class TraceRow(_TraceRowFields):
 
 
 def sort_rows(rows: list[TraceRow]) -> list[TraceRow]:
-    return sorted(rows, key=attrgetter("timestamp_ms", "source", "channel"))
+    return sorted(rows, key=itemgetter(0, 1, 2))  # (timestamp_ms, source, channel)
+
+
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_ROW_FORMAT = "%d,%s,%s,%s,%s,%d\n"
 
 
 def rows_to_csv(rows: list[TraceRow]) -> bytes:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(rows)
-    return out.getvalue().encode("utf-8")
+    body = "".join([_ROW_FORMAT % row for row in rows])
+    # One check of the whole join instead of one per field: with no quote
+    # or CR in it and exactly 5 commas and one LF per row, no field holds a
+    # character that needs quoting, so the join is the quoted render too.
+    if '"' in body or "\r" in body or body.count(",") != 5 * len(rows) or body.count("\n") != len(rows):
+        body = "".join(
+            [_ROW_FORMAT % (r[0], _quote(r[1]), _quote(r[2]), _quote(r[3]), _quote(r[4]), r[5]) for r in rows]
+        )
+    return (_HEADER_LINE + body).encode("utf-8")
+
+
+def _quote(field: str) -> str:
+    text = str(field)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def csv_to_rows(data: bytes) -> list[TraceRow]:
-    reader = csv.reader(io.StringIO(data.decode("utf-8")))
+    text = data.decode("utf-8")
+    # A trace with nothing to unquote splits on LF and ",". A quote, a CR
+    # or a NUL (which csv.reader refuses before Python 3.11) sends it to
+    # csv.reader, as does a line long enough to break its field limit.
+    if text.startswith(_HEADER_LINE) and '"' not in text and "\r" not in text and "\0" not in text:
+        lines = text[len(_HEADER_LINE) :].split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        limit = csv.field_size_limit()
+        if len(text) <= limit or max(map(len, lines)) <= limit:
+            return _build_rows(line.split(",") for line in lines)
+    reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration as exc:
-        raise ValueError("empty trace file") from exc
-    if tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected trace header {header!r}")
+        try:
+            header = next(reader)
+        except StopIteration as exc:
+            raise ValueError("empty trace file") from exc
+        if tuple(header) != CSV_HEADER:
+            raise ValueError(f"unexpected trace header {header!r}")
+        return _build_rows(reader)
+    except csv.Error as exc:
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
+
+
+def _build_rows(records) -> list[TraceRow]:
     rows = []
-    for fields in reader:
+    for fields in records:
         if len(fields) != 6:
             raise ValueError(f"trace row must have 6 fields, got {fields!r}")
         rows.append(TraceRow(int(fields[0]), fields[1], fields[2], fields[3], fields[4], int(fields[5])))

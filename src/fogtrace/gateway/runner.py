@@ -14,6 +14,7 @@ real time on the system clock, through identical code paths.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,18 +163,24 @@ class _ProducerState:
         self.context_failures = 0
         self._phys_t = start_ms
         self._phys_speed = runner.simulator.snapshot().speed_kmh if runner.simulator is not None else 0.0
+        # The earliest due time of any producer: ``service`` skips them all
+        # before it, and a loop without a link sleeps until it.
+        self.next_due = self._earliest_due()
 
     def subscribe(self, start_ms: float) -> None:
         """Open the push streams one by one, so ``close`` ends those opened if one fails."""
         for device in self.runner.wearables:
             if not isinstance(device, MiBand) and hasattr(device, "subscribe"):
                 self.streams.append(device.subscribe(start_ms))
+        self.next_due = self._earliest_due()
 
     def service(self, now: float) -> None:
         sim = self.runner.simulator
         speed = sim.advance_to(now).speed_kmh if sim is not None else 0.0
         if self.runner.physio is not None:
             self._update_physio(now, speed)
+        if now < self.next_due:
+            return
         for stream in self.streams:
             while stream.next_due_ms <= now:
                 self.session.ingest(stream.take(now))
@@ -192,6 +199,17 @@ class _ProducerState:
         if self.context_active and now >= self.context_due:
             self._poll_context(now)
             self.context_due += self.runner.gateway.context_period_ms
+        self.next_due = self._earliest_due()
+
+    def _earliest_due(self) -> float:
+        """When the first producer is next due; the due times move only in ``service``."""
+        dues = [*self.miband_due.values()]
+        dues.extend(stream.next_due_ms for stream in self.streams)
+        if self.gps_active:
+            dues.append(self.gps_due)
+        if self.context_active:
+            dues.append(self.context_due)
+        return min(dues, default=math.inf)
 
     def _update_physio(self, now: float, speed: float) -> None:
         dt = now - self._phys_t
@@ -223,14 +241,8 @@ class _ProducerState:
 
     def wait_until_due(self, t_end: float) -> bool:
         """Sleep until the next producer is due; False once ``t_end`` is reached."""
-        dues = [t_end, *self.miband_due.values()]
-        dues.extend(stream.next_due_ms for stream in self.streams)
-        if self.gps_active:
-            dues.append(self.gps_due)
-        if self.context_active:
-            dues.append(self.context_due)
         clock = self.runner.clock
-        clock.sleep_ms(min(dues) - clock.now_ms())
+        clock.sleep_ms(min(self.next_due, t_end) - clock.now_ms())
         return clock.now_ms() < t_end
 
     def close(self) -> None:

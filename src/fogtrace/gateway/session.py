@@ -16,6 +16,7 @@ lock, and the session object is the only writer of its row store.
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +50,10 @@ SERVICE_ALERTS = "alerts"
 
 DEFAULT_GPS_PERIOD_MS = 1000.0
 DEFAULT_CONTEXT_PERIOD_MS = 30_000.0
+
+# Distinct (PID, value) pairs whose trace cell ``_obd_cell`` keeps; an hour
+# of aggressive driving has about 600.
+OBD_CELL_CACHE_SIZE = 4096
 
 
 class GatewayError(Exception):
@@ -219,6 +224,10 @@ class Session:
         self.alerts: list[AlertEvent] = []
         self._rows: list[TraceRow] = []
         self._engine = AlertEngine(alert_rules)
+        # Sources already checked. Pairings and services only grow while a
+        # session runs, so an admitted source stays valid; a refused one is
+        # never added and is checked again on its next sample.
+        self._admitted: set[str] = set()
 
     def ingest(self, sample, source: str | None = None) -> list[TraceRow]:
         """Fan a source record out into rows stamped with the arrival time."""
@@ -227,7 +236,9 @@ class Session:
             source_of, fan_out = _INGEST_RULES[type(sample)]
         except KeyError:
             raise TypeError(f"cannot ingest {type(sample).__name__}") from None
-        resolved = self._check_source(source_of(sample, source), sample)
+        resolved = source_of(sample, source)
+        if resolved not in self._admitted:
+            self._admitted.add(self._check_source(resolved, sample))
         if type(sample) is AlertEvent:
             self.alerts.append(sample)
         appended = []
@@ -265,10 +276,19 @@ class Session:
 
 
 def _obd_rows(sample: ObdResponse, source: str, arrival_ms: int) -> list[TraceRow]:
-    definition = PID_TABLE.get(sample.pid_id.pid)
+    channel, value, unit = _obd_cell(sample.pid_id.pid, sample.value)
+    return [TraceRow(arrival_ms, source, channel, value, unit)]
+
+
+# ``typed`` keeps a bool apart from the int equal to it, so ``fmt_scalar``
+# still refuses it; an exception is never cached.
+@lru_cache(maxsize=OBD_CELL_CACHE_SIZE, typed=True)
+def _obd_cell(pid: int, value: float) -> tuple[str, str, str]:
+    """The (channel, value, unit) of one OBD reading."""
+    definition = PID_TABLE.get(pid)
     if definition is None:
-        raise ValueError(f"no trace channel for PID 0x{sample.pid_id.pid:02X}")
-    return [TraceRow(arrival_ms, source, definition.channel, fmt_scalar(sample.value), definition.unit)]
+        raise ValueError(f"no trace channel for PID 0x{pid:02X}")
+    return definition.channel, fmt_scalar(value), definition.unit
 
 
 def _heart_rows(sample: HeartSample, source: str, arrival_ms: int) -> list[TraceRow]:

@@ -208,15 +208,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL decrypt-auth" in stdout
 
-    def test_manifest_count_mismatch_reported(self, tmp_path, capsys):
-        """An envelope whose manifest lies about row_count fails verification."""
+    @staticmethod
+    def _stored(tmp_path, csv_bytes: bytes, row_count: int) -> list[str]:
+        """Seal and store ``csv_bytes`` under a manifest claiming ``row_count``; verify's flags for it."""
         from fogtrace.cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
         from fogtrace.gateway.envelope import seal
-        from fogtrace.gateway.records import SessionManifest, TraceRow, rows_to_csv, sha256_hex
+        from fogtrace.gateway.records import SessionManifest, sha256_hex
 
         key = bytes(range(32))
-        rows = [TraceRow(1, "polar-1", "bpm", "70@1", "bpm"), TraceRow(2, "polar-1", "bpm", "71@2", "bpm")]
-        csv_bytes = rows_to_csv(rows)
         manifest = SessionManifest(
             session_id="sid",
             driver_id="d",
@@ -224,7 +223,7 @@ class TestVerifyCommand:
             started_at=0,
             ended_at=3,
             devices=(),
-            row_count=5,  # wrong on purpose
+            row_count=row_count,
             csv_sha256=sha256_hex(csv_bytes),
         )
         envelope = seal(csv_bytes, manifest.to_json(), key)
@@ -235,23 +234,32 @@ class TestVerifyCommand:
             client = CloudClient(server.base_url, "gateway", "local-dev-secret")
             with contextlib.closing(client.session):
                 ref = client.upload_trace(manifest.to_json(), envelope)["trace_ref"]
+        return ["--trace-ref", ref, "--store-dir", str(store_dir), "--key-hex", key.hex(), "--out", str(tmp_path / "out")]
 
-        code, stdout, _ = run_cli(
-            capsys,
-            "--self-contained",
-            "verify",
-            "--trace-ref",
-            ref,
-            "--store-dir",
-            str(store_dir),
-            "--key-hex",
-            key.hex(),
-            "--out",
-            str(tmp_path / "out"),
-        )
+    def test_manifest_count_mismatch_reported(self, tmp_path, capsys):
+        """An envelope whose manifest lies about row_count fails verification."""
+        from fogtrace.gateway.records import TraceRow, rows_to_csv
+
+        rows = [TraceRow(1, "polar-1", "bpm", "70@1", "bpm"), TraceRow(2, "polar-1", "bpm", "71@2", "bpm")]
+        flags = self._stored(tmp_path, rows_to_csv(rows), row_count=5)  # wrong on purpose
+        code, stdout, _ = run_cli(capsys, "--self-contained", "verify", *flags)
         assert code == 1
         assert "PASS decrypt-auth" in stdout
         assert "FAIL row-count" in stdout
+
+    def test_bare_cr_in_a_field_fails_csv_parse_with_a_report(self, tmp_path, capsys):
+        """A trace written with a CR left unquoted is reported, not raised past the checks."""
+        csv_bytes = b"timestamp_ms,source,channel,value,unit,interpolated\n1,weather,weather_condition,light\rrain,,0\n"
+        flags = self._stored(tmp_path, csv_bytes, row_count=1)
+        code, stdout, stderr = run_cli(capsys, "--self-contained", "--json", "verify", *flags)
+        assert code == 1
+        assert stderr == ""
+        report = json.loads(stdout)
+        assert report["passed"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["csv-sha256"]["ok"] is True
+        assert checks["csv-parse"]["ok"] is False
+        assert "new-line character" in checks["csv-parse"]["detail"]
 
     def test_unknown_ref_fails_download(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -93,6 +93,17 @@ class TestCsv:
         rows = [TraceRow(1, 'sr,c"x', "alert", 'va,l"ue', "")]
         assert csv_to_rows(rows_to_csv(rows)) == rows
 
+    def test_cr_in_a_field_is_quoted(self):
+        # csv.writer leaves a CR bare under an LF line terminator (3.10, 3.11).
+        rows = [TraceRow(1, "weather", "weather_condition", "light\rrain", "")]
+        assert rows_to_csv(rows).endswith(b'1,weather,weather_condition,"light\rrain",,0\n')
+        assert csv_to_rows(rows_to_csv(rows)) == rows
+
+    def test_bare_cr_is_a_value_error(self):
+        data = b"timestamp_ms,source,channel,value,unit,interpolated\n1,weather,weather_condition,light\rrain,,0\n"
+        with pytest.raises(ValueError, match="not valid CSV"):
+            csv_to_rows(data)
+
     def test_lf_line_endings(self):
         data = rows_to_csv(sort_rows(self._rows()))
         assert b"\r" not in data

@@ -19,6 +19,8 @@ from fogtrace.external import (
 )
 from fogtrace.gateway import Gateway, SessionRunner, UploadRejectedError
 from fogtrace.gateway.records import csv_to_rows, device_ts_of, sha256_hex, validate_rows
+from fogtrace.gateway.runner import _ProducerState
+from fogtrace.gateway.session import KIND_GPS, LocalSource
 from fogtrace.vehicle import InProcessObdLink, LatencyModel, VehicleSimulator
 from fogtrace.wearables import AlreadySubscribedError, MiBand, PhysioModel, Polar, Spire
 
@@ -192,6 +194,67 @@ class TestDegenerateAndDegraded:
         assert gateway.erase_data("local") == {"device_samples": 0, "local_files": 0}
         # The Polar stream, opened before the Spire's failed, was closed.
         polar.subscribe(sim_clock.now_ms()).close()
+
+
+class TestProducerSchedule:
+    """Producers are serviced only when one is due; a link-less loop sleeps to that time."""
+
+    # Recorded with a runner that visited every producer on every call, so
+    # skipping them until one is due must not move a row.
+    LINKLESS_SHA256 = "a0ddbbc96b4a9e561108c70f91ea95888c161212503b03bffd88cd09d6e91121"
+
+    def test_linkless_trip_records_the_same_rows(self, pipeline_factory):
+        result = pipeline_factory(profile="aggressive", obd=False).run("d", "v", 300.0, upload=False)
+        rows = csv_to_rows(result.csv_bytes)
+        assert {r.source for r in rows} == {"miband-1", "polar-1", "spire-1", "gps-1", "traffic", "weather"}
+        assert sha256_hex(result.csv_bytes) == self.LINKLESS_SHA256
+
+    def test_linkless_trip_samples_each_producer_when_it_is_due(self, sim_clock, key):
+        physio = PhysioModel()
+        sim = VehicleSimulator(latency=LatencyModel(seed=3), seed=3, start_ms=sim_clock.now_ms())
+        gateway = Gateway(clock=sim_clock, key=key)
+        polar = Polar("polar-1", physio, 3)
+        runner = SessionRunner(gateway, sim_clock, simulator=sim, wearables=(polar,), physio=physio)
+        result = runner.run("d", "v", 60.0, upload=False)
+        rows = csv_to_rows(result.csv_bytes)
+        start = result.manifest.started_at
+        assert [r.timestamp_ms - start for r in rows if r.channel == "lat"] == list(range(1000, 60_000, 1000))
+        beats = [r for r in rows if r.channel == "bpm"]
+        assert len(beats) >= 28
+        assert all(r.timestamp_ms == device_ts_of(r.value) for r in beats)
+
+    def test_service_between_due_times_ingests_nothing(self, pipeline_factory, sim_clock):
+        runner = pipeline_factory(obd=False)
+        for device in runner.wearables:
+            runner.gateway.pair_device(device)
+        gps = runner.gateway.pair_device(LocalSource("gps-1", KIND_GPS)).device_id
+        session = runner.gateway.start_session("d", "v")
+        ingested = []
+        ingest = session.ingest
+        session.ingest = lambda sample, source=None: ingested.extend(ingest(sample, source))
+        start = sim_clock.now_ms()
+        producers = _ProducerState(runner, session, gps, start)
+        producers.subscribe(start)
+        try:
+            producers.service(start)  # the MiBand is due at once
+            assert {r.source for r in ingested} == {"miband-1"}
+            for _ in range(20):
+                now, due, before = sim_clock.now_ms(), producers.next_due, len(ingested)
+                assert due > now
+                for fraction in (0.01, 0.5, 0.99):
+                    at = now + fraction * (due - now)
+                    producers.service(at)
+                    # The simulator still advances on every call.
+                    assert runner.simulator.snapshot().sim_time_ms > at - runner.simulator.tick_ms
+                assert len(ingested) == before
+                assert producers.wait_until_due(start + 60_000.0)
+                assert sim_clock.now_ms() == due
+                producers.service(due)
+                assert producers.next_due > due
+            assert {r.source for r in ingested} == {"miband-1", "polar-1", "spire-1", "gps-1"}
+        finally:
+            producers.close()
+            runner.gateway.end_session()
 
 
 class TestContextPolling:

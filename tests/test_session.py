@@ -5,9 +5,11 @@ import pytest
 from fogtrace.clock import SimulatedClock
 from fogtrace.external import FlowSegment, WeatherObservation
 from fogtrace.gateway import Gateway
-from fogtrace.gateway.records import csv_to_rows, sha256_hex
+from fogtrace.gateway.records import csv_to_rows, sha256_hex, sort_rows
 from fogtrace.gateway.session import (
     KIND_GPS,
+    KIND_OBD,
+    OBD_CELL_CACHE_SIZE,
     GpsFix,
     LocalSource,
     NoActiveSessionError,
@@ -15,7 +17,9 @@ from fogtrace.gateway.session import (
     SessionActiveError,
     SessionAlreadyActiveError,
     UnknownSourceError,
+    _obd_cell,
 )
+from fogtrace.obd import PID_RPM, PID_SPEED, ObdResponse, PidId
 from fogtrace.wearables import DeviceLockedError, HeartSample, MiBand, Polar, RespirationSample
 
 
@@ -26,6 +30,10 @@ def gateway(sim_clock, key):
 
 def heart(device="polar-1", bpm=72.0, rr=(820.0, 830.0), at=1000):
     return HeartSample(device=device, bpm=bpm, rr_intervals_ms=tuple(rr), measured_at=at)
+
+
+def reading(pid=PID_SPEED, value=42.0):
+    return ObdResponse(PidId(pid), b"", value, "", 0.0)
 
 
 class _TaggedHeart(HeartSample):
@@ -127,6 +135,16 @@ class TestIngest:
             "weather_condition",
         ]
 
+    def test_weather_condition_with_a_cr_round_trips(self, gateway):
+        gateway.pair_device(Polar("polar-1"))
+        session = gateway.start_session("d", "v")
+        # A provider's reply names any condition; from_dict takes it as it is.
+        reply = {"temp_c": 9.5, "condition": "light\rrain", "precipitation_mm_h": 0.4, "wind_ms": 3.0, "observed_at": 0}
+        rows = session.ingest(WeatherObservation.from_dict(reply))
+        csv_bytes, _ = gateway.end_session()
+        assert csv_to_rows(csv_bytes) == sort_rows(rows)
+        assert rows[1].value == "light\rrain"
+
     def test_unknown_source_rejected(self, gateway):
         gateway.pair_device(Polar("polar-1"))
         session = gateway.start_session("d", "v")
@@ -158,6 +176,73 @@ class TestIngest:
         csv_bytes, manifest = gateway.end_session()
         assert manifest.row_count == expected
         assert len(csv_to_rows(csv_bytes)) == expected
+
+
+class TestAdmittedSources:
+    """Each source is checked on its first sample; a refused one on every sample."""
+
+    def test_unknown_source_refused_on_every_call(self, gateway):
+        gateway.pair_device(Polar("polar-1"))
+        session = gateway.start_session("d", "v")
+        session.ingest(GpsFix(52.5, 13.4, at=0), source="polar-1")
+        for _ in range(3):
+            with pytest.raises(UnknownSourceError):
+                session.ingest(GpsFix(52.5, 13.4, at=0), source="gps-9")
+            with pytest.raises(UnknownSourceError):
+                session.ingest(reading(), source=None)
+        assert gateway.end_session()[1].row_count == 2
+
+    def test_device_paired_mid_session_is_accepted_after_its_pairing(self, gateway):
+        gateway.pair_device(Polar("polar-1"))
+        session = gateway.start_session("d", "v")
+        with pytest.raises(UnknownSourceError):
+            session.ingest(reading(), source="obd-1")
+        gateway.pair_device(LocalSource("obd-1", KIND_OBD))
+        assert [r.source for r in session.ingest(reading(), source="obd-1")] == ["obd-1"]
+        assert [r.source for r in session.ingest(reading(), source="obd-1")] == ["obd-1"]
+
+    def test_heart_samples_resolve_to_their_own_devices(self, gateway):
+        gateway.pair_device(Polar("polar-1"))
+        gateway.pair_device(Polar("polar-2"))
+        session = gateway.start_session("d", "v")
+        for _ in range(2):
+            assert {r.source for r in session.ingest(heart(device="polar-1"), source="polar-2")} == {"polar-1"}
+            assert {r.source for r in session.ingest(heart(device="polar-2"), source="polar-1")} == {"polar-2"}
+            with pytest.raises(UnknownSourceError):
+                session.ingest(heart(device="polar-3"), source="polar-1")
+
+
+class TestObdCells:
+    def test_rows_match_the_pid_table(self, gateway):
+        gateway.pair_device(LocalSource("obd-1", KIND_OBD))
+        session = gateway.start_session("d", "v")
+        for _ in range(2):
+            [rpm] = session.ingest(reading(PID_RPM, 1724.25), source="obd-1")
+            [speed] = session.ingest(reading(PID_SPEED, 88), source="obd-1")
+            assert rpm[2:] == ("rpm", "1724.25", "rpm", 0)
+            assert speed[2:] == ("speed_kmh", "88", "km/h", 0)
+
+    def test_memo_stays_within_its_bound(self):
+        _obd_cell.cache_clear()
+        for i in range(OBD_CELL_CACHE_SIZE + 100):
+            assert _obd_cell(PID_SPEED, float(i)) == ("speed_kmh", str(i), "km/h")
+        assert _obd_cell.cache_info().currsize == OBD_CELL_CACHE_SIZE
+
+    def test_unknown_pid_raises_on_every_call(self, gateway):
+        gateway.pair_device(LocalSource("obd-1", KIND_OBD))
+        session = gateway.start_session("d", "v")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no trace channel for PID 0x42"):
+                session.ingest(reading(0x42, 1.0), source="obd-1")
+        assert gateway.end_session()[1].row_count == 0
+
+    def test_bool_value_refused_after_its_equal_int(self, gateway):
+        gateway.pair_device(LocalSource("obd-1", KIND_OBD))
+        session = gateway.start_session("d", "v")
+        assert session.ingest(reading(PID_SPEED, 1), source="obd-1")[0].value == "1"
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                session.ingest(reading(PID_SPEED, True), source="obd-1")
 
 
 class TestOrderInsensitivity:
