@@ -231,6 +231,8 @@ def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient
             clients=_client_accounts(cfg),
             token_ttl_s=cfg.get_int("cloud.token_ttl_s", 3600),
         )
+        # Registered first, so it runs after the server has stopped serving.
+        stack.callback(service.close)
         cloud_url = stack.enter_context(CloudStoreHTTPServer(service)).base_url
     client = CloudClient(
         cloud_url,

@@ -6,7 +6,9 @@ alone, duplicate uploads are idempotent, and directory fan-out stays
 bounded. Writes go through a temp file plus atomic rename: a crash between
 the two leaves nothing partially visible. Metadata (manifest JSON, size,
 upload time, uploader) lives in an embedded relational store keyed by the
-same reference.
+same reference: one SQLite database per store, in WAL mode, reached through
+one connection that the service opens at construction and ``close`` ends.
+The server's handler threads take turns on it, one transaction at a time.
 
 Authorization is two scopes, ``upload`` and ``read``, attached to bearer
 tokens issued against a client registry; every operation checks the token
@@ -194,20 +196,34 @@ class CloudStoreService:
         self._token_lock = threading.Lock()
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         (self.root / "tmp").mkdir(parents=True, exist_ok=True)
-        self._db_path = self.root / "metadata.sqlite3"
-        with self._connection() as conn:
-            conn.executescript(_SCHEMA)
+        self._db = sqlite3.connect(self.root / "metadata.sqlite3", timeout=30, check_same_thread=False)
+        self._db_lock = threading.Lock()
+        try:
+            self._db.execute("PRAGMA journal_mode=WAL")
+            with self._connection() as conn:
+                conn.executescript(_SCHEMA)
+        except BaseException:
+            self._db.close()
+            raise
 
     @contextlib.contextmanager
     def _connection(self):
-        """Short-lived connection per operation: commit on success, always close."""
-        conn = sqlite3.connect(self._db_path, timeout=30)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+        """One transaction on the store's connection: commit on success, roll back on error.
+
+        The lock gives the connection to one thread at a time, so no
+        transaction interleaves with another's statements.
+        """
+        with self._db_lock, self._db:
+            yield self._db
+
+    def close(self) -> None:
+        """End the store's connection.
+
+        When no other connection has the database open, SQLite checkpoints the
+        WAL into it and deletes the ``-wal`` and ``-shm`` files.
+        """
+        with self._db_lock:
+            self._db.close()
 
     # -- authentication ----------------------------------------------------
 

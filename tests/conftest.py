@@ -40,8 +40,10 @@ def accounts() -> dict[str, ClientAccount]:
 
 
 @pytest.fixture
-def store_service(tmp_path, accounts) -> CloudStoreService:
-    return CloudStoreService(tmp_path / "store", clients=accounts)
+def store_service(tmp_path, accounts):
+    service = CloudStoreService(tmp_path / "store", clients=accounts)
+    yield service
+    service.close()
 
 
 @pytest.fixture

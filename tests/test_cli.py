@@ -59,6 +59,23 @@ class TestRunCommand:
         assert "FAIL" not in stdout
         assert "PASS decrypt-auth" in stdout
 
+    def test_self_contained_store_is_closed_when_the_command_ends(self, tmp_path, capsys):
+        # Its one connection closed after the server stopped, so the WAL was
+        # checkpointed into the database and deleted.
+        out = tmp_path / "out"
+        code, stdout, _ = run_cli(capsys, "--self-contained", "--json", "run", "--duration", "30", "--out", str(out))
+        assert code == 0
+        store = out / "store"
+        assert (store / "metadata.sqlite3").exists()
+        assert not (store / "metadata.sqlite3-wal").exists()
+        assert not (store / "metadata.sqlite3-shm").exists()
+        trace_ref = json.loads(stdout)["trace_ref"]
+        code, stdout, _ = run_cli(
+            capsys, "--self-contained", "--json", "verify", "--trace-ref", trace_ref, "--store-dir", str(store), "--out", str(out)
+        )
+        assert code == 0
+        assert json.loads(stdout)["passed"]
+
     def test_unreachable_cloud_names_upload_stage(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, stderr = run_cli(

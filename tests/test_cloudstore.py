@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import socket
+import sqlite3
+import sys
+import threading
 
 from http.server import BaseHTTPRequestHandler
 
@@ -44,7 +47,9 @@ MANIFEST = json.dumps({"session_id": "s1", "driver_id": "drv"}).encode()
 @pytest.fixture
 def sim_service(tmp_path, accounts):
     clock = SimulatedClock()
-    return CloudStoreService(tmp_path / "store", clients=accounts, clock=clock), clock
+    service = CloudStoreService(tmp_path / "store", clients=accounts, clock=clock)
+    yield service, clock
+    service.close()
 
 
 def upload_token(service):
@@ -332,6 +337,116 @@ class TestContentAddressing:
             service.upload_trace(token, MANIFEST, b"dedup me")
         objects = list((tmp_path / "store" / "objects").rglob("*"))
         assert len([p for p in objects if p.is_file()]) == 1
+
+
+class TestSharedConnection:
+    """One SQLite connection per service, which the handler threads take turns on."""
+
+    def test_one_connect_and_no_pragma_per_operation(self, tmp_path, accounts, monkeypatch):
+        connects = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *args, **kwargs: connects.append(args) or connect(*args, **kwargs))
+        service = CloudStoreService(tmp_path / "store", clients=accounts, clock=SimulatedClock())
+        statements = []
+        service._db.set_trace_callback(statements.append)
+        try:
+            token = upload_token(service)
+            for i in range(10):
+                blob = b"blob %d" % i
+                ref = service.upload_trace(token, MANIFEST, blob)["trace_ref"]
+                service.upload_trace(token, MANIFEST, blob)  # a dedup upload
+                assert service.get_trace(token, ref)[0] == blob
+                assert len(service.list_traces(token, driver_id="drv")) == i + 1
+                assert not service._db.in_transaction
+        finally:
+            service.close()
+        assert len(connects) == 1
+        assert any(sql.startswith("INSERT") for sql in statements)
+        assert not [sql for sql in statements if sql.upper().startswith("PRAGMA")]
+
+    def test_an_error_inside_a_transaction_rolls_it_back(self, sim_service):
+        service, _ = sim_service
+        token = upload_token(service)
+        with pytest.raises(RuntimeError, match="mid-transaction"):
+            with service._connection() as conn:
+                conn.execute(
+                    "INSERT INTO traces (trace_ref, manifest, size_bytes, uploaded_at, uploader) "
+                    "VALUES ('rolled-back', '{}', 0, 0, 'gw')"
+                )
+                assert conn.in_transaction
+                raise RuntimeError("fails mid-transaction")
+        assert not service._db.in_transaction
+        assert not service._db_lock.locked()
+        receipt = service.upload_trace(token, MANIFEST, b"after the rollback")
+        assert not service._db.in_transaction
+        assert [m.trace_ref for m in service.list_traces(token)] == [receipt["trace_ref"]]
+
+    def test_a_second_service_on_the_root_sees_the_first_ones_uploads(self, tmp_path, accounts):
+        first = CloudStoreService(tmp_path / "store", clients=accounts)
+        try:
+            ref = first.upload_trace(upload_token(first), MANIFEST, b"by the first")["trace_ref"]
+            second = CloudStoreService(tmp_path / "store", clients=accounts)
+            try:
+                token = upload_token(second)
+                assert second.get_trace(token, ref)[0] == b"by the first"
+                back = second.upload_trace(token, MANIFEST, b"by the second")["trace_ref"]
+                assert {m.trace_ref for m in first.list_traces(upload_token(first))} == {ref, back}
+            finally:
+                second.close()
+        finally:
+            first.close()
+        assert not (tmp_path / "store" / "metadata.sqlite3-wal").exists()
+        assert not (tmp_path / "store" / "metadata.sqlite3-shm").exists()
+
+    def test_concurrent_clients_get_exact_receipts_listings_and_reads(self, tmp_path, accounts, capfd):
+        service = CloudStoreService(tmp_path / "store", clients=accounts)
+        shared = b"uploaded by every client" * 40
+        shared_manifest = json.dumps({"session_id": "shared", "driver_id": "shared"}).encode()
+        clients, cycles = 4, 20
+        problems: list[str] = []
+
+        def client_loop(n: int, base_url: str) -> None:
+            client = CloudClient(base_url, "gw", "gw-secret")
+            mine: list[str] = []
+            try:
+                for cycle in range(cycles):
+                    blob = f"client {n} cycle {cycle};".encode() * (1 + cycle)
+                    manifest = json.dumps({"session_id": f"{n}-{cycle}", "driver_id": f"drv-{n}"}).encode()
+                    receipt = client.upload_trace(manifest, blob)
+                    if receipt["trace_ref"] != hashlib.sha256(blob).hexdigest():
+                        problems.append(f"client {n} cycle {cycle}: receipt {receipt}")
+                    mine.append(receipt["trace_ref"])
+                    listed = [m["trace_ref"] for m in client.list_traces(driver_id=f"drv-{n}")]
+                    if sorted(listed) != sorted(mine):
+                        problems.append(f"client {n} cycle {cycle}: listed {len(listed)} of {len(mine)}")
+                    if client.get_trace(receipt["trace_ref"])[0] != blob:
+                        problems.append(f"client {n} cycle {cycle}: read other bytes")
+                    if client.upload_trace(shared_manifest, shared)["trace_ref"] != hashlib.sha256(shared).hexdigest():
+                        problems.append(f"client {n} cycle {cycle}: shared receipt")
+            except Exception as exc:  # noqa: BLE001 - reported by the test thread
+                problems.append(f"client {n}: {exc!r}")
+            finally:
+                client.session.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with CloudStoreHTTPServer(service) as server:
+                threads = [threading.Thread(target=client_loop, args=(n, server.base_url)) for n in range(clients)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not [thread for thread in threads if thread.is_alive()]
+        finally:
+            sys.setswitchinterval(interval)
+        assert problems == []
+        with service._connection() as conn:
+            (rows,) = conn.execute("SELECT COUNT(*) FROM traces").fetchone()
+        assert rows == clients * cycles + 1
+        assert not service._db.in_transaction
+        service.close()
+        assert capfd.readouterr().err == ""
 
 
 class TestHttpSurface:

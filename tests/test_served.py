@@ -186,10 +186,17 @@ def test_stop_mid_request_prints_nothing(name, tmp_path, capfd):
 
 def test_wake_connection_is_not_served(served):
     make, one_request = served
-    server = make().start()
+    server = make()
     tcp = server._server
+    entries = []
+    handle_request = tcp.handle_request
+    tcp.handle_request = lambda: entries.append(None) or handle_request()
+    server.start()
     one_request(server)  # the server is serving, and that connection is then closed
     assert _wait_for(lambda: not tcp.open_requests)
+    # The serving thread is back in handle_request, so the wake connection
+    # stop() makes is accepted and refused there, not left unaccepted.
+    assert _wait_for(lambda: len(entries) == 2)
     verified, processed = [], []
     verify_request, process_request = tcp.verify_request, tcp.process_request
     tcp.verify_request = lambda request, address: verified.append(address) or verify_request(request, address)

@@ -1,6 +1,7 @@
 """Compare a parent commit with the working tree in alternating benchmark runs.
 
     python3 tools/bench_pairs.py --parent HEAD --workload obd-bench --pairs 10
+    python3 tools/bench_pairs.py --parent HEAD --workload obd-bench --pairs 5 --seed 101
 
 The parent is a ``git archive`` of ``--parent`` unpacked in a temporary
 directory; the change is this checkout's working tree, uncommitted edits
@@ -8,13 +9,14 @@ included. Each side keeps its bytecode in its own fresh cache in that
 directory (``PYTHONPYCACHEPREFIX``), so neither reads a stale
 ``__pycache__`` left in its tree; one untimed warm-up run of the workload
 per side fills that cache before pair 1, so no timed run compiles. Each
-pair runs ``perfbench/run.py --seed 7 --trace 0`` once on each side, for
+pair runs ``perfbench/run.py --seed N --trace 0`` once on each side, for
 the ``run_seconds`` of this checkout's ``BENCHMARK.json``, in fresh
-processes one after the other; the parent goes first in the even pairs and
-the change in the odd ones. For every end-to-end metric it prints each
-side's median and quartiles and the pairs the change won, ties counting for
-neither, and whether the medians differ by more than the distance between
-the parent's quartiles. The exit status is 1 when any run failed a check or
+processes one after the other; ``--seed`` is 7 unless given, so a claim
+can be checked again on a seed of its own. The parent goes first in the
+even pairs and the change in the odd ones. For every end-to-end metric it
+prints each side's median and quartiles and the pairs the change won, ties
+counting for neither, and whether the medians differ by more than the
+distance between the parent's quartiles. The exit status is 1 when any run failed a check or
 an operation.
 """
 
@@ -74,6 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True, help="the git revision to compare against")
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in declared["workloads"]])
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs of runs (default: 10)")
+    parser.add_argument("--seed", type=int, default=SEED, help=f"the workload seed of every run (default: {SEED})")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -85,16 +88,16 @@ def main(argv: list[str] | None = None) -> int:
         trees["parent"].mkdir()
         unpack(args.parent, trees["parent"])
         for side, tree in trees.items():
-            run_once(tree, args.workload, WARM_UP_SECONDS, False, Path(tmp, f"pycache-{side}"))
+            run_once(tree, args.workload, WARM_UP_SECONDS, False, Path(tmp, f"pycache-{side}"), args.seed)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = run_once(trees[side], args.workload, seconds, False, Path(tmp, f"pycache-{side}"))
+                run = run_once(trees[side], args.workload, seconds, False, Path(tmp, f"pycache-{side}"), args.seed)
                 runs[side].append(run)
                 figures = {n: round(v, 4) for n, (v, _) in run["metrics"].items()}
                 print(f"pair {pair + 1} {side}: {figures}", file=sys.stderr)
 
-    print(f"{args.workload}: {args.pairs} alternating pairs, seed {SEED}, {seconds} s per run, parent {args.parent}")
+    print(f"{args.workload}: {args.pairs} alternating pairs, seed {args.seed}, {seconds} s per run, parent {args.parent}")
     print("\n".join(report(declared["end_to_end"], runs)))
     outcomes = [r["outcome"] for side in runs.values() for r in side]
     bad = [o for o in outcomes if not o["correct"] or o["failed"]]

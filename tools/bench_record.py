@@ -4,15 +4,17 @@
     python3 tools/bench_record.py --checkout ../fogtrace-parent --out BENCH_0.json
 
 For each workload in the checkout's ``BENCHMARK.json`` it runs
-``perfbench/run.py --seed 7 --trace 0`` three times for the declared
-``run_seconds``, then once with ``--trace 1``, each in a fresh process and
-one after the other. The file holds the checkout's commit, the git tree ids
-of its ``src`` and ``perfbench`` as measured (uncommitted changes included,
-so a file recorded before its commit is matched to it by
-``git rev-parse <commit>:src``), the seeds, the median and quartiles of
-every end-to-end metric and detail line, and the per-layer metrics of the
-traced run. The exit status is 1 when any run failed a check or an
-operation.
+``perfbench/run.py --seed 7`` three times with ``--trace 0`` and three
+times with ``--trace 1``, alternately and each for the declared
+``run_seconds``, in fresh processes one after the other, so a drift in the
+CPU's speed reaches both kinds of run alike. The file holds the checkout's
+commit, the git tree ids of its ``src`` and ``perfbench`` as measured
+(uncommitted changes included, so a file recorded before its commit is
+matched to it by ``git rev-parse <commit>:src``), the seeds, the outcome of
+every run, the median and quartiles of every end-to-end metric and detail
+line over the untraced runs, and each per-layer metric as its median over
+the traced runs, with the three values. The exit status is 1 when any run
+failed a check or an operation.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 # A plain-text metric or detail line of run.py: two spaces, name, value, unit.
 _LINE = re.compile(r"^  (\S+)\s+(-?\d+(?:\.\d+)?) (\S+)$")
 SEED = 7
-REPEAT = 3  # untraced runs per workload: the fewest that have quartiles
+REPEAT = 3  # untraced runs per workload, and as many traced: the fewest that have quartiles
 
 
 def _git(checkout: Path, *args: str) -> str:
@@ -44,14 +46,16 @@ def measured_trees(checkout: Path) -> dict:
     return {path: _git(checkout, "rev-parse", f"{snapshot}:{path}") for path in ("src", "perfbench")}
 
 
-def run_once(checkout: Path, workload: str, seconds: float, trace: bool, pycache: Path | None = None) -> dict:
+def run_once(
+    checkout: Path, workload: str, seconds: float, trace: bool, pycache: Path | None = None, seed: int = SEED
+) -> dict:
     """One ``run.py`` process: its outcome, metrics and detail lines, each figure a ``(value, unit)``.
 
     With ``pycache``, the process reads and writes all its bytecode, the
     standard library's included, there rather than in any ``__pycache__``;
     only the first run with a fresh ``pycache`` compiles.
     """
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED)]
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", str(int(trace))]
     # run.py imports the checkout's own src; an inherited path must not win over it.
     env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX")}
@@ -83,23 +87,27 @@ def summary(values: list[float], unit: str) -> dict:
 
 
 def record_workload(checkout: Path, workload: str, seconds: float) -> dict:
-    runs = []
+    runs, traced = [], []
     for _ in range(REPEAT):
-        runs.append(run_once(checkout, workload, seconds, False))
-        print(f"{workload}: {runs[-1]['metrics']}", file=sys.stderr)
-    traced = run_once(checkout, workload, seconds, True)
+        for trace, into in ((False, runs), (True, traced)):
+            into.append(run_once(checkout, workload, seconds, trace))
+            print(f"{workload} trace {int(trace)}: {into[-1]['metrics']}", file=sys.stderr)
 
     def summarise(field: str) -> dict:
         return {n: summary([r[field][n][0] for r in runs], unit) for n, (_, unit) in runs[0][field].items()}
 
+    def layer(name: str, unit: str) -> dict:
+        values = [r["metrics"][name][0] for r in traced]
+        return {"value": statistics.median(values), "unit": unit, "values": values}
+
     return {
         "seeds": [SEED] * REPEAT,
-        "runs": [r["outcome"] for r in runs + [traced]],
+        "runs": [r["outcome"] for pair in zip(runs, traced) for r in pair],
         "end_to_end": summarise("metrics"),
         "detail": summarise("detail"),
         "layers": {
             "seed": SEED,
-            "metrics": {n: {"value": v, "unit": u} for n, (v, u) in traced["metrics"].items()},
+            "metrics": {n: layer(n, u) for n, (_, u) in traced[0]["metrics"].items()},
         },
     }
 
