@@ -95,11 +95,6 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[int(idx)]
 
 
-def analytic_plateau(mean_cycle_ms: float, window_ms: float = DEFAULT_WINDOW_MS) -> float:
-    """Expected steady-state window count for a given mean request cycle."""
-    return window_ms / mean_cycle_ms
-
-
 def run_obd_bench(
     link,
     clock,

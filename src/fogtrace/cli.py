@@ -36,6 +36,7 @@ from pathlib import Path
 from .clock import SimulatedClock, SystemClock
 from .cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
 from .config import Config
+from .files import write_atomic
 
 DEFAULT_CLIENT_ID = "gateway"
 DEFAULT_CLIENT_SECRET = "local-dev-secret"
@@ -333,7 +334,7 @@ def cmd_run(args) -> int:
                 # Written before the session: its envelope, uploaded or left in
                 # the outbox, opens only with this key.
                 out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "key.hex").write_text(key.hex() + "\n")
+                write_atomic(out_dir / "key.hex", f"{key.hex()}\n".encode(), out_dir / "key.hex.tmp")
 
         if cloud is not None:
             # Anything stranded by an earlier run goes out first.

@@ -22,7 +22,6 @@ import errno
 import hashlib
 import hmac
 import json
-import os
 import secrets
 import sqlite3
 import threading
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..clock import SystemClock
+from ..files import write_atomic
 
 SCOPE_UPLOAD = "upload"
 SCOPE_READ = "read"
@@ -296,17 +296,12 @@ class CloudStoreService:
 
     def _write_atomic(self, path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / "tmp" / f"{uuid.uuid4().hex}.part"
         try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
+            write_atomic(path, blob, self.root / "tmp" / f"{uuid.uuid4().hex}.part")
         except OSError as exc:
             if exc.errno == errno.ENOSPC:
                 raise StorageFullError("object store out of space") from exc
             raise
-        finally:
-            if tmp.exists():
-                tmp.unlink()
 
     def get_trace(self, token_str: str | None, trace_ref: str) -> tuple[bytes, TraceMetadata]:
         self.authenticate(token_str, SCOPE_READ)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..external import ExternalError, TrafficClient, WeatherClient
+from ..files import write_atomic
 from ..wearables import MiBand, PhysioModel, WearableDevice
 from .alerts import AlertEvent
 from .obd_poller import ObdPoller, PollStats
@@ -121,7 +122,7 @@ class SessionRunner:
             return None
         self.gateway.trace_dir.mkdir(parents=True, exist_ok=True)
         path = self.gateway.trace_dir / f"{manifest.session_id}.csv"
-        path.write_bytes(csv_bytes)
+        write_atomic(path, csv_bytes, path.with_name(f"{path.name}.tmp"))
         return path
 
     def upload(self, csv_bytes: bytes, manifest: SessionManifest, trace_path: Path | None = None) -> UploadReceipt:
@@ -135,8 +136,8 @@ class SessionRunner:
             self.clock,
         )
         retain = self.gateway.config.get_bool("gateway.retain_plaintext", True)
-        if not retain and trace_path is not None and trace_path.exists():
-            trace_path.unlink()
+        if not retain and trace_path is not None:
+            trace_path.unlink(missing_ok=True)
         return receipt
 
 

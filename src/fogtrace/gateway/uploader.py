@@ -2,9 +2,10 @@
 
 The envelope is written to the outbox before the first upload attempt, so
 a crash or an unreachable store never loses a trace: the next run (or an
-explicit flush) retries whatever is pending. Uploads are verified against
-the receipt (the store's reference must equal the envelope's sha256 and its
-size the envelope's length) and only then removed from the outbox.
+explicit flush) retries whatever is pending. A session's upload and a flush
+send through the same ``_send``: upload, check that the receipt names the
+envelope's sha256 and length, and only then remove the entry from the
+outbox. They differ only in how often an unreachable store is retried.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cloudstore.client import CloudClient, CloudUnreachableError
+from ..files import write_atomic
 from .envelope import seal
 from .records import SessionManifest, sha256_hex
 
@@ -69,8 +71,8 @@ class Outbox:
 
     def put(self, envelope: bytes, manifest_json: bytes) -> str:
         ref = sha256_hex(envelope)
-        _write_atomic(self.directory / f"{ref}.manifest.json", manifest_json)
-        _write_atomic(self.directory / f"{ref}.env", envelope)
+        for name, data in ((f"{ref}.manifest.json", manifest_json), (f"{ref}.env", envelope)):
+            write_atomic(self.directory / name, data, self.directory / f"{name}.tmp")
         return ref
 
     def pending(self) -> list[str]:
@@ -83,15 +85,7 @@ class Outbox:
 
     def remove(self, ref: str) -> None:
         for name in (f"{ref}.env", f"{ref}.manifest.json"):
-            path = self.directory / name
-            if path.exists():
-                path.unlink()
-
-
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
+            (self.directory / name).unlink(missing_ok=True)
 
 
 def finalize_and_upload(
@@ -112,10 +106,7 @@ def finalize_and_upload(
     manifest_json = manifest.to_json()
     envelope = seal(csv_bytes, manifest_json, key)
     ref = outbox.put(envelope, manifest_json)
-    receipt = _upload_once(client, envelope, manifest_json, clock, SESSION_RETRIES)
-    _check_receipt(receipt, ref, envelope)
-    outbox.remove(ref)
-    return receipt
+    return _send(outbox, ref, envelope, manifest_json, client, clock, SESSION_RETRIES)
 
 
 def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[UploadReceipt], list[str]]:
@@ -135,33 +126,31 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
             remaining.append(ref)
             continue
         try:
-            receipt = _upload_once(client, envelope, manifest_json, clock, FLUSH_RETRIES)
-            _check_receipt(receipt, ref, envelope)
+            receipts.append(_send(outbox, ref, envelope, manifest_json, client, clock, FLUSH_RETRIES))
         except (CloudUnreachableError, UploadRejectedError) as exc:
             log.warning("outbox flush: %s still pending (%s)", ref[:12], exc)
             remaining.append(ref)
-            continue
-        outbox.remove(ref)
-        receipts.append(receipt)
     return receipts, remaining
 
 
-def _check_receipt(receipt: UploadReceipt, ref: str, envelope: bytes) -> None:
-    """Raise unless the store reports exactly the bytes that were sent."""
+def _send(outbox, ref, envelope, manifest_json, client, clock, retries: int) -> UploadReceipt:
+    """Upload outbox entry ``ref``, check its receipt, then remove the entry.
+
+    Only an unreachable store is retried. A receipt that does not name
+    exactly ``ref`` and ``len(envelope)`` raises :class:`UploadRejectedError`.
+    """
+    for attempt in range(retries + 1):
+        try:
+            receipt = UploadReceipt.from_dict(client.upload_trace(manifest_json, envelope))
+            break
+        except CloudUnreachableError:
+            if attempt == retries:
+                raise
+            clock.sleep_ms(BACKOFF_MS * (2**attempt))
     if receipt.trace_ref != ref or receipt.size_bytes != len(envelope):
         raise UploadRejectedError(
             f"receipt mismatch: stored {receipt.trace_ref} ({receipt.size_bytes} B), "
             f"sent {ref} ({len(envelope)} B)"
         )
-
-
-def _upload_once(client, envelope, manifest_json, clock, retries: int) -> UploadReceipt:
-    attempt = 0
-    while True:
-        try:
-            return UploadReceipt.from_dict(client.upload_trace(manifest_json, envelope))
-        except CloudUnreachableError:
-            if attempt >= retries:
-                raise
-            clock.sleep_ms(BACKOFF_MS * (2**attempt))
-            attempt += 1
+    outbox.remove(ref)
+    return receipt

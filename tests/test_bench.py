@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fogtrace.bench import analytic_plateau, percentile, run_obd_bench
+from fogtrace.bench import DEFAULT_WINDOW_MS, percentile, run_obd_bench
 from fogtrace.clock import SimulatedClock
 from fogtrace.vehicle import InProcessObdLink, LatencyModel, VehicleSimulator
 
@@ -32,7 +32,7 @@ class TestTriangularModel:
     def test_ramp_and_plateau(self):
         link, clock = make_link(LatencyModel(seed=9))
         report = run_obd_bench(link, clock, 300_000.0)
-        expected = analytic_plateau(link.latency.mean_ms)
+        expected = DEFAULT_WINDOW_MS / link.latency.mean_ms
         assert report.plateau == pytest.approx(expected, rel=0.05)
         assert report.ramp_updates is not None
         assert 400 <= report.ramp_updates <= 650
@@ -72,7 +72,7 @@ class TestAnalyticCrossCheck:
     def test_plateau_matches_mean_cycle(self, model):
         link, clock = make_link(model)
         report = run_obd_bench(link, clock, 240_000.0)
-        assert report.plateau == pytest.approx(analytic_plateau(model.mean_ms), rel=0.05)
+        assert report.plateau == pytest.approx(DEFAULT_WINDOW_MS / model.mean_ms, rel=0.05)
 
 
 class TestReportOutputs:

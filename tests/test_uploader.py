@@ -137,20 +137,24 @@ class _RecordingClient:
 
 
 def _crash_at(monkeypatch, crash_index: int) -> None:
-    """Make the ``crash_index``-th pathlib write or rename from now on raise."""
+    """Make the ``crash_index``-th pathlib write, rename or unlink, and every one after it, raise.
+
+    A crashed process makes no further file operation, so no clean-up after
+    the crash point takes effect either.
+    """
     done = [0]
 
     def crashing(real):
         def op(path, *args, **kwargs):
             done[0] += 1
-            if done[0] - 1 == crash_index:
+            if done[0] - 1 >= crash_index:
                 raise _Crash(f"crash at file operation {crash_index} ({real.__name__} {path.name})")
             return real(path, *args, **kwargs)
 
         return op
 
-    monkeypatch.setattr(Path, "write_bytes", crashing(Path.write_bytes))
-    monkeypatch.setattr(Path, "replace", crashing(Path.replace))
+    for name in ("write_bytes", "replace", "unlink"):
+        monkeypatch.setattr(Path, name, crashing(getattr(Path, name)))
 
 
 class TestOutboxCrashPoints:
@@ -183,6 +187,39 @@ class TestOutboxCrashPoints:
         # Two files, each written to a temporary name and renamed.
         assert crash_index == 4
         assert outbox.pending() == [hashlib.sha256(envelope).hexdigest()]
+
+    def test_crash_at_every_file_operation_of_the_send(self, monkeypatch, tmp_path, sim_clock, key):
+        manifest = make_manifest()
+        crash_index = 0
+        while True:
+            outbox = Outbox(tmp_path / f"outbox-{crash_index}")
+            client = _RecordingClient()
+            with monkeypatch.context() as patched:
+                _crash_at(patched, crash_index)
+                try:
+                    finalize_and_upload(CSV, manifest, key, client, outbox, sim_clock)
+                except _Crash:
+                    crashed = True
+                else:
+                    crashed = False
+            if not crashed:
+                break
+            receipts, remaining = flush_outbox(outbox, client, sim_clock)
+            # Nothing unsendable is listed: whatever was pending has gone out.
+            assert remaining == [] and outbox.pending() == []
+            stored = {hashlib.sha256(blob).hexdigest(): blob for blob in client.uploads}
+            if crash_index < 4:
+                # Before the envelope's rename, the commit mark, nothing was
+                # queued or sent, and finalize_and_upload raised to its caller.
+                assert stored == {} and receipts == []
+            else:
+                [(ref, envelope)] = stored.items()
+                assert open_envelope(envelope, manifest.to_json(), key) == CSV
+                assert [r.trace_ref for r in receipts] in ([], [ref])
+            crash_index += 1
+        # Two writes and two renames in put, then two unlinks in remove.
+        assert crash_index == 6
+        assert outbox.pending() == [] and len(client.uploads) == 1
 
     def test_flush_skips_an_envelope_without_manifest(self, tmp_path, sim_clock, key):
         outbox = Outbox(tmp_path / "outbox")

@@ -15,9 +15,12 @@ processes one after the other; ``--seed`` is 7 unless given, so a claim
 can be checked again on a seed of its own. The parent goes first in the
 even pairs and the change in the odd ones. For every end-to-end metric it
 prints each side's median and quartiles and the pairs the change won, ties
-counting for neither, and whether the medians differ by more than the
-distance between the parent's quartiles. The exit status is 1 when any run failed a check or
-an operation.
+counting for neither, whether the medians differ by more than the
+distance between the parent's quartiles, and ``ok`` or ``WORSE``: WORSE
+when the change's median is worse than the parent's, in the metric's
+``better`` direction, by more than the metric's ``bound`` in
+``BENCHMARK.json``, as a fraction of the parent's median. The exit status
+is 1 when any run failed a check or an operation.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ def figure(value: float) -> str:
 
 
 def report(declared: list[dict], runs: dict[str, list[dict]]) -> list[str]:
-    """One line per end-to-end metric: both sides' median and quartiles, and pairs won."""
+    """One line per end-to-end metric: both sides' median and quartiles, pairs won, and the bound."""
     header = f"{'metric':<18}{'parent median [q1, q3]':>32}{'change median [q1, q3]':>32}{'change/parent':>15}"
-    lines = [header + "  won  beyond parent IQR"]
+    lines = [header + "  won  beyond parent IQR  bound"]
     for metric in declared:
         name, lower = metric["name"], metric["better"] == "lower"
         parent = [r["metrics"][name][0] for r in runs["parent"]]
@@ -66,7 +69,11 @@ def report(declared: list[dict], runs: dict[str, list[dict]]) -> list[str]:
         (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
         sides = [f"{figure(m)} [{figure(q1)}, {figure(q3)}]" for q1, m, q3 in ((pq1, pm, pq3), (cq1, cm, cq3))]
         beyond = "yes" if abs(cm - pm) > pq3 - pq1 else "no"
-        lines.append(f"{name:<18}{sides[0]:>32}{sides[1]:>32}{cm / pm:>15.3f}  {won}/{len(parent)}  {beyond}")
+        worse = cm > pm * (1 + metric["bound"]) if lower else cm < pm * (1 - metric["bound"])
+        lines.append(
+            f"{name:<18}{sides[0]:>32}{sides[1]:>32}{cm / pm:>15.3f}  {won}/{len(parent)}"
+            f"  {beyond:<17} {'WORSE' if worse else 'ok'}"
+        )
     return lines
 
 
