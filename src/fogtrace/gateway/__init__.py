@@ -54,50 +54,7 @@ _EXPORTS = {
     for name in names
 }
 
-__all__ = [
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "AuthenticationError",
-    "CHANNELS",
-    "CSV_HEADER",
-    "EnvelopeError",
-    "Gateway",
-    "GatewayError",
-    "GpsFix",
-    "KeyMissingError",
-    "LocalSource",
-    "NoActiveSessionError",
-    "NoDevicesError",
-    "NUMERIC_CHANNELS",
-    "ObdPoller",
-    "Outbox",
-    "Pairing",
-    "PollStats",
-    "RunResult",
-    "Session",
-    "SessionActiveError",
-    "SessionAlreadyActiveError",
-    "SessionManifest",
-    "SessionRunner",
-    "TraceRow",
-    "UnknownSourceError",
-    "UploadError",
-    "UploadReceipt",
-    "UploadRejectedError",
-    "csv_to_rows",
-    "default_rules",
-    "fill_gaps",
-    "fill_session_gaps",
-    "finalize_and_upload",
-    "flush_outbox",
-    "open_envelope",
-    "rows_to_csv",
-    "seal",
-    "sha256_hex",
-    "sort_rows",
-    "validate_rows",
-]
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -51,17 +51,18 @@ class _EpisodeState:
 
 class AlertEngine:
     def __init__(self, rules: list[AlertRule]):
-        self.rules = list(rules)
-        self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in self.rules}
-        self._watched = frozenset(r.channel for r in self.rules)
+        self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in rules}
+        # The rules of each watched channel, in the order given.
+        self._rules_of: dict[str, list[AlertRule]] = {}
+        for rule in rules:
+            self._rules_of.setdefault(rule.channel, []).append(rule)
 
     def observe(self, row: TraceRow) -> list[AlertEvent]:
         events = []
-        if row.channel not in self._watched or row.interpolated:
+        rules = self._rules_of.get(row.channel)
+        if rules is None or row.interpolated:
             return events
-        for rule in self.rules:
-            if rule.channel != row.channel:
-                continue
+        for rule in rules:
             value: object
             if rule.numeric:
                 value = scalar_of(row.value)

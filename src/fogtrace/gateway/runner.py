@@ -194,8 +194,7 @@ class _ProducerState:
                 self.miband_due[device.device_id] += MIBAND_POLL_MS
         if self.gps_active:
             while self.gps_due <= now:
-                state = sim.snapshot()
-                self.session.ingest(GpsFix(state.lat, state.lon, now), source=self.gps_source)
+                self.session.ingest(GpsFix(*sim.position(), now), source=self.gps_source)
                 self.gps_due += self.runner.gateway.gps_period_ms
         if self.context_active and now >= self.context_due:
             self._poll_context(now)
@@ -223,11 +222,8 @@ class _ProducerState:
 
     def _poll_context(self, now: float) -> None:
         self.context_rounds += 1
-        if self.runner.simulator is not None:
-            state = self.runner.simulator.snapshot()
-            lat, lon = state.lat, state.lon
-        else:
-            lat, lon = 0.0, 0.0
+        sim = self.runner.simulator
+        lat, lon = sim.position() if sim is not None else (0.0, 0.0)
         for client, fetch in (
             (self.runner.traffic, "get_flow_segment"),
             (self.runner.weather, "get_current_weather"),

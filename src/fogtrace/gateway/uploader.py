@@ -62,7 +62,8 @@ class Outbox:
     first and the envelope last, each through a temporary file and a
     rename, and ``remove`` deletes the envelope first. A crash at any
     point therefore leaves either a complete entry or one that
-    ``pending`` does not list.
+    ``pending`` does not list, whose files the next flush deletes. One
+    gateway process uses an outbox at a time.
     """
 
     def __init__(self, directory: str | Path):
@@ -86,6 +87,14 @@ class Outbox:
     def remove(self, ref: str) -> None:
         for name in (f"{ref}.env", f"{ref}.manifest.json"):
             (self.directory / name).unlink(missing_ok=True)
+
+    def discard_leftovers(self) -> None:
+        """Delete what a crash in ``put`` or ``remove`` left: ``.tmp`` files and manifests without their envelope."""
+        for path in self.directory.glob("*.tmp"):
+            path.unlink(missing_ok=True)
+        for path in self.directory.glob("*.manifest.json"):
+            if not path.with_name(path.name.replace(".manifest.json", ".env")).exists():
+                path.unlink(missing_ok=True)
 
 
 def finalize_and_upload(
@@ -112,10 +121,12 @@ def finalize_and_upload(
 def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[UploadReceipt], list[str]]:
     """Upload everything pending; returns (receipts, refs still pending).
 
-    An entry whose files cannot be read (an envelope without its manifest,
-    as a crash inside an older ``put`` left behind) is logged, left in
-    place and reported among the refs still pending.
+    Leftovers of a crashed ``put`` or ``remove`` are deleted first. An entry
+    whose files cannot be read (an envelope without its manifest, as a
+    crash inside an older ``put`` left behind) is logged, left in place and
+    reported among the refs still pending.
     """
+    outbox.discard_leftovers()
     receipts = []
     remaining = []
     for ref in outbox.pending():

@@ -1,18 +1,22 @@
 """Simulated ECU: a scripted drive answering OBD queries with delayed replies.
 
 The simulator evolves a kinematic state (speed, rpm, throttle, gear,
-odometer, position along a route polyline) in fixed ticks while a drive
-profile supplies the speed targets. OBD replies are delayed by a sample
-from a triangular latency distribution, default ``(50, 80, 200)`` ms whose
-mean is 110 ms; the reply always reflects the state at the moment of reply
-emission, and replies on one connection are strictly FIFO.
+odometer) in fixed ticks while a drive profile supplies the speed targets.
+Position is derived, not stepped: ``VehicleSimulator.position`` reads the
+point at the current odometer off the one route, ``ROUTE``, when a GPS fix
+or a context poll asks for it.
+
+OBD replies are delayed by a sample from a triangular latency
+distribution, default ``(50, 80, 200)`` ms whose mean is 110 ms; the reply
+always reflects the state at the moment of reply emission, and replies on
+one connection are strictly FIFO.
 
 The kinematic rules are documented constants, not physics:
 
 * speed moves toward the segment target, bounded by the profile's
   acceleration limit
-* throttle = clamp(k_accel * accel + k_drag * speed, 0, 100), with
-  ``THROTTLE``'s 25 %/(m/s^2) and 0.5 %/(km/h)
+* throttle = clamp(K_ACCEL * accel + K_DRAG * speed, 0, 100), with
+  ``K_ACCEL`` 25 %/(m/s^2) and ``K_DRAG`` 0.5 %/(km/h)
 * gear comes from a fixed shift table (upshifts at 20/40/60/90 km/h)
 * rpm = 800 + speed * 120 / gear, clamped to [800, 6500]
 """
@@ -56,6 +60,8 @@ IDLE_RPM = 800.0
 MAX_RPM = 6500.0
 GEAR_SHIFT_KMH = (20.0, 40.0, 60.0, 90.0)  # upshift thresholds for gears 2..5
 DEFAULT_TICK_MS = 100.0
+K_ACCEL = 25.0  # throttle % per m/s^2
+K_DRAG = 0.5  # throttle % per km/h
 
 # Small closed loop used as the default route polyline.
 DEFAULT_ROUTE = (
@@ -75,8 +81,6 @@ class VehicleState(NamedTuple):
     throttle_pct: float = 0.0
     gear: int = 1
     odometer_m: float = 0.0
-    lat: float = DEFAULT_ROUTE[0][0]
-    lon: float = DEFAULT_ROUTE[0][1]
     sim_time_ms: float = 0.0
     elapsed_ms: float = 0.0  # time since trip start, drives the profile
 
@@ -118,6 +122,10 @@ class Route:
         return (lat1 + (lat2 - lat1) * frac, lon1 + (lon2 - lon1) * frac)
 
 
+# The route every drive follows.
+ROUTE = Route(DEFAULT_ROUTE)
+
+
 @dataclass(frozen=True)
 class DriveProfile:
     """Scripted targets: ``segments`` is a sequence of (duration s, target km/h)."""
@@ -125,7 +133,6 @@ class DriveProfile:
     name: str
     segments: tuple[tuple[float, float], ...]
     accel_limit_mps2: float
-    route: tuple[tuple[float, float], ...] = DEFAULT_ROUTE
 
     def __post_init__(self):
         for duration, target in self.segments:
@@ -134,15 +141,13 @@ class DriveProfile:
             if not 0 <= target <= 255:
                 raise ValueError(f"target speeds must be in [0, 255] km/h, got {target}")
         # Derived once (the dataclass is frozen, hence object.__setattr__): the
-        # end of each segment in script time, the script's length, the targets
-        # (the last one twice, for a time that rounds up to the very end) and
-        # the distance lookup along the route.
+        # end of each segment in script time, the script's length and the
+        # targets (the last one twice, for a time that rounds up to the very end).
         ends = tuple(accumulate(duration for duration, _ in self.segments))
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_total_s", ends[-1] if ends else 0)
         targets = tuple(target for _, target in self.segments)
         object.__setattr__(self, "_targets", targets + targets[-1:])
-        object.__setattr__(self, "_route", Route(self.route))
 
     def target_speed_at(self, elapsed_s: float) -> float:
         """Target for the given trip time; the script repeats when exhausted."""
@@ -162,16 +167,6 @@ AGGRESSIVE_PROFILE = DriveProfile(
 )
 
 PROFILES = {p.name: p for p in (CALM_PROFILE, AGGRESSIVE_PROFILE)}
-
-
-@dataclass(frozen=True)
-class ThrottleParams:
-    k_accel: float = 25.0  # % per m/s^2
-    k_drag: float = 0.5  # % per km/h
-
-
-# The one set every simulator ticks with, shared so that no tick allocates one.
-THROTTLE = ThrottleParams()
 
 
 @dataclass
@@ -210,12 +205,7 @@ class LatencyModel:
             return self._rng.triangular(self.min_ms, self.max_ms, self.mode_ms)
 
 
-def step(
-    state: VehicleState,
-    profile: DriveProfile,
-    dt_ms: float,
-    params: ThrottleParams = THROTTLE,
-) -> VehicleState:
+def step(state: VehicleState, profile: DriveProfile, dt_ms: float) -> VehicleState:
     """Advance the kinematic state by one tick. Inputs are clamped, never rejected."""
     if dt_ms <= 0:
         raise ValueError("dt must be positive")
@@ -234,7 +224,7 @@ def step(
     speed = speed if speed > 0.0 else 0.0
 
     accel_mps2 = (speed - previous) / 3.6 / dt_s
-    throttle = params.k_accel * accel_mps2 + params.k_drag * speed
+    throttle = K_ACCEL * accel_mps2 + K_DRAG * speed
     throttle = 0.0 if 0.0 > throttle else throttle
     throttle = 100.0 if 100.0 < throttle else throttle
     gear = 1 + bisect_right(GEAR_SHIFT_KMH, speed)
@@ -243,8 +233,7 @@ def step(
     rpm = MAX_RPM if MAX_RPM < rpm else rpm
 
     odometer = state.odometer_m + (previous + speed) / 2.0 / 3.6 * dt_s
-    lat, lon = profile._route.point_at(odometer)
-    return VehicleState(speed, rpm, throttle, gear, odometer, lat, lon, state.sim_time_ms + dt_ms, elapsed + dt_ms)
+    return VehicleState(speed, rpm, throttle, gear, odometer, state.sim_time_ms + dt_ms, elapsed + dt_ms)
 
 
 # The state field each core PID reports.
@@ -270,8 +259,7 @@ class VehicleSimulator:
         self.profile = profile
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.tick_ms = float(tick_ms)
-        lat, lon = profile._route.point_at(0.0)
-        self._state = VehicleState(lat=lat, lon=lon, sim_time_ms=float(start_ms))
+        self._state = VehicleState(sim_time_ms=float(start_ms))
         self._lock = threading.Lock()
 
     @classmethod
@@ -296,6 +284,10 @@ class VehicleSimulator:
     def snapshot(self) -> VehicleState:
         with self._lock:
             return self._state
+
+    def position(self) -> tuple[float, float]:
+        """(lat, lon) of the current state: the route point at its odometer."""
+        return ROUTE.point_at(self.snapshot().odometer_m)
 
     def advance_to(self, t_ms: float) -> VehicleState:
         # No tick due, as for a second call at the same time: the state is

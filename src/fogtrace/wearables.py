@@ -13,7 +13,9 @@ Three device models with distinct interaction styles:
 All devices draw their values from a shared ``PhysioModel`` whose stress
 level is an exponential moving average (30 s time constant) of normalized
 vehicle acceleration, so driving events show up in the physiology with a
-realistic lag. Every generator is seeded and deterministic.
+realistic lag. The model's parameters (baselines, gains, time constant,
+saturation and noise) are module constants. Every generator is seeded and
+deterministic.
 """
 
 from __future__ import annotations
@@ -76,16 +78,14 @@ def respiration_state(breaths_per_min: float) -> str:
     return RESP_NEUTRAL
 
 
-@dataclass
-class PhysioProfile:
-    baseline_bpm: float = 70.0
-    bpm_gain: float = 25.0
-    baseline_breaths: float = 14.0
-    breaths_gain: float = 10.0
-    tau_s: float = 30.0
-    accel_ref_mps2: float = 3.0  # |accel| at which stress input saturates
-    bpm_noise: float = 2.0
-    breaths_noise: float = 1.0
+BASELINE_BPM = 70.0
+BPM_GAIN = 25.0
+BASELINE_BREATHS = 14.0
+BREATHS_GAIN = 10.0
+STRESS_TAU_S = 30.0
+ACCEL_REF_MPS2 = 3.0  # |accel| at which stress input saturates
+BPM_NOISE = 2.0
+BREATHS_NOISE = 1.0
 
 
 class PhysioModel:
@@ -96,26 +96,25 @@ class PhysioModel:
     likewise, plus seeded Gaussian noise applied per device.
     """
 
-    def __init__(self, profile: PhysioProfile | None = None):
-        self.profile = profile or PhysioProfile()
+    def __init__(self):
         self.stress = 0.0
 
     def update(self, accel_mps2: float, dt_ms: float) -> float:
         if dt_ms <= 0:
             return self.stress
-        x = min(abs(accel_mps2) / self.profile.accel_ref_mps2, 1.0)
-        alpha = 1.0 - math.exp(-(dt_ms / 1000.0) / self.profile.tau_s)
+        x = min(abs(accel_mps2) / ACCEL_REF_MPS2, 1.0)
+        alpha = 1.0 - math.exp(-(dt_ms / 1000.0) / STRESS_TAU_S)
         self.stress += alpha * (x - self.stress)
         return self.stress
 
     def bpm(self, rng: random.Random) -> float:
-        raw = self.profile.baseline_bpm + self.profile.bpm_gain * self.stress
-        raw += rng.gauss(0.0, self.profile.bpm_noise)
+        raw = BASELINE_BPM + BPM_GAIN * self.stress
+        raw += rng.gauss(0.0, BPM_NOISE)
         return min(max(raw, 30.0), 220.0)
 
     def breaths_per_min(self, rng: random.Random) -> float:
-        raw = self.profile.baseline_breaths + self.profile.breaths_gain * self.stress
-        raw += rng.gauss(0.0, self.profile.breaths_noise)
+        raw = BASELINE_BREATHS + BREATHS_GAIN * self.stress
+        raw += rng.gauss(0.0, BREATHS_NOISE)
         return min(max(raw, 4.0), 40.0)
 
 

@@ -91,6 +91,19 @@ class TestEngineBehaviour:
         events = engine.observe(TraceRow(5, "weather", "weather_temp_c", "-3.5", "C"))
         assert [e.rule for e in events] == ["cold"]
 
+    def test_rules_on_one_channel_fire_in_rule_order(self):
+        rules = [
+            AlertRule("fast", "speed_kmh", lambda v: v > 100.0, 0.0),
+            AlertRule("hr", "bpm", lambda v: v > 0.0, 0.0),
+            AlertRule("moving", "speed_kmh", lambda v: v > 0.0, 0.0),
+        ]
+        engine = AlertEngine(rules)
+        assert [e.rule for e in engine.observe(speed_row(0, 130))] == ["fast", "moving"]
+        assert [e.rule for e in engine.observe(speed_row(500, 50))] == []
+        assert [e.rule for e in engine.observe(speed_row(1000, 150))] == ["fast"]
+        reversed_engine = AlertEngine(rules[::-1])
+        assert [e.rule for e in reversed_engine.observe(speed_row(0, 130))] == ["moving", "fast"]
+
 
 class TestOracleComparison:
     @settings(max_examples=200, deadline=None)

@@ -205,8 +205,10 @@ class TestOutboxCrashPoints:
             if not crashed:
                 break
             receipts, remaining = flush_outbox(outbox, client, sim_clock)
-            # Nothing unsendable is listed: whatever was pending has gone out.
+            # Nothing unsendable is listed: whatever was pending has gone out,
+            # and the flush deleted what the crash left half-written.
             assert remaining == [] and outbox.pending() == []
+            assert sorted(p.name for p in outbox.directory.iterdir()) == [], crash_index
             stored = {hashlib.sha256(blob).hexdigest(): blob for blob in client.uploads}
             if crash_index < 4:
                 # Before the envelope's rename, the commit mark, nothing was

@@ -16,10 +16,12 @@ from fogtrace.vehicle import (
     IDLE_RPM,
     MAX_RPM,
     DriveProfile,
+    K_ACCEL,
+    K_DRAG,
+    ROUTE,
     InProcessObdLink,
     LatencyModel,
     Route,
-    ThrottleParams,
     VehicleSimulator,
     VehicleState,
     step,
@@ -84,13 +86,12 @@ class TestStep:
         assert state.rpm == 800.0
 
     def test_position_consistent_with_odometer(self):
-        profile = CALM_PROFILE
-        state = VehicleState()
-        route = Route(profile.route)
-        for _ in range(3000):
-            state = step(state, profile, 100.0)
-        lat, lon = route.point_at(state.odometer_m)
-        assert (state.lat, state.lon) == pytest.approx((lat, lon))
+        sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
+        assert sim.position() == ROUTE.point_at(0.0) == ROUTE.points[0]
+        for t_ms in range(0, 300_000, 7_300):
+            odometer = sim.advance_to(float(t_ms)).odometer_m
+            assert sim.position() == ROUTE.point_at(odometer)
+        assert sim.snapshot().odometer_m > ROUTE.length_m  # the loop was driven past its end
 
 
 def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[VehicleState]:
@@ -272,28 +273,23 @@ def _walk_point(route: Route, distance_m: float) -> tuple[float, float]:
     return route.points[-1]
 
 
-def _reference_step(
-    state: VehicleState, profile: DriveProfile, dt_ms: float, params: ThrottleParams
-) -> VehicleState:
+def _reference_step(state: VehicleState, profile: DriveProfile, dt_ms: float) -> VehicleState:
     dt_s = dt_ms / 1000.0
     target = _walk_target(profile, state.elapsed_ms / 1000.0)
     max_delta_kmh = profile.accel_limit_mps2 * dt_s * 3.6
     delta = min(max(target - state.speed_kmh, -max_delta_kmh), max_delta_kmh)
     speed = max(0.0, state.speed_kmh + delta)
     accel_mps2 = (speed - state.speed_kmh) / 3.6 / dt_s
-    throttle = min(max(params.k_accel * accel_mps2 + params.k_drag * speed, 0.0), 100.0)
+    throttle = min(max(K_ACCEL * accel_mps2 + K_DRAG * speed, 0.0), 100.0)
     gear = 1 + sum(1 for threshold in GEAR_SHIFT_KMH if speed >= threshold)
     rpm = min(max(IDLE_RPM + speed * 120.0 / gear, IDLE_RPM), MAX_RPM)
     odometer = state.odometer_m + (state.speed_kmh + speed) / 2.0 / 3.6 * dt_s
-    lat, lon = _walk_point(Route(profile.route), odometer)
     return state._replace(
         speed_kmh=speed,
         rpm=rpm,
         throttle_pct=throttle,
         gear=gear,
         odometer_m=odometer,
-        lat=lat,
-        lon=lon,
         sim_time_ms=state.sim_time_ms + dt_ms,
         elapsed_ms=state.elapsed_ms + dt_ms,
     )
@@ -323,18 +319,11 @@ class TestLookupsMatchLinearWalk:
             assert route.point_at(cum) == _walk_point(route, cum)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        _SEGMENTS,
-        st.floats(0.5, 5.0),
-        st.sampled_from([50.0, 100.0, 250.0]),
-        st.floats(0.0, 40.0),
-        st.floats(0.0, 2.0),
-    )
-    def test_step(self, segments, accel_limit, tick_ms, k_accel, k_drag):
+    @given(_SEGMENTS, st.floats(0.5, 5.0), st.sampled_from([50.0, 100.0, 250.0]))
+    def test_step(self, segments, accel_limit, tick_ms):
         profile = DriveProfile("p", tuple(segments), accel_limit)
-        params = ThrottleParams(k_accel=k_accel, k_drag=k_drag)
         state = expected = VehicleState()
         for _ in range(300):
-            state = step(state, profile, tick_ms, params)
-            expected = _reference_step(expected, profile, tick_ms, params)
+            state = step(state, profile, tick_ms)
+            expected = _reference_step(expected, profile, tick_ms)
             assert state == expected

@@ -10,7 +10,6 @@ from fogtrace.wearables import (
     MiBand,
     NotPairedError,
     PhysioModel,
-    PhysioProfile,
     Polar,
     Spire,
     respiration_state,
@@ -185,14 +184,6 @@ class TestPhysioModel:
             return [stream.take(stream.next_due_ms) for _ in range(50)]
 
         assert collect() == collect()
-
-    def test_custom_profile(self):
-        model = PhysioModel(PhysioProfile(baseline_bpm=60.0, bpm_gain=40.0))
-        model.stress = 1.0
-        import random
-
-        values = [model.bpm(random.Random(1)) for _ in range(1)]
-        assert 90.0 <= values[0] <= 110.0
 
 
 class TestHousekeeping:

@@ -4,18 +4,22 @@
     python3 tools/bench_pairs.py --parent HEAD --workload obd-bench --pairs 5 --seed 101
 
 The parent is a ``git archive`` of ``--parent`` unpacked in a temporary
-directory; the change is this checkout's working tree, uncommitted edits
-included. Each side keeps its bytecode in its own fresh cache in that
-directory (``PYTHONPYCACHEPREFIX``), so neither reads a stale
-``__pycache__`` left in its tree; one untimed warm-up run of the workload
-per side fills that cache before pair 1, so no timed run compiles. Each
-pair runs ``perfbench/run.py --seed N --trace 0`` once on each side, for
-the ``run_seconds`` of this checkout's ``BENCHMARK.json``, in fresh
-processes one after the other; ``--seed`` is 7 unless given, so a claim
-can be checked again on a seed of its own. The parent goes first in the
-even pairs and the change in the odd ones. For every end-to-end metric it
-prints each side's median and quartiles and the pairs the change won, ties
-counting for neither, whether the medians differ by more than the
+directory. The change is a fresh copy of this checkout's working tree in
+that directory: the tracked files with their uncommitted edits, and new
+files git does not ignore; deleted files are skipped. Ignored leftovers
+in the checkout, such as the ``.perfbench/`` work directory of a killed
+run, are therefore not in the copy and cannot skew either side. Each side
+keeps its bytecode in its own fresh cache in that directory
+(``PYTHONPYCACHEPREFIX``), so neither reads a stale ``__pycache__`` left
+in its tree; one untimed warm-up run of the workload per side fills that
+cache before pair 1, so no timed run compiles. Each pair runs
+``perfbench/run.py --seed N --trace 0`` once on each side, for the
+``run_seconds`` of this checkout's ``BENCHMARK.json``, in fresh processes
+one after the other; ``--seed`` is 7 unless given, so a claim can be
+checked again on a seed of its own. The parent goes first in the even
+pairs and the change in the odd ones. For every end-to-end metric it
+prints each side's median and quartiles and the pairs the change won,
+ties counting for neither, whether the medians differ by more than the
 distance between the parent's quartiles, and ``ok`` or ``WORSE``: WORSE
 when the change's median is worse than the parent's, in the metric's
 ``better`` direction, by more than the metric's ``bound`` in
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -51,6 +56,21 @@ def unpack(rev: str, into: Path) -> None:
     """``git archive`` of ``rev`` unpacked into ``into``."""
     archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def copy_worktree(into: Path) -> None:
+    """Copy this checkout's tracked and unignored files, as they are on disk, into ``into``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=REPO,
+        capture_output=True,
+        check=True,
+    ).stdout
+    for name in listed.decode().split("\0"):
+        source = REPO / name
+        if name and source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def figure(value: float) -> str:
@@ -91,9 +111,11 @@ def main(argv: list[str] | None = None) -> int:
     seconds = declared["run_seconds"]
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"parent": Path(tmp, "parent"), "change": REPO}
-        trees["parent"].mkdir()
+        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for tree in trees.values():
+            tree.mkdir()
         unpack(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
         for side, tree in trees.items():
             run_once(tree, args.workload, WARM_UP_SECONDS, False, Path(tmp, f"pycache-{side}"), args.seed)
         for pair in range(args.pairs):
