@@ -5,6 +5,11 @@ condition must hold continuously for the rule's sustain window, measured
 from the first satisfying sample; any sample that breaks the condition
 resets the episode. Defaults: heart rate above 120 bpm for 10 s, tension
 respiration state for 30 s, and overspeed (immediate, once per episode).
+
+With these defaults only overspeed fires on the built-in drive profiles:
+the simulated heart rate stays below about 100 bpm, and neither profile
+holds the driver in tension for 30 s. ``gateway.hr_limit_bpm`` and a
+stop-go profile reach the other two (see ``tests/test_fault_corpus.py``).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cloudstore.client import CloudClient, CloudUnreachableError
+from ..cloudstore.service import BadRequestError, ManifestInvalidError, MissingPartError, PayloadTooLargeError
 from ..files import write_atomic
 from .envelope import seal
 from .records import SessionManifest, sha256_hex
@@ -26,6 +27,10 @@ log = logging.getLogger(__name__)
 SESSION_RETRIES = 2
 FLUSH_RETRIES = 0
 BACKOFF_MS = 250.0
+
+# Store errors that judge one outbox entry (a 400 or a 413), not the store
+# or the gateway's credentials: a flush skips that entry and goes on.
+ENTRY_REFUSALS = (BadRequestError, MissingPartError, ManifestInvalidError, PayloadTooLargeError)
 
 
 class UploadError(Exception):
@@ -123,8 +128,11 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
 
     Leftovers of a crashed ``put`` or ``remove`` are deleted first. An entry
     whose files cannot be read (an envelope without its manifest, as a
-    crash inside an older ``put`` left behind) is logged, left in place and
-    reported among the refs still pending.
+    crash inside an older ``put`` left behind), that the store cannot be
+    reached for, whose receipt does not match or that the store refuses
+    (``ENTRY_REFUSALS``) is logged, left in place and reported among the
+    refs still pending. Any other store error, such as refused
+    credentials or a full store, stops the flush.
     """
     outbox.discard_leftovers()
     receipts = []
@@ -138,7 +146,7 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
             continue
         try:
             receipts.append(_send(outbox, ref, envelope, manifest_json, client, clock, FLUSH_RETRIES))
-        except (CloudUnreachableError, UploadRejectedError) as exc:
+        except (CloudUnreachableError, UploadRejectedError, *ENTRY_REFUSALS) as exc:
             log.warning("outbox flush: %s still pending (%s)", ref[:12], exc)
             remaining.append(ref)
     return receipts, remaining

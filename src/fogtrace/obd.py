@@ -16,18 +16,20 @@ Decode formulas for the three collected channels:
 PIDs outside the table decode to the raw big-endian integer with unit
 ``raw`` so the table stays extensible.
 
-The codec is pure, so a repeated frame is a lookup: ``render_response``
-and the core-PID path of ``parse_response`` memoize their work in two
-``functools.lru_cache`` tables of at most ``CODEC_CACHE_SIZE`` entries each,
-whatever a peer sends. A reply is keyed by its bytes and the expected PID,
-so a mismatched echo is never served from another PID's entry. Errors are
-never cached: a ``7F``, malformed or out-of-range frame raises on every
-call.
+Each frame function has one implementation, and only ``_tokenize`` turns
+a frame's bytes into values. The codec is pure, so a repeated frame is a
+lookup: ``render_response``, ``parse_request`` and ``parse_response`` each
+memoize that one implementation in a ``functools.lru_cache`` of at most
+``CODEC_CACHE_SIZE`` entries, whatever a peer sends. A reply is keyed by
+its bytes and the expected mode and PID, so a mismatched echo is never
+served from another PID's entry. Only exact ``bytes`` are keys (a
+``bytearray`` is unhashable); any other buffer is worked out afresh by the
+same code. Errors are never cached: a ``7F``, malformed or out-of-range
+frame raises on every call.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -184,8 +186,6 @@ def render_response(pid_id: PidId, data: bytes) -> bytes:
     Raises ``ValueError`` for modes from 0xC0 up, whose reply mode does
     not fit one byte.
     """
-    # Only exact bytes are memo keys (a bytearray is unhashable); any other
-    # payload is worked out afresh by the same function.
     render = _render if type(data) is bytes else _render.__wrapped__
     return render(pid_id.mode, pid_id.pid, data)
 
@@ -200,17 +200,11 @@ def render_negative_response(mode: int, nrc: int = NRC_SUBFUNCTION_NOT_SUPPORTED
     return f"{NEGATIVE_REPLY_MODE:02X} {mode:02X} {nrc:02X}\r".encode("ascii")
 
 
-# A frame as the codec itself renders it: upper or lower case hex byte
-# pairs, single spaces, CR, then any number of prompts.
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-_CANONICAL_FRAME = re.compile(rb"((?:[0-9A-Fa-f]{2} )*[0-9A-Fa-f]{2})\r>*")
 
 
-def _tokenize(line: bytes) -> bytes | list[int]:
-    """The byte values of a frame; canonical frames skip the token loop."""
-    match = _CANONICAL_FRAME.fullmatch(line)
-    if match is not None:
-        return bytes.fromhex(match[1].decode("ascii"))
+def _tokenize(line: bytes) -> list[int]:
+    """The byte values of a frame."""
     try:
         text = line.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -234,6 +228,12 @@ def _tokenize(line: bytes) -> bytes | list[int]:
 
 def parse_request(line: bytes) -> PidId:
     """Parse a query frame (responder side)."""
+    parse = _parse_request if type(line) is bytes else _parse_request.__wrapped__
+    return parse(line)
+
+
+@lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _parse_request(line: bytes) -> PidId:
     values = _tokenize(line)
     if len(values) != 2:
         raise MalformedFrameError(f"request must be exactly two bytes, got {len(values)}")
@@ -250,13 +250,14 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     :class:`PidMismatchError` when the echoed PID differs from ``expected``
     and :class:`MalformedFrameError` for anything that is not a frame.
     """
-    if expected.pid in _CORE_ECHOES and expected.mode == MODE_CURRENT_DATA:
-        # Exact bytes only, as in render_response.
-        core_reply = _core_reply if type(line) is bytes else _core_reply.__wrapped__
-        reply = core_reply(line, expected.pid)
-        if reply is not None:
-            data, value, unit = reply
-            return ObdResponse(expected, data, value, unit, received_at)
+    parse = _parse_reply if type(line) is bytes else _parse_reply.__wrapped__
+    data, value, unit = parse(line, expected.mode, expected.pid)
+    return ObdResponse(expected, data, value, unit, received_at)
+
+
+@lru_cache(maxsize=CODEC_CACHE_SIZE)
+def _parse_reply(line: bytes, mode: int, pid: int) -> tuple[bytes, float, str]:
+    """``(data, value, unit)`` of a positive reply to ``mode`` and ``pid``."""
     values = _tokenize(line)
     if values[0] == NEGATIVE_REPLY_MODE:
         if len(values) != 3:
@@ -264,41 +265,17 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
         raise NegativeResponseError(service=values[1], nrc=values[2])
     if len(values) < 2:
         raise MalformedFrameError("reply too short")
-    if values[0] != expected.mode + REPLY_MODE_OFFSET:
-        raise MalformedFrameError(
-            f"mode echo 0x{values[0]:02X} does not match request mode 0x{expected.mode:02X}"
-        )
-    if values[1] != expected.pid:
-        raise PidMismatchError(f"expected PID 0x{expected.pid:02X}, reply echoed 0x{values[1]:02X}")
+    if values[0] != mode + REPLY_MODE_OFFSET:
+        raise MalformedFrameError(f"mode echo 0x{values[0]:02X} does not match request mode 0x{mode:02X}")
+    if values[1] != pid:
+        raise PidMismatchError(f"expected PID 0x{pid:02X}, reply echoed 0x{values[1]:02X}")
     data = bytes(values[2:])
-    value, unit = decode_pid(expected, data)
-    return ObdResponse(expected, data, value, unit, received_at)
+    return (data, *decode_pid(PidId(pid, mode), data))
 
 
 # The address and query frame of each core PID, the frame exactly as
-# ``encode_request`` renders it; the reverse lookup with which the responder
-# answers those frames without parsing them; and the echo that opens each
-# core PID's positive reply as ``render_response`` renders it, keyed by PID.
+# ``encode_request`` renders it, so a poller need not render it again.
 CORE_REQUESTS = {pid: (PidId(pid), encode_request(PidId(pid))) for pid in CORE_PIDS}
-CORE_FRAMES = {frame: pid_id for pid_id, frame in CORE_REQUESTS.values()}
-_CORE_ECHOES = {pid: render_response(pid_id, b"")[:-1] + b" " for pid, (pid_id, _) in CORE_REQUESTS.items()}
-
-
-@lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _core_reply(line: bytes, pid: int) -> tuple[bytes, float, str] | None:
-    """``(data, value, unit)`` of a canonical positive reply to core ``pid``, else None.
-
-    The echo is one prefix comparison and only the payload goes through the
-    frame pattern.
-    """
-    echo = _CORE_ECHOES[pid]
-    if not line.startswith(echo):
-        return None
-    match = _CANONICAL_FRAME.fullmatch(line, len(echo))
-    if match is None:
-        return None
-    data = bytes.fromhex(match[1].decode("ascii"))
-    return (data, *decode_pid(CORE_REQUESTS[pid][0], data))
 
 
 def decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:

@@ -37,7 +37,6 @@ from typing import NamedTuple
 from .clock import SystemClock
 from .config import Config, ConfigError
 from .obd import (
-    CORE_FRAMES,
     CORE_PIDS,
     CORE_REQUESTS,
     NRC_SERVICE_NOT_SUPPORTED,
@@ -307,18 +306,16 @@ class VehicleSimulator:
         return self._reply(self.snapshot(), raw_request)
 
     def _reply(self, state: VehicleState, raw_request: bytes) -> bytes:
-        """``reply_frame`` answered from ``state``."""
-        pid_id = CORE_FRAMES.get(raw_request) if type(raw_request) is bytes else None
-        if pid_id is None:
-            try:
-                pid_id = parse_request(raw_request)
-            except UnsupportedModeError as exc:
-                return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
-            except MalformedFrameError:
-                return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
-            if pid_id.pid not in CORE_PIDS:
-                return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
+        """``reply_frame`` answered from ``state``: parse, refuse or read, encode, render."""
+        try:
+            pid_id = parse_request(raw_request)
+        except UnsupportedModeError as exc:
+            return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
+        except MalformedFrameError:
+            return render_negative_response(0x00, NRC_SERVICE_NOT_SUPPORTED)
         pid = pid_id.pid
+        if pid not in CORE_PIDS:
+            return render_negative_response(pid_id.mode, NRC_SUBFUNCTION_NOT_SUPPORTED)
         return render_response(pid_id, encode_measurement(pid, _CHANNEL_OF[pid](state)))
 
 

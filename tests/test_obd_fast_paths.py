@@ -1,10 +1,10 @@
-"""The responder's and the reader's core-PID fast paths against the general path.
+"""The responder's and the reader's memoized paths against the general path.
 
-``VehicleSimulator.reply_frame`` answers a core PID's canonical request
-from a table, and ``parse_response`` reads a canonical positive reply to a
-core PID through a precomputed echo. Every other frame takes the general
-path; these tests pin both fast paths to it, on arbitrary input and on the
-edges where a frame stops being canonical.
+``VehicleSimulator.reply_frame`` reads a request through ``parse_request``
+and ``parse_response`` reads a reply through its own memo, so a repeated
+frame is a lookup. These tests pin both to the code the memos cache, run
+uncached, on arbitrary input and on the edges where a frame stops being
+canonical.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from fogtrace.obd import (
     MalformedFrameError,
     PidId,
     UnsupportedModeError,
+    _parse_request,
     encode_measurement,
     encode_request,
-    parse_request,
     parse_response,
     render_negative_response,
     render_response,
@@ -34,9 +34,9 @@ from test_obd_codec_equivalence import _ANY_LINE, _ref_parse_response, outcome
 
 
 def _general_reply(state: VehicleState, raw_request: bytes) -> bytes:
-    """The responder with no request table: parse, refuse or read, encode, render."""
+    """The responder with no memo: parse, refuse or read, encode, render."""
     try:
-        pid_id = parse_request(raw_request)
+        pid_id = _parse_request.__wrapped__(raw_request)
     except UnsupportedModeError as exc:
         return render_negative_response(exc.mode, NRC_SERVICE_NOT_SUPPORTED)
     except MalformedFrameError:
@@ -72,7 +72,7 @@ def test_reply_frame_matches_the_general_path(state, raw_request):
 @pytest.mark.parametrize(
     "line,expected",
     [
-        (b"41 0C 1A F0\r", PidId(0x0C)),  # canonical: the fast path
+        (b"41 0C 1A F0\r", PidId(0x0C)),  # canonical
         (b"41 0D 3C\r", PidId(0x0D)),
         (b"41 11 FF\r", PidId(0x11)),
         (b"41 0C 1a f0\r", PidId(0x0C)),  # lowercase payload

@@ -1,10 +1,11 @@
-"""The codec's reply memos against the reference codec.
+"""The codec's memos against the reference codec.
 
-``render_response`` and the core-PID path of ``parse_response`` look a
+``render_response``, ``parse_request`` and ``parse_response`` look a
 repeated frame up in an ``lru_cache`` of at most ``CODEC_CACHE_SIZE``
-entries. These tests pin a cached answer to the uncached one: the same
-value for a repeat, the expected PID in the key, errors raised on every
-call and a bound that holds whatever arrives.
+entries in front of their one implementation. These tests pin a cached
+answer to the uncached one: the same value for a repeat, the expected PID
+in the key, errors raised on every call and never stored, and a bound
+that holds whatever arrives.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ from fogtrace.obd import (
     NegativeResponseError,
     PidId,
     PidMismatchError,
+    UnsupportedModeError,
     WrongLengthError,
-    _core_reply,
+    _parse_reply,
+    _parse_request,
     _render,
+    parse_request,
     parse_response,
     render_response,
 )
@@ -89,19 +93,36 @@ def test_a_lower_case_or_prompted_reply_parses_as_its_canonical_form(variant, ca
         assert parse_response(variant, PidId(pid), 4.0) == parse_response(canonical, PidId(pid), 4.0)
 
 
+def test_no_error_enters_a_memo():
+    _parse_reply.cache_clear()
+    _parse_request.cache_clear()
+    for _ in range(2):
+        for line, error in ((b"7F 01 12\r", NegativeResponseError), (b"41 0C 1A\r", WrongLengthError)):
+            with pytest.raises(error):
+                parse_response(line, PidId(0x0C))
+        for line, error in ((b"03 00\r", UnsupportedModeError), (b"01 0C 0D\r", MalformedFrameError)):
+            with pytest.raises(error):
+                parse_request(line)
+    assert _parse_reply.cache_info().currsize == _parse_request.cache_info().currsize == 0
+
+
 def test_frames_that_are_not_bytes_are_answered_without_the_memo():
     want = parse_response(b"41 0C 1A F0\r", PidId(0x0C), 3.0)
-    before = _render.cache_info(), _core_reply.cache_info()
+    memos = (_render, _parse_reply, _parse_request)
+    before = [memo.cache_info() for memo in memos]
     assert render_response(PidId(0x0C), bytearray(b"\x1a\xf0")) == b"41 0C 1A F0\r"
     assert parse_response(bytearray(b"41 0C 1A F0\r"), PidId(0x0C), 3.0) == want
-    assert (_render.cache_info(), _core_reply.cache_info()) == before
+    assert parse_request(bytearray(b"01 0C\r")) == PidId(0x0C)
+    assert [memo.cache_info() for memo in memos] == before
 
 
 def test_the_memos_hold_at_most_the_bound():
     for n in range(CODEC_CACHE_SIZE + 100):
-        with pytest.raises(MalformedFrameError):
-            parse_response(f"41 0C {n:05X}\r".encode(), PidId(0x0C))
         data = n.to_bytes(2, "big")
+        assert parse_response(render_response(PidId(0x99), data), PidId(0x99)).data == data
+        # Every trailing prompt count is another valid frame, so another key.
+        assert parse_request(b"01 %02X\r" % (n % 256) + b">" * (n // 256)) == PidId(n % 256)
         assert render_response(PidId(0x0C), data) == _ref_render_response(PidId(0x0C), data)
-    assert _core_reply.cache_info().currsize == CODEC_CACHE_SIZE
+    assert _parse_reply.cache_info().currsize == CODEC_CACHE_SIZE
+    assert _parse_request.cache_info().currsize == CODEC_CACHE_SIZE
     assert _render.cache_info().currsize == CODEC_CACHE_SIZE

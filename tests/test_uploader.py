@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fogtrace.cloudstore import CloudClient, CloudUnreachableError
+from fogtrace.cloudstore import CloudClient, CloudUnreachableError, InvalidCredentialsError
 from fogtrace.gateway import Outbox, finalize_and_upload, flush_outbox
 from fogtrace.gateway.envelope import AuthenticationError, open_envelope, seal
 from fogtrace.gateway.records import Pairing, SessionManifest
@@ -118,6 +118,28 @@ class TestFlushOutbox:
         assert receipts == []
         assert remaining == [ref]
         assert outbox.pending() == [ref]
+
+    def test_an_entry_the_store_refuses_does_not_stop_the_flush(self, sim_clock, key, tmp_path, cloud_client):
+        outbox = Outbox(tmp_path / "outbox")
+        refused = outbox.put(seal(CSV, b"not json", key), b"not json")
+        manifest = make_manifest().to_json()
+        accepted = outbox.put(seal(CSV, manifest, key), manifest)
+        receipts, remaining = flush_outbox(outbox, cloud_client, sim_clock)
+        assert [r.trace_ref for r in receipts] == [accepted]
+        assert remaining == [refused]
+        # The next flush skips it again rather than stopping at it.
+        assert flush_outbox(outbox, cloud_client, sim_clock) == ([], [refused])
+        assert outbox.pending() == [refused]
+
+    def test_refused_credentials_stop_the_flush(self, sim_clock, key, tmp_path, store_server):
+        outbox = Outbox(tmp_path / "outbox")
+        manifest = make_manifest().to_json()
+        outbox.put(seal(CSV, manifest, key), manifest)
+        client = CloudClient(store_server.base_url, "gw", "wrong-secret")
+        with pytest.raises(InvalidCredentialsError):
+            flush_outbox(outbox, client, sim_clock)
+        client.session.close()
+        assert len(outbox.pending()) == 1
 
 
 class _Crash(Exception):
