@@ -6,7 +6,7 @@ Subcommands:
 * ``bench-obd`` polling throughput and latency benchmark
 * ``verify``    download, decrypt and re-validate an uploaded trace
 * ``replay``    summarize a trace from the store or a local CSV
-* ``erase``     clear device buffers and/or local gateway storage
+* ``erase``     clear the local outbox and traces (the CLI pairs no device)
 
 ``--clock`` alone decides how the vehicle and the context services are
 reached. The default simulated clock keeps both in-process and replays
@@ -35,6 +35,7 @@ from pathlib import Path
 # rest of what it runs, so `verify` loads no vehicle, wearable or runner code.
 from .clock import SimulatedClock, SystemClock
 from .cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
+from .cloudstore.service import DEFAULT_TOKEN_TTL_S
 from .config import Config
 from .files import write_atomic
 
@@ -129,8 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--csv-file", default=None, help="local plaintext trace instead")
     replay.set_defaults(func=cmd_replay)
 
-    erase = sub.add_parser("erase", parents=[out], help="erase device and/or local gateway data")
-    erase.add_argument("--scope", choices=("device", "local", "both"), required=True)
+    erase = sub.add_parser("erase", parents=[out], help="erase the local outbox and traces (the CLI pairs no device)")
+    erase.add_argument(
+        "--scope",
+        choices=("device", "local", "both"),
+        required=True,
+        help="with no paired device, device erases nothing (device_samples 0) and both does exactly what local does",
+    )
     erase.add_argument("--outbox-dir", default=None)
     erase.add_argument("--trace-dir", default=None)
     erase.set_defaults(func=cmd_erase)
@@ -230,7 +236,7 @@ def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient
         service = CloudStoreService(
             Path(args.store_dir or Path(args.out) / "store"),
             clients=_client_accounts(cfg),
-            token_ttl_s=cfg.get_int("cloud.token_ttl_s", 3600),
+            token_ttl_s=cfg.get_int("cloud.token_ttl_s", DEFAULT_TOKEN_TTL_S),
         )
         # Registered first, so it runs after the server has stopped serving.
         stack.callback(service.close)

@@ -38,9 +38,13 @@ class AlertRule:
 
 HR_SUSTAIN_MS = 10_000.0
 STRESS_SUSTAIN_MS = 30_000.0
+DEFAULT_HR_LIMIT_BPM = 120.0
+DEFAULT_OVERSPEED_KMH = 120.0
 
 
-def default_rules(hr_limit_bpm: float = 120.0, overspeed_kmh: float = 120.0) -> list[AlertRule]:
+def default_rules(
+    hr_limit_bpm: float = DEFAULT_HR_LIMIT_BPM, overspeed_kmh: float = DEFAULT_OVERSPEED_KMH
+) -> list[AlertRule]:
     return [
         AlertRule("hr-high", "bpm", lambda v: v > hr_limit_bpm, HR_SUSTAIN_MS),
         AlertRule("stress", "resp_state", lambda v: v == "tension", STRESS_SUSTAIN_MS, numeric=False),

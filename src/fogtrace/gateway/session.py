@@ -25,7 +25,7 @@ from ..config import Config
 from ..external import FlowSegment, WeatherObservation
 from ..obd import PID_TABLE, ObdResponse
 from ..wearables import HeartSample, MiBand, Polar, RespirationSample, Spire
-from .alerts import AlertEngine, AlertEvent, AlertRule, default_rules
+from .alerts import DEFAULT_HR_LIMIT_BPM, DEFAULT_OVERSPEED_KMH, AlertEngine, AlertEvent, AlertRule, default_rules
 from .gapfill import fill_session_gaps
 from .records import (
     Pairing,
@@ -145,8 +145,8 @@ class Gateway:
         if not self.pairings:
             raise NoDevicesError("no devices paired")
         rules = default_rules(
-            hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", 120.0),
-            overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", 120.0),
+            hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", DEFAULT_HR_LIMIT_BPM),
+            overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", DEFAULT_OVERSPEED_KMH),
         )
         self.active = Session(self, driver_id, vehicle_id, rules)
         return self.active

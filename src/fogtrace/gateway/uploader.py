@@ -1,11 +1,11 @@
 """Encrypt-then-upload with a durable on-disk outbox.
 
-The envelope is written to the outbox before the first upload attempt, so
-a crash or an unreachable store never loses a trace: the next run (or an
-explicit flush) retries whatever is pending. A session's upload and a flush
-send through the same ``_send``: upload, check that the receipt names the
-envelope's sha256 and length, and only then remove the entry from the
-outbox. They differ only in how often an unreachable store is retried.
+The envelope is written to the outbox, one file per entry, before the first
+upload attempt, so a crash or an unreachable store never loses a trace: the
+next run (or an explicit flush) retries whatever is pending. A session's
+upload and a flush share one ``_send``: upload, check that the receipt names
+the envelope's sha256 and length, and only then remove the entry. They
+differ only in how often an unreachable store is retried.
 """
 
 from __future__ import annotations
@@ -61,14 +61,12 @@ class UploadReceipt:
 
 
 class Outbox:
-    """Pending uploads as ``<sha256>.env`` / ``<sha256>.manifest.json`` pairs.
+    """Pending uploads, one ``<sha256>.entry`` file each: the manifest's length
+    in ASCII digits and a LF, the manifest JSON, then the envelope.
 
-    The envelope file is the commit marker: ``put`` writes the manifest
-    first and the envelope last, each through a temporary file and a
-    rename, and ``remove`` deletes the envelope first. A crash at any
-    point therefore leaves either a complete entry or one that
-    ``pending`` does not list, whose files the next flush deletes. One
-    gateway process uses an outbox at a time.
+    ``put`` renames an entry into place from ``<ref>.tmp`` and ``remove``
+    unlinks it, so a crash leaves the whole entry or a ``.tmp`` file that the
+    next flush deletes. One gateway process uses an outbox at a time.
     """
 
     def __init__(self, directory: str | Path):
@@ -77,29 +75,35 @@ class Outbox:
 
     def put(self, envelope: bytes, manifest_json: bytes) -> str:
         ref = sha256_hex(envelope)
-        for name, data in ((f"{ref}.manifest.json", manifest_json), (f"{ref}.env", envelope)):
-            write_atomic(self.directory / name, data, self.directory / f"{name}.tmp")
+        entry = b"%d\n%b%b" % (len(manifest_json), manifest_json, envelope)
+        write_atomic(self.directory / f"{ref}.entry", entry, self.directory / f"{ref}.tmp")
         return ref
 
     def pending(self) -> list[str]:
-        return sorted(p.stem for p in self.directory.glob("*.env"))
+        return sorted(p.stem for p in self.directory.glob("*.entry"))
 
     def load(self, ref: str) -> tuple[bytes, bytes]:
-        envelope = (self.directory / f"{ref}.env").read_bytes()
-        manifest_json = (self.directory / f"{ref}.manifest.json").read_bytes()
-        return envelope, manifest_json
+        """The entry's envelope and manifest; ``ValueError`` if it is malformed or the envelope is not ``ref``."""
+        entry = (self.directory / f"{ref}.entry").read_bytes()
+        start = entry.index(b"\n") + 1
+        end = start + int(entry[: start - 1])
+        envelope = entry[end:]
+        if sha256_hex(envelope) != ref:
+            raise ValueError(f"envelope does not hash to {ref[:12]}")
+        return envelope, entry[start:end]
 
     def remove(self, ref: str) -> None:
-        for name in (f"{ref}.env", f"{ref}.manifest.json"):
-            (self.directory / name).unlink(missing_ok=True)
+        (self.directory / f"{ref}.entry").unlink(missing_ok=True)
 
     def discard_leftovers(self) -> None:
-        """Delete what a crash in ``put`` or ``remove`` left: ``.tmp`` files and manifests without their envelope."""
+        """Delete ``put``'s ``.tmp`` leftovers; rewrite each older ``.env`` + ``.manifest.json`` pair as one entry."""
         for path in self.directory.glob("*.tmp"):
             path.unlink(missing_ok=True)
-        for path in self.directory.glob("*.manifest.json"):
-            if not path.with_name(path.name.replace(".manifest.json", ".env")).exists():
-                path.unlink(missing_ok=True)
+        for old in self.directory.glob("*.env"):
+            if (manifest := old.with_suffix(".manifest.json")).exists():
+                self.put(old.read_bytes(), manifest.read_bytes())
+                old.unlink()
+                manifest.unlink()
 
 
 def finalize_and_upload(
@@ -126,13 +130,12 @@ def finalize_and_upload(
 def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[UploadReceipt], list[str]]:
     """Upload everything pending; returns (receipts, refs still pending).
 
-    Leftovers of a crashed ``put`` or ``remove`` are deleted first. An entry
-    whose files cannot be read (an envelope without its manifest, as a
-    crash inside an older ``put`` left behind), that the store cannot be
-    reached for, whose receipt does not match or that the store refuses
-    (``ENTRY_REFUSALS``) is logged, left in place and reported among the
-    refs still pending. Any other store error, such as refused
-    credentials or a full store, stops the flush.
+    ``Outbox.discard_leftovers`` runs first. An entry that cannot be read or
+    does not hash to its ref, that the store cannot be reached for, whose
+    receipt does not match or that the store refuses (``ENTRY_REFUSALS``) is
+    logged, left in place and reported among the refs still pending. Any
+    other store error, such as refused credentials or a full store, stops
+    the flush.
     """
     outbox.discard_leftovers()
     receipts = []
@@ -140,8 +143,8 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
     for ref in outbox.pending():
         try:
             envelope, manifest_json = outbox.load(ref)
-        except OSError as exc:
-            log.warning("outbox flush: %s is incomplete, skipped (%s)", ref[:12], exc)
+        except (OSError, ValueError) as exc:
+            log.warning("outbox flush: %s is unreadable, skipped (%s)", ref[:12], exc)
             remaining.append(ref)
             continue
         try:

@@ -103,7 +103,6 @@ class PidId:
 
 @dataclass(frozen=True)
 class PidDefinition:
-    name: str
     channel: str
     unit: str
     data_length: int
@@ -131,7 +130,6 @@ def _encode_throttle(value: float) -> bytes:
 
 PID_TABLE: dict[int, PidDefinition] = {
     PID_RPM: PidDefinition(
-        name="engine_rpm",
         channel="rpm",
         unit="rpm",
         data_length=2,
@@ -141,7 +139,6 @@ PID_TABLE: dict[int, PidDefinition] = {
         max_value=16383.75,
     ),
     PID_SPEED: PidDefinition(
-        name="vehicle_speed",
         channel="speed_kmh",
         unit="km/h",
         data_length=1,
@@ -151,7 +148,6 @@ PID_TABLE: dict[int, PidDefinition] = {
         max_value=255.0,
     ),
     PID_THROTTLE: PidDefinition(
-        name="throttle_position",
         channel="throttle_pct",
         unit="percent",
         data_length=1,

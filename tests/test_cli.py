@@ -109,7 +109,7 @@ class TestRunCommand:
             str(out),
         )
         assert code == 1
-        pending = list((out / "outbox").glob("*.env"))
+        pending = list((out / "outbox").glob("*.entry"))
         assert len(pending) == 1
 
         code, _, stderr = run_cli(
@@ -123,7 +123,7 @@ class TestRunCommand:
         )
         assert code == 0
         assert "flushed pending upload" in stderr
-        assert not list((out / "outbox").glob("*.env"))
+        assert not list((out / "outbox").glob("*.entry"))
 
     def test_no_upload_mode(self, tmp_path, capsys):
         out = tmp_path / "out"

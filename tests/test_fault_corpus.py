@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 
 from fogtrace import obd
-from fogtrace.clock import SimulatedClock
+from fogtrace.clock import DEFAULT_SIM_EPOCH_MS, SimulatedClock
 from fogtrace.config import Config
 from fogtrace.external import (
     FlowService,
@@ -36,6 +36,7 @@ from fogtrace.external import (
     WeatherService,
 )
 from fogtrace.gateway import Gateway, SessionRunner, session
+from fogtrace.gateway.obd_poller import BACKOFF_INITIAL_MS
 from fogtrace.gateway.records import csv_to_rows, sha256_hex
 from fogtrace.obd import render_negative_response
 from fogtrace.vehicle import DriveProfile, InProcessObdLink, LatencyModel, VehicleSimulator
@@ -63,6 +64,8 @@ CORPUS_SHA256 = {
     "only-polar-1": "892a651ec9816b1eacc9977cf6e51399835824df3c6406ca8c46126ece886991",
     "only-spire-1": "5eb856629605939c41f0b20a79a80be722f60f5ff5e383e8b843747bba967bc7",
     "weather-condition-quoted": "de40a71e1c6621748ce5e67795cebd101c01dee1b4198e77ab50099da62e55ce",
+    "link-refused-before-first-connect": "fa6024996c87462ac5ac4c04aa3b21b3235c8a5ebe5cdb9b2feeb49785bc399f",
+    "context-quota-only": "519a9aa0c76ceb39980f6b2c63151d7982cbca45ce131ba5d8f162e718d346ed",
 }
 
 
@@ -195,6 +198,19 @@ def test_link_lost_then_refused():
     _pinned("link-lost-then-refused", result)
 
 
+def test_link_refused_before_first_connect():
+    # The first three connects are refused: the session's first OBD row
+    # waits out the 0.5 + 1 + 2 s backoff, and no reconnect is reported
+    # for a link that never was up.
+    result, runner = _trip("aggressive", 101, 120.0, link=lambda sim, clock: _LinkFaults(sim, clock, 0, 3))
+    assert runner.obd_link_factory.refusals == 0
+    assert result.obd.reconnects == 0 and result.obd.dropped_ms == 0
+    assert b"obd-reconnect" not in result.csv_bytes
+    first_obd = min(row.timestamp_ms for row in csv_to_rows(result.csv_bytes) if row.channel in OBD_CHANNELS)
+    assert first_obd >= DEFAULT_SIM_EPOCH_MS + BACKOFF_INITIAL_MS * (1 + 2 + 4)
+    _pinned("link-refused-before-first-connect", result)
+
+
 def test_negative_one_in_five():
     result, _ = _trip("calm", 101, 240.0, link=lambda sim, clock: lambda: _EveryNthNegative(sim, clock, 5))
     assert result.obd.negatives > 0
@@ -231,6 +247,16 @@ def test_context_clients_fail():
     assert result.context_failures > result.context_rounds // 2
     assert b"traffic_current_speed" in result.csv_bytes and b"weather_temp_c" in result.csv_bytes
     _pinned("context-clients-fail", result)
+
+
+def test_context_quota_only():
+    # The providers never fail; a 250 ms poll period asks each client for
+    # 240 fetches a minute against its quota of 60, so every failure is a
+    # refused permit.
+    result, _ = _trip("calm", 7, 120.0, config={"external.period_ms": "250"})
+    assert result.context_failures > 0
+    assert b"traffic_current_speed" in result.csv_bytes and b"weather_temp_c" in result.csv_bytes
+    _pinned("context-quota-only", result)
 
 
 def test_every_reply_negative():
@@ -292,11 +318,13 @@ MEMOS = ((obd, "_render"), (obd, "_parse_request"), (obd, "_parse_reply"), (sess
 
 CASES = (
     test_link_lost_then_refused,
+    test_link_refused_before_first_connect,
     test_negative_one_in_five,
     test_coarse_tick_and_gps,
     test_no_wearables,
     test_alerts_fire_repeatedly,
     test_context_clients_fail,
+    test_context_quota_only,
     test_every_reply_negative,
     test_lowercase_prompted_replies_give_the_canonical_trace,
     *(functools.partial(test_latency_extremes, *latency) for latency in LATENCIES),

@@ -44,6 +44,16 @@ class TestOutbox:
         ref = outbox.put(b"abc", b"{}")
         assert ref == hashlib.sha256(b"abc").hexdigest()
 
+    @pytest.mark.parametrize(
+        "entry", [b"", b"{}sealed", b"x\n{}sealed", b"99\n{}sealed"], ids=["empty", "no-length", "bad-length", "short"]
+    )
+    def test_a_malformed_entry_does_not_load(self, tmp_path, entry):
+        outbox = Outbox(tmp_path / "outbox")
+        ref = hashlib.sha256(b"sealed").hexdigest()
+        (outbox.directory / f"{ref}.entry").write_bytes(entry)
+        with pytest.raises(ValueError):
+            outbox.load(ref)
+
 
 class TestFinalizeAndUpload:
     def test_happy_path(self, sim_clock, key, tmp_path, cloud_client):
@@ -141,6 +151,18 @@ class TestFlushOutbox:
         client.session.close()
         assert len(outbox.pending()) == 1
 
+    def test_flush_skips_an_entry_whose_envelope_does_not_hash_to_its_ref(self, tmp_path, sim_clock, key):
+        outbox = Outbox(tmp_path / "outbox")
+        ref = outbox.put(seal(CSV, b"{}", key), b"{}")
+        path = outbox.directory / f"{ref}.entry"
+        entry = bytearray(path.read_bytes())
+        entry[-1] ^= 0x01
+        path.write_bytes(bytes(entry))
+        client = _RecordingClient()
+        assert flush_outbox(outbox, client, sim_clock) == ([], [ref])
+        assert client.uploads == []
+        assert outbox.pending() == [ref]
+
 
 class _Crash(Exception):
     pass
@@ -203,11 +225,11 @@ class TestOutboxCrashPoints:
             ref = outbox.put(envelope, b"{}")
             receipts, remaining = flush_outbox(outbox, client, sim_clock)
             assert [r.trace_ref for r in receipts] == [ref]
-            assert remaining == [] and outbox.pending() == []
+            assert remaining == [] and list(outbox.directory.iterdir()) == []
             assert client.uploads == [envelope]
             crash_index += 1
-        # Two files, each written to a temporary name and renamed.
-        assert crash_index == 4
+        # One file, written to a temporary name and renamed.
+        assert crash_index == 2
         assert outbox.pending() == [hashlib.sha256(envelope).hexdigest()]
 
     def test_crash_at_every_file_operation_of_the_send(self, monkeypatch, tmp_path, sim_clock, key):
@@ -232,32 +254,78 @@ class TestOutboxCrashPoints:
             assert remaining == [] and outbox.pending() == []
             assert sorted(p.name for p in outbox.directory.iterdir()) == [], crash_index
             stored = {hashlib.sha256(blob).hexdigest(): blob for blob in client.uploads}
-            if crash_index < 4:
-                # Before the envelope's rename, the commit mark, nothing was
-                # queued or sent, and finalize_and_upload raised to its caller.
+            if crash_index < 2:
+                # Before the entry's rename nothing was queued or sent, and
+                # finalize_and_upload raised to its caller.
                 assert stored == {} and receipts == []
             else:
                 [(ref, envelope)] = stored.items()
                 assert open_envelope(envelope, manifest.to_json(), key) == CSV
                 assert [r.trace_ref for r in receipts] in ([], [ref])
             crash_index += 1
-        # Two writes and two renames in put, then two unlinks in remove.
-        assert crash_index == 6
+        # One write and one rename in put, then one unlink in remove.
+        assert crash_index == 3
         assert outbox.pending() == [] and len(client.uploads) == 1
+
+    def test_flush_sends_a_two_file_entry_of_an_older_outbox_once(self, tmp_path, sim_clock, key):
+        outbox = Outbox(tmp_path / "outbox")
+        old = seal(CSV, b"{}", key)
+        old_ref = hashlib.sha256(old).hexdigest()
+        # An older put wrote the manifest first and the envelope, its commit mark, last.
+        (outbox.directory / f"{old_ref}.manifest.json").write_bytes(b"{}")
+        (outbox.directory / f"{old_ref}.env").write_bytes(old)
+        client = _RecordingClient()
+        receipts, remaining = flush_outbox(outbox, client, sim_clock)
+        assert [r.trace_ref for r in receipts] == [old_ref] and remaining == []
+        assert client.uploads == [old]
+        assert list(outbox.directory.iterdir()) == []
+
+    def test_crash_at_every_file_operation_of_an_older_entry_conversion(self, monkeypatch, tmp_path, sim_clock, key):
+        envelope = seal(CSV, b"{}", key)
+        ref = hashlib.sha256(envelope).hexdigest()
+        crash_index = 0
+        while True:
+            outbox = Outbox(tmp_path / f"outbox-{crash_index}")
+            (outbox.directory / f"{ref}.manifest.json").write_bytes(b"{}")
+            (outbox.directory / f"{ref}.env").write_bytes(envelope)
+            client = _RecordingClient()
+            with monkeypatch.context() as patched:
+                _crash_at(patched, crash_index)
+                try:
+                    flush_outbox(outbox, client, sim_clock)
+                except _Crash:
+                    crashed = True
+                else:
+                    crashed = False
+            if not crashed:
+                break
+            receipts, remaining = flush_outbox(outbox, client, sim_clock)
+            assert remaining == [] and outbox.pending() == []
+            assert {hashlib.sha256(blob).hexdigest() for blob in client.uploads} == {ref}
+            # Only a crash between the old files' two unlinks leaves one
+            # behind: the manifest, which holds no trace.
+            leftover = [p.name for p in outbox.directory.iterdir()]
+            assert leftover == ([f"{ref}.manifest.json"] if crash_index == 3 else []), crash_index
+            crash_index += 1
+        # put's write and rename, the old envelope's and manifest's unlinks,
+        # then remove's unlink after the upload.
+        assert crash_index == 5
+        assert outbox.pending() == [] and client.uploads == [envelope]
 
     def test_flush_skips_an_envelope_without_manifest(self, tmp_path, sim_clock, key):
         outbox = Outbox(tmp_path / "outbox")
         orphan = seal(CSV, b"{}", key)
-        orphan_ref = hashlib.sha256(orphan).hexdigest()
-        (outbox.directory / f"{orphan_ref}.env").write_bytes(orphan)
+        orphan_path = outbox.directory / f"{hashlib.sha256(orphan).hexdigest()}.env"
+        orphan_path.write_bytes(orphan)
         whole = seal(CSV + b"1,gps-1,lat,52.5,deg,0\n", b"{}", key)
         whole_ref = outbox.put(whole, b"{}")
         client = _RecordingClient()
         receipts, remaining = flush_outbox(outbox, client, sim_clock)
-        assert [r.trace_ref for r in receipts] == [whole_ref]
-        assert remaining == [orphan_ref]
-        assert outbox.pending() == [orphan_ref]
+        assert [r.trace_ref for r in receipts] == [whole_ref] and remaining == []
         assert client.uploads == [whole]
+        # It cannot be sent without its manifest, and it is not deleted either.
+        assert list(outbox.directory.iterdir()) == [orphan_path]
+        assert orphan_path.read_bytes() == orphan
 
 
 class TestTamperDetection:
