@@ -2,11 +2,12 @@
 
 ``test_golden_trace.py`` pins six trips on the happy path. Each case here
 runs a fully wired ``SessionRunner`` on the simulated clock through one
-fault or edge instead: a lost and refused OBD link, negative (``7F``)
-replies one in five and on every exchange, lowercase replies with a
-prompt, 1 ms and 2 s reply latencies, non-default tick and GPS periods,
-no wearables and each wearable alone, alert rules that fire again and
-again, context clients that fail, and a weather condition that only the
+fault or edge instead: an OBD link lost and then refused, or refused
+before its first connect, negative (``7F``) replies one in five and on
+every exchange, lowercase replies with a prompt, 1 ms and 2 s reply
+latencies, non-default tick and GPS periods, no wearables and each
+wearable alone, alert rules that fire again and again, context clients
+that fail or only hit their quota, and a weather condition that only the
 quoted CSV render can carry. Each compares the CSV sha256 with the value
 recorded before the code it guards last changed, and checks that the
 fault really happened, so a case cannot pass by silently taking the happy
