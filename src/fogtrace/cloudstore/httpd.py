@@ -5,6 +5,8 @@
 * ``GET  /api/v1/traces/{ref}`` -> blob, metadata in ``X-Trace-Manifest`` (base64 JSON)
 * ``GET  /api/v1/traces?driver_id=&from=&to=&limit=&offset=`` -> metadata array
 
+Both carry each manifest as the text it was uploaded as (see ``service``).
+
 Every reply is one write. Errors are ``{error, detail}`` with matching
 status codes, those ``http.server`` answers itself (an unknown method, a
 request line it cannot parse) included. A body whose
@@ -141,7 +143,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle_get(self, trace_ref: str):
         blob, metadata = self.service.get_trace(self._bearer(), trace_ref)
-        encoded = base64.b64encode(json.dumps(metadata.to_dict()).encode("utf-8"))
+        encoded = base64.b64encode(metadata.to_json().encode("utf-8"))
         send_reply(
             self, 200, blob, {"Content-Type": "application/octet-stream", "X-Trace-Manifest": encoded.decode("ascii")}
         )
@@ -167,7 +169,8 @@ class _Handler(BaseHTTPRequestHandler):
             limit=_int_param("limit", 50, minimum=1),
             offset=_int_param("offset", 0, minimum=0),
         )
-        send_json(self, 200, [m.to_dict() for m in listed])
+        body = "[" + ", ".join(m.to_json() for m in listed) + "]"
+        send_reply(self, 200, body.encode("utf-8"), {"Content-Type": "application/json"})
 
     # -- plumbing ------------------------------------------------------------
 

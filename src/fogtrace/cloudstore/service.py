@@ -10,6 +10,10 @@ same reference: one SQLite database per store, in WAL mode, reached through
 one connection that the service opens at construction and ``close`` ends.
 The server's handler threads take turns on it, one transaction at a time.
 
+A manifest is kept, and served, as the text it was uploaded as: listings
+and reads splice that text into their JSON unparsed. Its values are those
+the uploader sent, and so are its spacing and key order.
+
 Authorization is two scopes, ``upload`` and ``read``, attached to bearer
 tokens issued against a client registry; every operation checks the token
 before touching storage.
@@ -28,7 +32,9 @@ import threading
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from ..clock import SystemClock
 from ..files import write_atomic
@@ -122,22 +128,30 @@ class AuthToken:
     expires_at_ms: float
 
 
-@dataclass(frozen=True)
-class TraceMetadata:
+class TraceMetadata(NamedTuple):
+    """One stored trace's row: the manifest is the text ``upload_trace`` stored."""
+
     trace_ref: str
-    manifest: dict
+    manifest_json: str
     size_bytes: int
     uploaded_at: int
     uploader: str
 
-    def to_dict(self) -> dict:
-        return {
-            "trace_ref": self.trace_ref,
-            "manifest": self.manifest,
-            "size_bytes": self.size_bytes,
-            "uploaded_at": self.uploaded_at,
-            "uploader": self.uploader,
-        }
+    @property
+    def manifest(self) -> dict:
+        return json.loads(self.manifest_json)
+
+    def to_json(self) -> str:
+        """The metadata as one JSON object, the manifest spliced in as its stored text.
+
+        The splice is sound because ``upload_trace``, the column's only
+        writer, stores only text that parses as one JSON object.
+        """
+        return (
+            f'{{"trace_ref": {encode_basestring_ascii(self.trace_ref)}, "manifest": {self.manifest_json}, '
+            f'"size_bytes": {self.size_bytes}, "uploaded_at": {self.uploaded_at}, '
+            f'"uploader": {encode_basestring_ascii(self.uploader)}}}'
+        )
 
 
 def storage_key(trace_ref: str) -> str:
@@ -268,11 +282,15 @@ class CloudStoreService:
         if blob is None:
             raise MissingPartError("multipart part 'trace' missing")
         try:
-            manifest = json.loads(manifest_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            manifest_json = manifest_bytes.decode("utf-8")
+            manifest = json.loads(manifest_json)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ManifestInvalidError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise ManifestInvalidError("manifest must be a JSON object")
+        driver_id = manifest.get("driver_id")
+        if driver_id is not None and not isinstance(driver_id, str):
+            raise ManifestInvalidError("manifest driver_id must be a string")
 
         trace_ref = hashlib.sha256(blob).hexdigest()
         path = self.root / storage_key(trace_ref)
@@ -285,8 +303,8 @@ class CloudStoreService:
                 "VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     trace_ref,
-                    manifest_bytes.decode("utf-8"),
-                    manifest.get("driver_id"),
+                    manifest_json,
+                    driver_id,
                     len(blob),
                     int(self.clock.now_ms()),
                     token.client_id,
@@ -345,7 +363,7 @@ class CloudStoreService:
         params.extend([int(limit), int(offset)])
         with self._connection() as conn:
             rows = conn.execute(sql, params).fetchall()
-        return [self._row_to_metadata(row) for row in rows]
+        return list(map(TraceMetadata._make, rows))
 
     def _metadata(self, trace_ref: str) -> TraceMetadata | None:
         with self._connection() as conn:
@@ -354,14 +372,4 @@ class CloudStoreService:
                 "FROM traces WHERE trace_ref = ?",
                 (trace_ref,),
             ).fetchone()
-        return None if row is None else self._row_to_metadata(row)
-
-    @staticmethod
-    def _row_to_metadata(row) -> TraceMetadata:
-        return TraceMetadata(
-            trace_ref=row[0],
-            manifest=json.loads(row[1]),
-            size_bytes=row[2],
-            uploaded_at=row[3],
-            uploader=row[4],
-        )
+        return None if row is None else TraceMetadata._make(row)

@@ -96,14 +96,20 @@ class Outbox:
         (self.directory / f"{ref}.entry").unlink(missing_ok=True)
 
     def discard_leftovers(self) -> None:
-        """Delete ``put``'s ``.tmp`` leftovers; rewrite each older ``.env`` + ``.manifest.json`` pair as one entry."""
+        """Delete ``put``'s ``.tmp`` leftovers; rewrite each older ``.env`` + ``.manifest.json`` pair as one entry.
+
+        An older ``.manifest.json`` whose ``.env`` is gone holds no trace (the
+        older put wrote the envelope last, and a conversion unlinks it first)
+        and is deleted.
+        """
         for path in self.directory.glob("*.tmp"):
             path.unlink(missing_ok=True)
-        for old in self.directory.glob("*.env"):
-            if (manifest := old.with_suffix(".manifest.json")).exists():
+        for manifest in self.directory.glob("*.manifest.json"):
+            old = manifest.with_name(manifest.name.removesuffix(".manifest.json") + ".env")
+            if old.exists():
                 self.put(old.read_bytes(), manifest.read_bytes())
                 old.unlink()
-                manifest.unlink()
+            manifest.unlink()
 
 
 def finalize_and_upload(

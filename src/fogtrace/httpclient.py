@@ -3,6 +3,10 @@
 The trace-store client and the two context-service providers share it.
 An :class:`HttpSession` holds one connection to one base URL and reuses it
 from request to request, replacing it when the server has closed it.
+
+A process sends all its multipart bodies with one boundary, drawn at import.
+The store's header parser (``email.feedparser``) compiles a regex per
+distinct boundary, and ``re``'s cache serves one it has seen before.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from urllib.parse import quote, urlencode, urlsplit
 # This is the set browsers and most clients keep, '%' included so that a path
 # already encoded passes through unchanged.
 _PATH_SAFE = "!#$%&'()*+,/:;=?@[]~"
+
+_BOUNDARY = os.urandom(16).hex()
 
 
 class NoResponseError(Exception):
@@ -93,9 +99,12 @@ def _readable(sock) -> bool:
 def encode_multipart(parts: dict[str, tuple[str, bytes, str]]) -> tuple[bytes, str]:
     """Encode ``{name: (filename, data, content_type)}`` as multipart/form-data.
 
-    Returns the body and the ``Content-Type`` header value that names its boundary.
+    Returns the body and the ``Content-Type`` header value that names its
+    boundary: the process's own, or a fresh one when a part contains it.
     """
-    boundary = os.urandom(16).hex()
+    boundary = _BOUNDARY
+    while any(boundary.encode("ascii") in data for _, data, _ in parts.values()):
+        boundary = os.urandom(16).hex()
     chunks = []
     for name, (filename, data, content_type) in parts.items():
         chunks.append(

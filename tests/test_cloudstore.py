@@ -187,10 +187,19 @@ class TestUpload:
     def test_manifest_must_be_json_object(self, sim_service):
         service, _ = sim_service
         token = upload_token(service)
-        with pytest.raises(ManifestInvalidError):
-            service.upload_trace(token, b"not json", b"blob")
-        with pytest.raises(ManifestInvalidError):
-            service.upload_trace(token, b"[1,2]", b"blob")
+        too_deep = b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        for text in (b"not json", b"[1,2]", b'"s"', b'{"a": 1} {"b": 2}', b'{"a": 1},', b"\xef\xbb\xbf{}", too_deep):
+            with pytest.raises(ManifestInvalidError):
+                service.upload_trace(token, text, b"blob")
+
+    @pytest.mark.parametrize("driver_id", ["[1]", '{"a": 1}', "7", "true"])
+    def test_driver_id_must_be_a_string(self, sim_service, tmp_path, driver_id):
+        service, _ = sim_service
+        token = upload_token(service)
+        with pytest.raises(ManifestInvalidError, match="driver_id"):
+            service.upload_trace(token, b'{"driver_id": %b}' % driver_id.encode(), b"blob")
+        # Refused before the object is written.
+        assert not (tmp_path / "store" / storage_key(hashlib.sha256(b"blob").hexdigest())).exists()
 
     @pytest.mark.parametrize("torn", ["truncated", "same-size"])
     def test_torn_object_is_rewritten_not_acknowledged(self, sim_service, tmp_path, torn):
@@ -470,6 +479,15 @@ class TestHttpSurface:
         data, metadata = cloud_client.get_trace(receipt["trace_ref"])
         assert data == blob
         assert metadata["manifest"] == json.loads(MANIFEST)
+
+    def test_envelope_holding_the_clients_boundary_is_stored_under_its_sha256(self, store_service, cloud_client):
+        _, content_type = encode_multipart({"manifest": ("m.json", MANIFEST, "application/json")})
+        boundary = content_type.partition("boundary=")[2].encode("ascii")
+        blob = os.urandom(64) + b"\r\n--" + boundary + b"--\r\n" + os.urandom(64)
+        receipt = cloud_client.upload_trace(MANIFEST, blob)
+        assert receipt["trace_ref"] == hashlib.sha256(blob).hexdigest()
+        assert (store_service.root / storage_key(receipt["trace_ref"])).read_bytes() == blob
+        assert cloud_client.get_trace(receipt["trace_ref"])[0] == blob
 
     def test_upload_without_token_401(self, store_http):
         response = post_multipart(

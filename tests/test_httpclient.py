@@ -160,6 +160,33 @@ def test_multipart_round_trip(parts):
     assert parse_multipart(content_type, body) == parts
 
 
+def _boundary(content_type: str) -> bytes:
+    return content_type.partition("boundary=")[2].encode("ascii")
+
+
+def test_multipart_bodies_share_one_boundary():
+    _, first = encode_multipart({"manifest": ("m.json", b"{}", "application/json")})
+    _, second = encode_multipart({"trace": ("t.bin", os.urandom(4096), "application/octet-stream")})
+    assert first == second and len(_boundary(first)) == 32
+
+
+@pytest.mark.parametrize("where", ["inside", "as-delimiter", "at-end"])
+def test_a_part_holding_the_boundary_gets_a_fresh_one(where):
+    _, usual = encode_multipart({"manifest": ("m.json", b"{}", "application/json")})
+    boundary = _boundary(usual)
+    trace = {
+        "inside": b"x" + boundary + b"y",
+        "as-delimiter": b"\r\n--" + boundary + b"--\r\n",
+        "at-end": b"\r\n--" + boundary,
+    }[where]
+    parts = {"manifest": ("m.json", b"{}", "application/json"), "trace": ("t.bin", trace, "application/octet-stream")}
+    body, content_type = encode_multipart(parts)
+    assert _boundary(content_type) != boundary and _boundary(content_type) not in trace
+    assert parse_multipart(content_type, body) == {"manifest": b"{}", "trace": trace}
+    # The fresh boundary served that body only.
+    assert encode_multipart({"manifest": ("m.json", b"{}", "application/json")})[1] == usual
+
+
 def test_cli_import_loads_no_third_party_http_stack():
     src = str(Path(fogtrace.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -302,10 +302,7 @@ class TestOutboxCrashPoints:
             receipts, remaining = flush_outbox(outbox, client, sim_clock)
             assert remaining == [] and outbox.pending() == []
             assert {hashlib.sha256(blob).hexdigest() for blob in client.uploads} == {ref}
-            # Only a crash between the old files' two unlinks leaves one
-            # behind: the manifest, which holds no trace.
-            leftover = [p.name for p in outbox.directory.iterdir()]
-            assert leftover == ([f"{ref}.manifest.json"] if crash_index == 3 else []), crash_index
+            assert list(outbox.directory.iterdir()) == [], crash_index
             crash_index += 1
         # put's write and rename, the old envelope's and manifest's unlinks,
         # then remove's unlink after the upload.
@@ -326,6 +323,14 @@ class TestOutboxCrashPoints:
         # It cannot be sent without its manifest, and it is not deleted either.
         assert list(outbox.directory.iterdir()) == [orphan_path]
         assert orphan_path.read_bytes() == orphan
+
+    def test_flush_deletes_an_older_manifest_without_envelope(self, tmp_path, sim_clock, key):
+        outbox = Outbox(tmp_path / "outbox")
+        # An older put that crashed before its envelope, its commit mark, was written.
+        (outbox.directory / f"{'ab' * 32}.manifest.json").write_bytes(b"{}")
+        client = _RecordingClient()
+        assert flush_outbox(outbox, client, sim_clock) == ([], [])
+        assert client.uploads == [] and list(outbox.directory.iterdir()) == []
 
 
 class TestTamperDetection:
