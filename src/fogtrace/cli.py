@@ -35,12 +35,8 @@ from pathlib import Path
 # rest of what it runs, so `verify` loads no vehicle, wearable or runner code.
 from .clock import SimulatedClock, SystemClock
 from .cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
-from .cloudstore.service import DEFAULT_TOKEN_TTL_S
 from .config import Config
 from .files import write_atomic
-
-DEFAULT_CLIENT_ID = "gateway"
-DEFAULT_CLIENT_SECRET = "local-dev-secret"
 
 
 class StageError(Exception):
@@ -194,8 +190,8 @@ def _make_clock(kind: str):
 
 def _resolve_key(args, cfg: Config) -> bytes | None:
     """``--key-hex``, ``--key-file``, their config keys, then ``key.hex`` in ``--out``."""
-    key_hex = args.key_hex or cfg.get("gateway.key_hex")
-    key_file = args.key_file or cfg.get("gateway.key_file")
+    key_hex = args.key_hex or cfg["gateway.key_hex"]
+    key_file = args.key_file or cfg["gateway.key_file"]
     if key_hex:
         return bytes.fromhex(key_hex)
     if key_file:
@@ -207,58 +203,49 @@ def _resolve_key(args, cfg: Config) -> bytes | None:
 
 
 def _client_accounts(cfg: Config) -> dict[str, ClientAccount]:
-    accounts: dict[str, ClientAccount] = {}
-    for key, value in cfg.as_dict().items():
-        parts = key.split(".")
-        if len(parts) == 4 and parts[:2] == ["cloud", "client"] and parts[3] == "secret":
-            client_id = parts[2]
-            scopes = cfg.get(f"cloud.client.{client_id}.scopes", "upload,read")
-            accounts[client_id] = ClientAccount(
-                client_id=client_id,
-                client_secret=value,
-                scopes=frozenset(s.strip() for s in scopes.split(",") if s.strip()),
-            )
+    """The ``cloud.client.<id>.*`` registry; with none set, the default client alone."""
+    accounts = {
+        client_id: ClientAccount(
+            client_id, cfg[f"cloud.client.{client_id}.secret"], cfg[f"cloud.client.{client_id}.scopes"]
+        )
+        for client_id in cfg.ids("cloud.client.<id>.secret")
+    }
     if not accounts:
-        accounts[DEFAULT_CLIENT_ID] = ClientAccount(
-            client_id=DEFAULT_CLIENT_ID,
-            client_secret=DEFAULT_CLIENT_SECRET,
-            scopes=frozenset({"upload", "read"}),
+        default = Config()
+        client_id = default["cloud.client_id"]
+        accounts[client_id] = ClientAccount(
+            client_id, default["cloud.client_secret"], default[f"cloud.client.{client_id}.scopes"]
         )
     return accounts
 
 
 def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient:
     """Client of the configured store; ``--self-contained`` serves one from ``--store-dir``."""
-    cloud_url = args.cloud_url or cfg.get("cloud.base_url")
+    cloud_url = args.cloud_url or cfg["cloud.base_url"]
     if not cloud_url:
         if not args.self_contained:
             raise ValueError("no cloud store configured; pass --cloud-url, --self-contained or (run) --no-upload")
         service = CloudStoreService(
             Path(args.store_dir or Path(args.out) / "store"),
             clients=_client_accounts(cfg),
-            token_ttl_s=cfg.get_int("cloud.token_ttl_s", DEFAULT_TOKEN_TTL_S),
+            token_ttl_s=cfg["cloud.token_ttl_s"],
         )
         # Registered first, so it runs after the server has stopped serving.
         stack.callback(service.close)
         cloud_url = stack.enter_context(CloudStoreHTTPServer(service)).base_url
-    client = CloudClient(
-        cloud_url,
-        cfg.get("cloud.client_id", DEFAULT_CLIENT_ID),
-        cfg.get("cloud.client_secret", DEFAULT_CLIENT_SECRET),
-    )
+    client = CloudClient(cloud_url, cfg["cloud.client_id"], cfg["cloud.client_secret"])
     stack.callback(client.session.close)
     return client
 
 
-def _wire(clock_kind: str, clock, simulator, stack: contextlib.ExitStack, context_seed: int | None = None):
+def _wire(served: bool, clock, simulator, stack: contextlib.ExitStack, context_seed: int | None = None):
     """The vehicle link factory and, given a seed, the traffic and weather clients.
 
-    On the real clock the vehicle is served over loopback TCP and the context
-    over HTTP; on the simulated clock both stay in-process.
+    ``served`` serves the vehicle over loopback TCP and the context over HTTP,
+    each on ``clock``; otherwise both stay in-process.
     """
     from .vehicle import InProcessObdLink, TcpObdLink, VehicleTcpServer
 
-    served = clock_kind == "real"
     if served:
         host, port = stack.enter_context(VehicleTcpServer(simulator, clock=clock)).address
         link_factory = lambda: TcpObdLink(host, port, clock)  # noqa: E731
@@ -307,7 +294,7 @@ def cmd_run(args) -> int:
     with contextlib.ExitStack() as stack:
         with _stage("setup"):
             cfg = _load_config(args)
-            seed = cfg.seed
+            seed = cfg["seed"]
             clock = _make_clock(args.clock)
             out_dir = Path(args.out)
             simulator = VehicleSimulator.from_config(cfg, start_ms=clock.now_ms())
@@ -319,7 +306,7 @@ def cmd_run(args) -> int:
                 # leaves nothing behind.
                 key = os.urandom(32)
             gateway = Gateway(
-                gateway_id=cfg.get("gateway.id", "gateway-1"),
+                gateway_id=cfg["gateway.id"],
                 clock=clock,
                 key=key,
                 outbox_dir=args.outbox_dir or out_dir / "outbox",
@@ -333,7 +320,7 @@ def cmd_run(args) -> int:
                 Polar("polar-1", physio, seed),
                 Spire("spire-1", physio, seed),
             )
-            link_factory, traffic, weather = _wire(args.clock, clock, simulator, stack, context_seed=seed)
+            link_factory, traffic, weather = _wire(args.clock == "real", clock, simulator, stack, context_seed=seed)
 
             cloud = None if args.no_upload else _cloud_client(args, cfg, stack)
             if new_key:
@@ -402,7 +389,7 @@ def cmd_bench_obd(args) -> int:
         with _stage("setup"):
             clock = _make_clock(args.clock)
             simulator = VehicleSimulator.from_config(_load_config(args), start_ms=clock.now_ms())
-            link = _wire(args.clock, clock, simulator, stack)[0]()
+            link = _wire(args.clock == "real", clock, simulator, stack)[0]()
             stack.callback(link.close)
         with _stage("bench"):
             report = run_obd_bench(link, clock, args.duration * 1000.0, window_ms=args.window_s * 1000.0)
@@ -445,7 +432,8 @@ def _open_trace(args, cfg: Config, stack: contextlib.ExitStack, on_download=None
 def cmd_verify(args) -> int:
     from .gateway.records import csv_to_rows, sha256_hex, validate_rows
 
-    cfg = _load_config(args)
+    with _stage("setup"):
+        cfg = _load_config(args)
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -487,7 +475,8 @@ def cmd_verify(args) -> int:
 def cmd_replay(args) -> int:
     from .gateway.records import csv_to_rows
 
-    cfg = _load_config(args)
+    with _stage("setup"):
+        cfg = _load_config(args)
     if not args.csv_file and not args.trace_ref:
         print("fogtrace: replay: need --trace-ref or --csv-file", file=sys.stderr)
         return 2

@@ -9,7 +9,9 @@ Both carry each manifest as the text it was uploaded as (see ``service``).
 
 Every reply is one write. Errors are ``{error, detail}`` with matching
 status codes, those ``http.server`` answers itself (an unknown method, a
-request line it cannot parse) included. A body whose
+request line it cannot parse) included. Any other exception a request
+raises is logged and answered 500 ``internal``, and the connection is
+closed. A body whose
 ``Content-Length`` is not a count of bytes answers 400, one above
 ``MAX_BODY_BYTES`` 413; neither body is read, and the connection is closed.
 """
@@ -18,12 +20,15 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 import re
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, unquote, urlparse
 
 from ..served import ServedHttp, send_error, send_json, send_reply
 from .service import BadRequestError, CloudError, CloudStoreService, MissingPartError, PayloadTooLargeError
+
+log = logging.getLogger(__name__)
 
 _TRACES_PATH = "/api/v1/traces"
 _TOKEN_PATH = "/api/v1/token"
@@ -103,6 +108,8 @@ class _Handler(BaseHTTPRequestHandler):
                 send_json(self, 404, {"error": "not-found", "detail": path})
         except CloudError as exc:
             send_json(self, exc.http_status, exc.to_body())
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._internal_error(exc)
 
     def do_GET(self):
         url = urlparse(self.path)
@@ -115,6 +122,14 @@ class _Handler(BaseHTTPRequestHandler):
                 send_json(self, 404, {"error": "not-found", "detail": url.path})
         except CloudError as exc:
             send_json(self, exc.http_status, exc.to_body())
+        except Exception as exc:  # noqa: BLE001 - every request gets an answer
+            self._internal_error(exc)
+
+    def _internal_error(self, exc: Exception) -> None:
+        """Log a fault that is not a store error, and answer it 500 ``internal`` on a closing connection."""
+        log.exception("%s %s failed", self.command, self.path)
+        self.close_connection = True
+        send_json(self, 500, CloudError(f"{type(exc).__name__}: {exc}").to_body())
 
     # -- endpoint bodies ----------------------------------------------------
 

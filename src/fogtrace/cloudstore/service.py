@@ -37,13 +37,12 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..clock import SystemClock
+from ..config import KEYS
 from ..files import write_atomic
 
 SCOPE_UPLOAD = "upload"
 SCOPE_READ = "read"
 VALID_SCOPES = frozenset({SCOPE_UPLOAD, SCOPE_READ})
-
-DEFAULT_TOKEN_TTL_S = 3600
 
 
 class CloudError(Exception):
@@ -196,7 +195,7 @@ class CloudStoreService:
         root: str | Path,
         clients: dict[str, ClientAccount] | None = None,
         clock=None,
-        token_ttl_s: int = DEFAULT_TOKEN_TTL_S,
+        token_ttl_s: int = KEYS["cloud.token_ttl_s"].default,
     ):
         self.root = Path(root)
         self.clients = dict(clients or {})
@@ -294,22 +293,30 @@ class CloudStoreService:
 
         trace_ref = hashlib.sha256(blob).hexdigest()
         path = self.root / storage_key(trace_ref)
-        if not _holds(path, blob, trace_ref):
+        written = not _holds(path, blob, trace_ref)
+        if written:
             self._write_atomic(path, blob)
-        with self._connection() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO traces "
-                "(trace_ref, manifest, driver_id, size_bytes, uploaded_at, uploader) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    trace_ref,
-                    manifest_json,
-                    driver_id,
-                    len(blob),
-                    int(self.clock.now_ms()),
-                    token.client_id,
-                ),
-            )
+        try:
+            with self._connection() as conn:
+                conn.execute(
+                    "INSERT OR IGNORE INTO traces "
+                    "(trace_ref, manifest, driver_id, size_bytes, uploaded_at, uploader) "
+                    "VALUES (?, ?, ?, ?, ?, ?)",
+                    (
+                        trace_ref,
+                        manifest_json,
+                        driver_id,
+                        len(blob),
+                        int(self.clock.now_ms()),
+                        token.client_id,
+                    ),
+                )
+        except BaseException:
+            # No listing, get or delete reaches an object without its row. One
+            # found already whole stays: it may be an earlier upload's, with a row.
+            if written:
+                path.unlink(missing_ok=True)
+            raise
         return {"trace_ref": trace_ref, "size_bytes": len(blob), "sha256": trace_ref}
 
     def _write_atomic(self, path: Path, blob: bytes) -> None:

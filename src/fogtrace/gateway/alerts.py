@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from ..config import KEYS
 from .records import TraceRow, scalar_of, state_of
 
 
@@ -38,12 +39,11 @@ class AlertRule:
 
 HR_SUSTAIN_MS = 10_000.0
 STRESS_SUSTAIN_MS = 30_000.0
-DEFAULT_HR_LIMIT_BPM = 120.0
-DEFAULT_OVERSPEED_KMH = 120.0
 
 
 def default_rules(
-    hr_limit_bpm: float = DEFAULT_HR_LIMIT_BPM, overspeed_kmh: float = DEFAULT_OVERSPEED_KMH
+    hr_limit_bpm: float = KEYS["gateway.hr_limit_bpm"].default,
+    overspeed_kmh: float = KEYS["gateway.overspeed_kmh"].default,
 ) -> list[AlertRule]:
     return [
         AlertRule("hr-high", "bpm", lambda v: v > hr_limit_bpm, HR_SUSTAIN_MS),

@@ -135,8 +135,7 @@ class SessionRunner:
             Outbox(outbox_dir),
             self.clock,
         )
-        retain = self.gateway.config.get_bool("gateway.retain_plaintext", True)
-        if not retain and trace_path is not None:
+        if not self.gateway.config["gateway.retain_plaintext"] and trace_path is not None:
             trace_path.unlink(missing_ok=True)
         return receipt
 
@@ -158,8 +157,10 @@ class _ProducerState:
                 self.miband_due[device.device_id] = start_ms
         self.gps_active = gps_source is not None and runner.simulator is not None
         self.context_active = runner.traffic is not None or runner.weather is not None
-        self.gps_due = start_ms + runner.gateway.gps_period_ms
-        self.context_due = start_ms + runner.gateway.context_period_ms
+        config = runner.gateway.config
+        self.gps_period, self.context_period = config["gateway.gps_period_ms"], config["external.period_ms"]
+        self.gps_due = start_ms + self.gps_period
+        self.context_due = start_ms + self.context_period
         self.context_rounds = 0
         self.context_failures = 0
         self._phys_t = start_ms
@@ -195,10 +196,10 @@ class _ProducerState:
         if self.gps_active:
             while self.gps_due <= now:
                 self.session.ingest(GpsFix(*sim.position(), now), source=self.gps_source)
-                self.gps_due += self.runner.gateway.gps_period_ms
+                self.gps_due += self.gps_period
         if self.context_active and now >= self.context_due:
             self._poll_context(now)
-            self.context_due += self.runner.gateway.context_period_ms
+            self.context_due += self.context_period
         self.next_due = self._earliest_due()
 
     def _earliest_due(self) -> float:

@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..clock import SystemClock
-from ..config import Config
+from ..config import KEYS, Config
 from ..external import FlowSegment, WeatherObservation
 from ..obd import PID_TABLE, ObdResponse
 from ..wearables import HeartSample, MiBand, Polar, RespirationSample, Spire
-from .alerts import DEFAULT_HR_LIMIT_BPM, DEFAULT_OVERSPEED_KMH, AlertEngine, AlertEvent, AlertRule, default_rules
+from .alerts import AlertEngine, AlertEvent, AlertRule, default_rules
 from .gapfill import fill_session_gaps
 from .records import (
     Pairing,
@@ -47,9 +47,6 @@ KIND_GPS = "gps"
 SERVICE_TRAFFIC = "traffic"
 SERVICE_WEATHER = "weather"
 SERVICE_ALERTS = "alerts"
-
-DEFAULT_GPS_PERIOD_MS = 1000.0
-DEFAULT_CONTEXT_PERIOD_MS = 30_000.0
 
 # Distinct (PID, value) pairs whose trace cell ``_obd_cell`` keeps; an hour
 # of aggressive driving has about 600.
@@ -105,7 +102,7 @@ class LocalSource:
 class Gateway:
     def __init__(
         self,
-        gateway_id: str = "gateway-1",
+        gateway_id: str = KEYS["gateway.id"].default,
         clock=None,
         key: bytes | None = None,
         outbox_dir: str | Path | None = None,
@@ -145,8 +142,7 @@ class Gateway:
         if not self.pairings:
             raise NoDevicesError("no devices paired")
         rules = default_rules(
-            hr_limit_bpm=self.config.get_float("gateway.hr_limit_bpm", DEFAULT_HR_LIMIT_BPM),
-            overspeed_kmh=self.config.get_float("gateway.overspeed_kmh", DEFAULT_OVERSPEED_KMH),
+            hr_limit_bpm=self.config["gateway.hr_limit_bpm"], overspeed_kmh=self.config["gateway.overspeed_kmh"]
         )
         self.active = Session(self, driver_id, vehicle_id, rules)
         return self.active
@@ -180,16 +176,6 @@ class Gateway:
         log.info("erase scope=%s result=%s", scope, erased)
         return erased
 
-    @property
-    def gps_period_ms(self) -> float:
-        """Period of the GPS fixes, read when used so schedule and gap fill agree."""
-        return self.config.get_float("gateway.gps_period_ms", DEFAULT_GPS_PERIOD_MS)
-
-    @property
-    def context_period_ms(self) -> float:
-        """Period of the traffic and weather polls, read like ``gps_period_ms``."""
-        return self.config.get_float("external.period_ms", DEFAULT_CONTEXT_PERIOD_MS)
-
     def _gap_period_for(self, source: str, channel: str) -> float | None:
         """Nominal period of one stream, keyed by device kind or service.
 
@@ -199,7 +185,7 @@ class Gateway:
         """
         pairing = self.pairings.get(source)
         kind = pairing.kind if pairing is not None else source
-        gps, context = self.gps_period_ms, self.context_period_ms
+        gps, context = self.config["gateway.gps_period_ms"], self.config["external.period_ms"]
         periods = {
             (Polar.kind, "bpm"): Polar.period_ms,
             (Spire.kind, "breaths_per_min"): Spire.period_ms,

@@ -35,7 +35,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .clock import SystemClock
-from .config import Config, ConfigError
+from .config import KEYS, Config, ConfigError
 from .obd import (
     CORE_PIDS,
     CORE_REQUESTS,
@@ -58,7 +58,6 @@ from .served import ServedThread
 IDLE_RPM = 800.0
 MAX_RPM = 6500.0
 GEAR_SHIFT_KMH = (20.0, 40.0, 60.0, 90.0)  # upshift thresholds for gears 2..5
-DEFAULT_TICK_MS = 100.0
 K_ACCEL = 25.0  # throttle % per m/s^2
 K_DRAG = 0.5  # throttle % per km/h
 
@@ -101,10 +100,6 @@ class Route:
             dx = (lon2 - lon1) * self._lon_scale
             dy = (lat2 - lat1) * self._M_PER_DEG_LAT
             self._cum.append(self._cum[-1] + math.hypot(dx, dy))
-
-    @property
-    def length_m(self) -> float:
-        return self._cum[-1]
 
     def point_at(self, distance_m: float) -> tuple[float, float]:
         cum = self._cum
@@ -167,14 +162,18 @@ AGGRESSIVE_PROFILE = DriveProfile(
 
 PROFILES = {p.name: p for p in (CALM_PROFILE, AGGRESSIVE_PROFILE)}
 
+# The longest reply delay: the TCP link's read timeout, past which a reply
+# counts as a lost link.
+MAX_REPLY_DELAY_MS = 30_000.0
+
 
 @dataclass
 class LatencyModel:
     """Triangular reply-delay distribution in milliseconds."""
 
-    min_ms: float = 50.0
-    mode_ms: float = 80.0
-    max_ms: float = 200.0
+    min_ms: float = KEYS["vehicle.latency.min_ms"].default
+    mode_ms: float = KEYS["vehicle.latency.mode_ms"].default
+    max_ms: float = KEYS["vehicle.latency.max_ms"].default
     seed: int = 0
 
     def __post_init__(self):
@@ -183,21 +182,22 @@ class LatencyModel:
             if not 0 <= bound < math.inf:
                 raise ValueError(f"latency {name} must be finite and not negative, got {bound}")
         if not self.min_ms <= self.mode_ms <= self.max_ms:
-            raise ValueError("latency model requires min <= mode <= max")
-        # With every delay 0 a simulated clock never moves, so nothing that
-        # polls until a deadline would end.
-        if self.max_ms == 0:
-            raise ValueError("latency max_ms must be above 0")
+            raise ValueError(
+                f"latency model requires min_ms <= mode_ms <= max_ms, got {self.min_ms}, {self.mode_ms}, {self.max_ms}"
+            )
+        # A simulated clock moves by these delays, and near its epoch a float
+        # steps by about 2.4e-4 ms: with every delay below 1 ms it could stand
+        # still, and nothing that polls until a deadline would end. A longer
+        # delay than the cap steps the simulator through more ticks per reply
+        # than a real link would wait for.
+        if not 1 <= self.max_ms <= MAX_REPLY_DELAY_MS:
+            raise ValueError(f"latency max_ms must be from 1 to {MAX_REPLY_DELAY_MS:g}, got {self.max_ms}")
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
 
     @classmethod
     def fixed(cls, delay_ms: float, seed: int = 0) -> "LatencyModel":
         return cls(min_ms=delay_ms, mode_ms=delay_ms, max_ms=delay_ms, seed=seed)
-
-    @property
-    def mean_ms(self) -> float:
-        return (self.min_ms + self.mode_ms + self.max_ms) / 3.0
 
     def sample(self) -> float:
         with self._lock:
@@ -249,10 +249,10 @@ class VehicleSimulator:
 
     def __init__(
         self,
-        profile: DriveProfile = CALM_PROFILE,
+        profile: DriveProfile = PROFILES[KEYS["vehicle.profile"].default],
         latency: LatencyModel | None = None,
         seed: int = 0,
-        tick_ms: float = DEFAULT_TICK_MS,
+        tick_ms: float = KEYS["vehicle.tick_ms"].default,
         start_ms: float = 0.0,
     ):
         self.profile = profile
@@ -263,22 +263,17 @@ class VehicleSimulator:
 
     @classmethod
     def from_config(cls, config: Config, start_ms: float = 0.0) -> "VehicleSimulator":
-        """The simulator ``config`` describes; absent keys take the class defaults."""
+        """The simulator ``config`` describes."""
         latency = LatencyModel(
-            min_ms=config.get_float("vehicle.latency.min_ms", LatencyModel.min_ms),
-            mode_ms=config.get_float("vehicle.latency.mode_ms", LatencyModel.mode_ms),
-            max_ms=config.get_float("vehicle.latency.max_ms", LatencyModel.max_ms),
-            seed=config.seed,
+            min_ms=config["vehicle.latency.min_ms"],
+            mode_ms=config["vehicle.latency.mode_ms"],
+            max_ms=config["vehicle.latency.max_ms"],
+            seed=config["seed"],
         )
-        name = config.get("vehicle.profile", CALM_PROFILE.name)
+        name = config["vehicle.profile"]
         if name not in PROFILES:
             raise ConfigError(f"vehicle.profile: unknown profile {name!r}")
-        return cls(
-            profile=PROFILES[name],
-            latency=latency,
-            tick_ms=config.get_float("vehicle.tick_ms", DEFAULT_TICK_MS),
-            start_ms=start_ms,
-        )
+        return cls(profile=PROFILES[name], latency=latency, tick_ms=config["vehicle.tick_ms"], start_ms=start_ms)
 
     def snapshot(self) -> VehicleState:
         with self._lock:
@@ -301,12 +296,8 @@ class VehicleSimulator:
             self._state = state
             return state
 
-    def reply_frame(self, raw_request: bytes) -> bytes:
-        """Frame in, frame out. Unsupported or broken requests get a 7F frame."""
-        return self._reply(self.snapshot(), raw_request)
-
     def _reply(self, state: VehicleState, raw_request: bytes) -> bytes:
-        """``reply_frame`` answered from ``state``: parse, refuse or read, encode, render."""
+        """The reply frame to ``raw_request`` from ``state``; unsupported or broken requests get a 7F frame."""
         try:
             pid_id = parse_request(raw_request)
         except UnsupportedModeError as exc:
@@ -391,7 +382,7 @@ def _frames(sock: socket.socket):
 class TcpObdLink(_RequestHelper):
     """Client for the TCP framing server; one in-flight request at a time."""
 
-    def __init__(self, host: str, port: int, clock=None, timeout_s: float = 30.0):
+    def __init__(self, host: str, port: int, clock=None, timeout_s: float = MAX_REPLY_DELAY_MS / 1000.0):
         self.clock = clock if clock is not None else SystemClock()
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._frames = _frames(self._sock)

@@ -13,6 +13,11 @@ def make_link(latency: LatencyModel):
     return InProcessObdLink(sim, clock), clock
 
 
+def _mean_ms(model: LatencyModel) -> float:
+    """The mean of the triangular delay distribution."""
+    return (model.min_ms + model.mode_ms + model.max_ms) / 3
+
+
 class TestFixedLatency:
     def test_plateau_600_at_100ms(self):
         link, clock = make_link(LatencyModel.fixed(100.0))
@@ -32,7 +37,7 @@ class TestTriangularModel:
     def test_ramp_and_plateau(self):
         link, clock = make_link(LatencyModel(seed=9))
         report = run_obd_bench(link, clock, 300_000.0)
-        expected = DEFAULT_WINDOW_MS / link.latency.mean_ms
+        expected = DEFAULT_WINDOW_MS / _mean_ms(link.latency)
         assert report.plateau == pytest.approx(expected, rel=0.05)
         assert report.ramp_updates is not None
         assert 400 <= report.ramp_updates <= 650
@@ -72,7 +77,7 @@ class TestAnalyticCrossCheck:
     def test_plateau_matches_mean_cycle(self, model):
         link, clock = make_link(model)
         report = run_obd_bench(link, clock, 240_000.0)
-        assert report.plateau == pytest.approx(DEFAULT_WINDOW_MS / model.mean_ms, rel=0.05)
+        assert report.plateau == pytest.approx(DEFAULT_WINDOW_MS / _mean_ms(model), rel=0.05)
 
 
 class TestReportOutputs:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -36,6 +37,7 @@ from fogtrace.cloudstore import (
     storage_key,
 )
 from fogtrace.cloudstore import httpd
+from fogtrace.cloudstore import service as service_module
 from fogtrace.cloudstore.httpd import MAX_BODY_BYTES
 from fogtrace.cloudstore.service import ERROR_TYPES
 from fogtrace.httpclient import HttpSession, encode_multipart
@@ -554,6 +556,83 @@ class TestHttpSurface:
         listed = cloud_client.list_traces(driver_id="drv")
         assert len(listed) == 1
         assert listed[0]["uploader"] == "gw"
+
+
+class _FailingInsert:
+    """The store's connection, with every INSERT raising ``error``."""
+
+    def __init__(self, db, error):
+        self._db, self._error = db, error
+
+    def execute(self, sql, *args):
+        if sql.startswith("INSERT"):
+            raise self._error
+        return self._db.execute(sql, *args)
+
+    def __enter__(self):
+        self._db.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._db.__exit__(*exc)
+
+
+def _objects_without_rows(service) -> set[str]:
+    objects = {path.name for path in (service.root / "objects").rglob("*") if path.is_file()}
+    with service._connection() as conn:
+        rows = {ref for (ref,) in conn.execute("SELECT trace_ref FROM traces")}
+    return objects - rows
+
+
+class TestInternalFaults:
+    """A fault that is not a store error is answered 500 ``internal``, and a failed upload leaves no object."""
+
+    @pytest.mark.parametrize("fault", ["insert-locked", "dedup-insert-locked", "object-write-eio"])
+    def test_failed_upload_is_answered_and_leaves_no_object_without_a_row(
+        self, store_service, cloud_client, monkeypatch, fault
+    ):
+        blob = b"a trace the store fails to take"
+        ref = hashlib.sha256(blob).hexdigest()
+        if fault == "dedup-insert-locked":
+            cloud_client.upload_trace(MANIFEST, blob)
+        if fault == "object-write-eio":
+
+            def failing_write(path, data, tmp):
+                raise OSError(errno.EIO, "Input/output error")
+
+            monkeypatch.setattr(service_module, "write_atomic", failing_write)
+        else:
+            locked = sqlite3.OperationalError("database is locked")
+            monkeypatch.setattr(store_service, "_db", _FailingInsert(store_service._db, locked))
+
+        with pytest.raises(CloudError) as raised:
+            cloud_client.upload_trace(MANIFEST, blob)
+        assert type(raised.value) is CloudError and raised.value.code == "internal"
+        assert "Error" in str(raised.value)
+        # The reply said Connection: close, so the client dropped its connection.
+        assert cloud_client.session._conn.sock is None
+        monkeypatch.undo()
+
+        assert _objects_without_rows(store_service) == set()
+        stored = (store_service.root / storage_key(ref)).exists()
+        assert stored == (fault == "dedup-insert-locked")
+        # The next request, on a new connection, is served.
+        assert cloud_client.upload_trace(MANIFEST, blob)["trace_ref"] == ref
+        assert cloud_client.get_trace(ref)[0] == blob
+
+    def test_failed_read_is_answered(self, store_service, cloud_client, monkeypatch):
+        ref = cloud_client.upload_trace(MANIFEST, b"stored")["trace_ref"]
+        locked = sqlite3.OperationalError("database is locked")
+
+        def locked_metadata(trace_ref):
+            raise locked
+
+        monkeypatch.setattr(store_service, "_metadata", locked_metadata)
+        with pytest.raises(CloudError, match="database is locked") as raised:
+            cloud_client.get_trace(ref)
+        assert type(raised.value) is CloudError and raised.value.code == "internal"
+        monkeypatch.undo()
+        assert cloud_client.get_trace(ref)[0] == b"stored"
 
 
 class TestClientTokens:

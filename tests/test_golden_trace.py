@@ -6,13 +6,22 @@ clock without uploading, and compares the CSV sha256 with the value
 recorded before the hot path was optimised. Any change to the vehicle
 model, the codec, the latency-draw order, ingest, gap filling or CSV
 rendering that alters a single byte fails here.
+
+One case runs again over the served wiring of ``--clock real`` (the
+vehicle over loopback TCP, the context over HTTP), still on the simulated
+clock, and must give the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from fogtrace.cli import _wire
+from fogtrace.external import HttpFlowProvider, HttpWeatherProvider
 from fogtrace.gateway.records import sha256_hex
+from fogtrace.vehicle import TcpObdLink
 
 DURATION_S = 300.0
 
@@ -31,4 +40,18 @@ def test_trace_bytes_are_pinned(pipeline_factory, profile, seed):
     runner = pipeline_factory(profile=profile, seed=seed)
     result = runner.run("driver-1", "vehicle-1", DURATION_S, upload=False)
     assert result.manifest.csv_sha256 == sha256_hex(result.csv_bytes)
+    assert result.manifest.csv_sha256 == GOLDEN_SHA256[profile, seed]
+
+
+def test_served_wiring_on_the_simulated_clock_gives_the_pinned_bytes(pipeline_factory):
+    profile, seed = "aggressive", 7
+    runner = pipeline_factory(profile=profile, seed=seed)
+    with contextlib.ExitStack() as stack:
+        link_factory, runner.traffic, runner.weather = _wire(True, runner.clock, runner.simulator, stack, seed)
+        links = []
+        runner.obd_link_factory = lambda: links.append(link_factory()) or links[-1]
+        result = runner.run("driver-1", "vehicle-1", DURATION_S, upload=False)
+    assert [type(link) for link in links] == [TcpObdLink]
+    assert isinstance(runner.traffic.provider, HttpFlowProvider)
+    assert isinstance(runner.weather.provider, HttpWeatherProvider)
     assert result.manifest.csv_sha256 == GOLDEN_SHA256[profile, seed]

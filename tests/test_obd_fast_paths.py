@@ -1,6 +1,6 @@
 """The responder's and the reader's memoized paths against the general path.
 
-``VehicleSimulator.reply_frame`` reads a request through ``parse_request``
+``VehicleSimulator._reply`` reads a request through ``parse_request``
 and ``parse_response`` reads a reply through its own memo, so a repeated
 frame is a lookup. These tests pin both to the code the memos cache, run
 uncached, on arbitrary input and on the edges where a frame stops being
@@ -66,7 +66,7 @@ _REQUESTS = st.one_of(
 def test_reply_frame_matches_the_general_path(state, raw_request):
     simulator = VehicleSimulator()
     simulator._state = state
-    assert outcome(simulator.reply_frame, raw_request) == outcome(_general_reply, state, raw_request)
+    assert outcome(simulator._reply, simulator.snapshot(), raw_request) == outcome(_general_reply, state, raw_request)
 
 
 @pytest.mark.parametrize(

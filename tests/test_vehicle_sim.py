@@ -91,7 +91,7 @@ class TestStep:
         for t_ms in range(0, 300_000, 7_300):
             odometer = sim.advance_to(float(t_ms)).odometer_m
             assert sim.position() == ROUTE.point_at(odometer)
-        assert sim.snapshot().odometer_m > ROUTE.length_m  # the loop was driven past its end
+        assert sim.snapshot().odometer_m > ROUTE._cum[-1]  # the loop was driven past its end
 
 
 def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[VehicleState]:
@@ -136,7 +136,7 @@ class TestLatencyModel:
     def test_fixed_model(self):
         model = LatencyModel.fixed(100.0)
         assert {model.sample() for _ in range(10)} == {100.0}
-        assert model.mean_ms == 100.0
+        assert (model.min_ms + model.mode_ms + model.max_ms) / 3 == 100.0
 
     def test_invalid_ordering_rejected(self):
         with pytest.raises(ValueError):
@@ -160,7 +160,8 @@ class TestLatencyModel:
             LatencyModel(*bounds)
 
     def test_zero_minimum_is_accepted(self):
-        assert LatencyModel(0.0, 0.0, 10.0).mean_ms == pytest.approx(10.0 / 3)
+        model = LatencyModel(0.0, 0.0, 10.0)
+        assert (model.min_ms + model.mode_ms + model.max_ms) / 3 == pytest.approx(10.0 / 3)
 
 
 class TestHandleRequest:
@@ -190,7 +191,8 @@ class TestHandleRequest:
         [(b"09 02\r", b"7F 09 11\r"), (b"0a 0c\r>", b"7F 0A 11\r"), (b"+3 0C\r", b"7F 00 11\r")],
     )
     def test_unsupported_mode_is_echoed_in_the_negative_reply(self, request_frame, reply):
-        assert VehicleSimulator().reply_frame(request_frame) == reply
+        simulator = VehicleSimulator()
+        assert simulator._reply(simulator.snapshot(), request_frame) == reply
 
     def test_replies_fifo_round_robin(self):
         clock = SimulatedClock()
