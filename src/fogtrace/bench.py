@@ -110,12 +110,14 @@ def run_obd_bench(
     pids = itertools.cycle(CORE_PIDS)
     negatives = 0
     interrupted = False
-    while clock.now_ms() < deadline:
-        issued = clock.now_ms()
+    # One clock read per turn: the time a reply lands is when the next request is issued.
+    issued = t_start
+    while issued < deadline:
         try:
             link.request(next(pids))
         except NegativeResponseError:
             negatives += 1
+            issued = clock.now_ms()
             continue
         except (ConnectionError, OSError, ObdError):
             # Emit whatever was measured so far as a partial report.
@@ -127,6 +129,7 @@ def run_obd_bench(
         while reply_times and reply_times[0] <= received - window_ms:
             reply_times.popleft()
         window_counts.append(len(reply_times))
+        issued = received
 
     latency_stats = None
     if latencies:

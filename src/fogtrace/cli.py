@@ -189,17 +189,34 @@ def _make_clock(kind: str):
 
 
 def _resolve_key(args, cfg: Config) -> bytes | None:
-    """``--key-hex``, ``--key-file``, their config keys, then ``key.hex`` in ``--out``."""
-    key_hex = args.key_hex or cfg["gateway.key_hex"]
-    key_file = args.key_file or cfg["gateway.key_file"]
-    if key_hex:
-        return bytes.fromhex(key_hex)
-    if key_file:
-        return bytes.fromhex(Path(key_file).read_text().strip())
+    """The key of the first source set: ``--key-hex``, ``gateway.key_hex``,
+    ``--key-file``, ``gateway.key_file``, then ``key.hex`` in ``--out``.
+
+    A key that is not 64 hex digits raises ``ValueError`` naming its
+    source, so a bad key fails setup instead of the upload after the trip.
+    """
+    from .gateway.envelope import KEY_LEN
+
     existing = Path(args.out) / "key.hex"
-    if existing.exists():
-        return bytes.fromhex(existing.read_text().strip())
-    return None
+    if args.key_hex or cfg["gateway.key_hex"]:
+        source, text = ("--key-hex", args.key_hex) if args.key_hex else ("gateway.key_hex", cfg["gateway.key_hex"])
+    elif args.key_file or cfg["gateway.key_file"]:
+        source, path = ("--key-file", args.key_file) if args.key_file else ("gateway.key_file", cfg["gateway.key_file"])
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ValueError(f"{source}: cannot read {path}: {exc.strerror}") from exc
+    elif existing.exists():
+        source, text = str(existing), existing.read_text()
+    else:
+        return None
+    try:
+        key = bytes.fromhex(text.strip())
+    except ValueError:
+        key = None
+    if key is None or len(key) != KEY_LEN:
+        raise ValueError(f"{source}: the key must be {2 * KEY_LEN} hex digits ({KEY_LEN} bytes)")
+    return key
 
 
 def _client_accounts(cfg: Config) -> dict[str, ClientAccount]:

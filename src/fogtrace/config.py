@@ -91,7 +91,8 @@ KEYS: dict[str, Key] = {
     "cloud.base_url": Key(str, None),
     "cloud.client_id": Key(str, "gateway"),
     "cloud.client_secret": Key(str, "local-dev-secret"),
-    "cloud.token_ttl_s": Key(_int, 3600, lambda s: s >= 1, "at least 1"),
+    # A year at most: the store adds it, in ms, to a float clock.
+    "cloud.token_ttl_s": Key(_int, 3600, lambda s: 1 <= s <= 31_536_000, "from 1 to 31536000 (one year)"),
     "cloud.client.<id>.secret": Key(str, None),
     "cloud.client.<id>.scopes": Key(_names, frozenset({"upload", "read"})),
 }

@@ -65,6 +65,8 @@ class AlertEngine:
         self._rules_of: dict[str, list[AlertRule]] = {}
         for rule in rules:
             self._rules_of.setdefault(rule.channel, []).append(rule)
+        # A row of any other channel never fires a rule.
+        self.channels = frozenset(self._rules_of)
 
     def observe(self, row: TraceRow) -> list[AlertEvent]:
         events = []

@@ -10,6 +10,7 @@ channels are never touched.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable
 
 from .records import NUMERIC_CHANNELS, TraceRow, fmt_scalar, scalar_of, sort_rows
@@ -25,47 +26,33 @@ def fill_gaps(rows: list[TraceRow], channel: str, nominal_period_ms: float) -> l
     Returns a new, sorted list containing the originals plus any inserted
     rows. Rows of other channels pass through untouched.
     """
-    return sort_rows(list(rows) + _stream_gap_rows(rows, channel, nominal_period_ms))
+    stream = [r for r in rows if r.channel == channel and r.interpolated == 0]
+    return sort_rows(list(rows) + _stream_gap_rows(stream, channel, nominal_period_ms))
 
 
-def _stream_gap_rows(rows: list[TraceRow], channel: str, period: float | None) -> list[TraceRow]:
-    """The interpolated rows for the real ``channel`` samples in ``rows``, in order."""
+def _stream_gap_rows(stream: list[TraceRow], channel: str, period: float | None) -> list[TraceRow]:
+    """The interpolated rows between consecutive real samples of one stream, in order."""
     if channel not in NUMERIC_CHANNELS or not period or period <= 0:
         return []
-    stream = [r for r in rows if r.channel == channel and r.interpolated == 0]
+    shortest, longest, guard = MIN_GAP_FACTOR * period, MAX_GAP_FACTOR * period, GUARD_FACTOR * period
     inserted: list[TraceRow] = []
     for prev, nxt in zip(stream, stream[1:]):
-        inserted.extend(_fill_one_gap(prev, nxt, channel, period))
+        t0, t1 = prev.timestamp_ms, nxt.timestamp_ms
+        dt = t1 - t0
+        if dt <= shortest or dt > longest:
+            continue
+        v0 = scalar_of(prev.value)
+        v1 = scalar_of(nxt.value)
+        if v0 is None or v1 is None:
+            continue
+        k = 1
+        t = t0 + k * period
+        while t <= t1 - guard:
+            value = v0 + (v1 - v0) * ((t - t0) / dt)
+            inserted.append(TraceRow(int(round(t)), prev.source, channel, fmt_scalar(value), prev.unit, 1))
+            k += 1
+            t = t0 + k * period
     return inserted
-
-
-def _fill_one_gap(prev: TraceRow, nxt: TraceRow, channel: str, period: float) -> list[TraceRow]:
-    dt = nxt.timestamp_ms - prev.timestamp_ms
-    if dt <= MIN_GAP_FACTOR * period or dt > MAX_GAP_FACTOR * period:
-        return []
-    v0 = scalar_of(prev.value)
-    v1 = scalar_of(nxt.value)
-    if v0 is None or v1 is None:
-        return []
-    out = []
-    k = 1
-    t = prev.timestamp_ms + k * period
-    while t <= nxt.timestamp_ms - GUARD_FACTOR * period:
-        frac = (t - prev.timestamp_ms) / dt
-        value = v0 + (v1 - v0) * frac
-        out.append(
-            TraceRow(
-                timestamp_ms=int(round(t)),
-                source=prev.source,
-                channel=channel,
-                value=fmt_scalar(value),
-                unit=prev.unit,
-                interpolated=1,
-            )
-        )
-        k += 1
-        t = prev.timestamp_ms + k * period
-    return out
 
 
 def fill_session_gaps(
@@ -77,11 +64,11 @@ def fill_session_gaps(
     Returns ``rows`` followed by the inserted rows, unsorted: the caller
     sorts the whole trace once.
     """
-    by_source: dict[str, list[TraceRow]] = {}
+    streams: defaultdict[tuple[str, str], list[TraceRow]] = defaultdict(list)
     for row in rows:
-        by_source.setdefault(row.source, []).append(row)
+        if not row[5]:  # interpolated
+            streams[row[1], row[2]].append(row)  # (source, channel)
     inserted: list[TraceRow] = []
-    for source, source_rows in by_source.items():
-        for channel in {r.channel for r in source_rows}:
-            inserted.extend(_stream_gap_rows(source_rows, channel, period_for(source, channel)))
+    for (source, channel), stream in streams.items():
+        inserted.extend(_stream_gap_rows(stream, channel, period_for(source, channel)))
     return rows + inserted

@@ -6,11 +6,17 @@ fixed (UTF-8, LF line endings, RFC 4180 quoting):
 
     timestamp_ms,source,channel,value,unit,interpolated
 
-Rows render with one join; a field holding ``,``, ``"``, CR or LF is
-quoted, its quotes doubled, so a trace whose text needs no quoting (every
-trace the simulator makes) is a plain join. Parsing splits on LF and ``,``
-when the text has nothing to unquote, and goes through ``csv.reader``
-otherwise.
+The whole table renders with one ``%``; a field holding ``,``, ``"``, CR
+or LF is quoted, its quotes doubled, so a trace whose text needs no
+quoting (every trace the simulator makes) is that one render. Parsing
+splits on LF and ``,`` when the text has nothing to unquote, and goes
+through ``csv.reader`` otherwise. The split lines become rows in one tight
+loop that checks each row inline (six fields, a known channel, a flag of
+exactly ``0`` or ``1``); a trace with any other line is parsed again by the
+checked row loop, which builds the same rows or raises the same
+``ValueError``. ``validate_rows`` likewise checks the whole trace in bulk,
+the timestamps in one pass and each distinct numeric value once, and words
+its problems row by row only when the bulk check fails.
 
 Timestamps are the gateway's arrival clock in Unix epoch milliseconds;
 device clocks are untrusted, but for physiological samples the device's
@@ -27,7 +33,8 @@ import io
 import json
 import uuid
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, le
 from typing import NamedTuple
 
 CSV_HEADER = ("timestamp_ms", "source", "channel", "value", "unit", "interpolated")
@@ -134,10 +141,10 @@ _ROW_FORMAT = "%d,%s,%s,%s,%s,%d\n"
 
 
 def rows_to_csv(rows: list[TraceRow]) -> bytes:
-    body = "".join([_ROW_FORMAT % row for row in rows])
-    # One check of the whole join instead of one per field: with no quote
+    body = (_ROW_FORMAT * len(rows)) % tuple(chain.from_iterable(rows))
+    # One check of the whole render instead of one per field: with no quote
     # or CR in it and exactly 5 commas and one LF per row, no field holds a
-    # character that needs quoting, so the join is the quoted render too.
+    # character that needs quoting, so the plain render is the quoted one too.
     if '"' in body or "\r" in body or body.count(",") != 5 * len(rows) or body.count("\n") != len(rows):
         body = "".join(
             [_ROW_FORMAT % (r[0], _quote(r[1]), _quote(r[2]), _quote(r[3]), _quote(r[4]), r[5]) for r in rows]
@@ -163,7 +170,7 @@ def csv_to_rows(data: bytes) -> list[TraceRow]:
             lines.pop()
         limit = csv.field_size_limit()
         if len(text) <= limit or max(map(len, lines)) <= limit:
-            return _build_rows(line.split(",") for line in lines)
+            return _split_rows(lines)
     reader = csv.reader(io.StringIO(text))
     try:
         try:
@@ -177,6 +184,30 @@ def csv_to_rows(data: bytes) -> list[TraceRow]:
         raise ValueError(f"trace is not valid CSV: {exc}") from exc
 
 
+# The inline checks of ``_split_rows``: a lookup that fails is a line for
+# ``_build_rows``. The channel lookup also hands back the one shared string.
+_FLAGS = {"0": 0, "1": 1}
+_CHANNEL_NAMES = {channel: channel for channel in CHANNELS}
+
+
+def _split_rows(lines: list[str]) -> list[TraceRow]:
+    """The rows of a trace's unquoted lines.
+
+    Each line of six fields with a known channel and a flag of ``0`` or ``1``
+    becomes its row without ``TraceRow``'s own checks, which it has passed.
+    On any other line the whole trace goes through ``_build_rows``, which
+    builds the rows the checked way or raises what that way raises.
+    """
+    new, flags, channels = tuple.__new__, _FLAGS, _CHANNEL_NAMES
+    try:
+        return [
+            new(TraceRow, (int(ts), source, channels[channel], value, unit, flags[flag]))
+            for ts, source, channel, value, unit, flag in map(str.split, lines, repeat(","))
+        ]
+    except (ValueError, KeyError):
+        return _build_rows(line.split(",") for line in lines)
+
+
 def _build_rows(records) -> list[TraceRow]:
     rows = []
     for fields in records:
@@ -187,7 +218,17 @@ def _build_rows(records) -> list[TraceRow]:
 
 
 def validate_rows(rows: list[TraceRow]) -> list[str]:
-    """Invariant check used by the verification path; returns problems found."""
+    """Invariant check used by the verification path; returns problems found.
+
+    A trace whose timestamps never decrease and whose distinct numeric-channel
+    values all parse has none; only a trace that fails that bulk check is
+    walked row by row, to word each problem.
+    """
+    stamps = [row[0] for row in rows]
+    numeric = NUMERIC_CHANNELS
+    values = {row[3] for row in rows if row[2] in numeric}
+    if all(map(le, stamps, stamps[1:])) and None not in map(scalar_of, values):
+        return []
     problems = []
     last_ts = None
     for i, row in enumerate(rows):

@@ -177,10 +177,14 @@ class _ProducerState:
         self.next_due = self._earliest_due()
 
     def service(self, now: float) -> None:
-        sim = self.runner.simulator
+        sim, physio = self.runner.simulator, self.runner.physio
         speed = sim.advance_to(now).speed_kmh if sim is not None else 0.0
-        if self.runner.physio is not None:
-            self._update_physio(now, speed)
+        dt = now - self._phys_t
+        if physio is not None and dt > 0:
+            # The driver's stress follows the acceleration since the last service.
+            physio.update((speed - self._phys_speed) / 3.6 / (dt / 1000.0), dt)
+            self._phys_t = now
+            self._phys_speed = speed
         if now < self.next_due:
             return
         for stream in self.streams:
@@ -211,15 +215,6 @@ class _ProducerState:
         if self.context_active:
             dues.append(self.context_due)
         return min(dues, default=math.inf)
-
-    def _update_physio(self, now: float, speed: float) -> None:
-        dt = now - self._phys_t
-        if dt <= 0:
-            return
-        accel = (speed - self._phys_speed) / 3.6 / (dt / 1000.0)
-        self.runner.physio.update(accel, dt)
-        self._phys_t = now
-        self._phys_speed = speed
 
     def _poll_context(self, now: float) -> None:
         self.context_rounds += 1

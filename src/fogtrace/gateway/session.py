@@ -4,8 +4,11 @@ A gateway pairs and locks devices, then runs at most one session at a
 time. Producers (the OBD link, wearable streams, GPS, context pollers)
 push their native records through ``Session.ingest``, which fans each
 record out into trace rows stamped with the gateway's arrival clock.
-Ending a session flushes everything: gap filling, a stable sort, CSV
-rendering, hashing, and the session manifest.
+The alert rules see only the rows of the channels they watch: a record
+whose rows are all of other channels (two OBD readings in three, every
+GPS fix) goes straight to the row store, and an alert row follows the row
+that fired it. Ending a session flushes everything: gap filling, a stable
+sort, CSV rendering, hashing, and the session manifest.
 
 A session has one owner: the trip loop that started it makes every
 ``ingest`` call, on its own thread, and ends it once through
@@ -227,14 +230,24 @@ class Session:
             self._admitted.add(self._check_source(resolved, sample))
         if type(sample) is AlertEvent:
             self.alerts.append(sample)
-        appended = []
-        for row in fan_out(sample, resolved, arrival):
-            appended.append(row)
-            for event in self._engine.observe(row):
-                self.alerts.append(event)
-                appended.extend(_alert_rows(event, SERVICE_ALERTS, arrival))
+        appended = fan_out(sample, resolved, arrival)
+        watched = self._engine.channels
+        for row in appended:
+            if row[2] in watched:  # channel
+                appended = self._observe(appended, arrival)
+                break
         self._rows.extend(appended)
         return appended
+
+    def _observe(self, rows: list[TraceRow], arrival: int) -> list[TraceRow]:
+        """``rows`` with the alert row of each event they fire right after the row that fired it."""
+        observed = []
+        for row in rows:
+            observed.append(row)
+            for event in self._engine.observe(row):
+                self.alerts.append(event)
+                observed.extend(_alert_rows(event, SERVICE_ALERTS, arrival))
+        return observed
 
     def _check_source(self, source: str | None, sample) -> str:
         if source is None:

@@ -248,7 +248,8 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     """
     parse = _parse_reply if type(line) is bytes else _parse_reply.__wrapped__
     data, value, unit = parse(line, expected.mode, expected.pid)
-    return ObdResponse(expected, data, value, unit, received_at)
+    # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per reply.
+    return tuple.__new__(ObdResponse, (expected, data, value, unit, received_at))
 
 
 @lru_cache(maxsize=CODEC_CACHE_SIZE)

@@ -192,16 +192,28 @@ class LatencyModel:
         # than a real link would wait for.
         if not 1 <= self.max_ms <= MAX_REPLY_DELAY_MS:
             raise ValueError(f"latency max_ms must be from 1 to {MAX_REPLY_DELAY_MS:g}, got {self.max_ms}")
-        self._rng = random.Random(self.seed)
-        self._lock = threading.Lock()
+        # One generator per model; ``sample`` draws from it with one C call,
+        # which needs no lock between the connections that share the model.
+        self._random = random.Random(self.seed).random
 
     @classmethod
     def fixed(cls, delay_ms: float, seed: int = 0) -> "LatencyModel":
         return cls(min_ms=delay_ms, mode_ms=delay_ms, max_ms=delay_ms, seed=seed)
 
     def sample(self) -> float:
-        with self._lock:
-            return self._rng.triangular(self.min_ms, self.max_ms, self.mode_ms)
+        """``random.Random(seed).triangular(min_ms, max_ms, mode_ms)``, draw for draw.
+
+        The arithmetic is ``triangular``'s, step for step, worked out here
+        instead of in a second frame, so every delay is bit for bit the same.
+        """
+        u = self._random()
+        low, high = self.min_ms, self.max_ms
+        if low == high:  # triangular's ZeroDivisionError
+            return low
+        c = (self.mode_ms - low) / (high - low)
+        if u > c:
+            return high + (low - high) * math.sqrt((1.0 - u) * (1.0 - c))
+        return low + (high - low) * math.sqrt(u * c)
 
 
 def step(state: VehicleState, profile: DriveProfile, dt_ms: float) -> VehicleState:
@@ -232,7 +244,10 @@ def step(state: VehicleState, profile: DriveProfile, dt_ms: float) -> VehicleSta
     rpm = MAX_RPM if MAX_RPM < rpm else rpm
 
     odometer = state.odometer_m + (previous + speed) / 2.0 / 3.6 * dt_s
-    return VehicleState(speed, rpm, throttle, gear, odometer, state.sim_time_ms + dt_ms, elapsed + dt_ms)
+    # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per tick.
+    return tuple.__new__(
+        VehicleState, (speed, rpm, throttle, gear, odometer, state.sim_time_ms + dt_ms, elapsed + dt_ms)
+    )
 
 
 # The state field each core PID reports.

@@ -141,6 +141,49 @@ class TestRunCommand:
         assert "setup" in stderr
 
 
+class TestKeyCheckedAtSetup:
+    """A key that is not 64 hex digits fails setup, names its source and runs no trip."""
+
+    @pytest.mark.parametrize("bad", ["abcd", "zz" * 32, "ab" * 33])
+    @pytest.mark.parametrize("source", ["--key-hex", "--key-file", "gateway.key_hex", "gateway.key_file", "key.hex"])
+    def test_bad_key_fails_setup_naming_its_source(self, tmp_path, capsys, source, bad):
+        out = tmp_path / "out"
+        key_file = tmp_path / "bad.key"
+        key_file.write_text(f"{bad}\n")
+        argv = ["--self-contained", "run", "--duration", "5", "--out", str(out)]
+        named = source
+        if source == "--key-hex":
+            argv += ["--key-hex", bad]
+        elif source == "--key-file":
+            argv += ["--key-file", str(key_file)]
+        elif source == "key.hex":
+            out.mkdir()
+            (out / "key.hex").write_text(f"{bad}\n")
+            named = str(out / "key.hex")
+        else:
+            conf = tmp_path / "fogtrace.conf"
+            conf.write_text(f"{source} = {bad if source == 'gateway.key_hex' else key_file}\n")
+            argv = ["--config", str(conf), *argv]
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"stage 'setup' failed: {named}: the key must be 64 hex digits (32 bytes)" in stderr
+        assert not (out / "traces").exists()
+        assert not (out / "outbox").exists()
+
+    def test_only_the_key_used_is_checked(self, tmp_path, capsys):
+        conf = tmp_path / "fogtrace.conf"
+        conf.write_text(f"gateway.key_hex = abcd\ngateway.key_file = {tmp_path / 'missing.key'}\n")
+        argv = ["--config", str(conf), "run", "--no-upload", "--duration", "5", "--out", str(tmp_path / "out")]
+        code, _, stderr = run_cli(capsys, *argv, "--key-hex", "ab" * 32)
+        assert code == 0, stderr
+
+    def test_unreadable_key_file_fails_setup_naming_its_source(self, tmp_path, capsys):
+        missing = tmp_path / "missing.key"
+        code, _, stderr = run_cli(capsys, "run", "--no-upload", "--key-file", str(missing), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert f"stage 'setup' failed: --key-file: cannot read {missing}" in stderr
+
+
 class TestRealClock:
     """``--clock real``: a served vehicle and context in wall time, trips of one second."""
 

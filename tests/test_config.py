@@ -99,6 +99,9 @@ class TestSchema:
             ("gateway.overspeed_kmh", "nan"),
             ("cloud.token_ttl_s", "0"),
             ("cloud.token_ttl_s", "1.5"),
+            # Above a year; a 401-digit TTL once overflowed the store's float clock at upload.
+            ("cloud.token_ttl_s", "31536001"),
+            pytest.param("cloud.token_ttl_s", "1" + "0" * 400, id="cloud.token_ttl_s-1e400"),
         ],
     )
     def test_value_out_of_bounds_is_refused_and_named(self, key, value):
@@ -112,6 +115,7 @@ class TestSchema:
             ("vehicle.tick_ms", "1e308", 1e308),
             ("gateway.hr_limit_bpm", "0.5", 0.5),
             ("cloud.token_ttl_s", "1", 1),
+            ("cloud.token_ttl_s", "31536000", 31_536_000),
             ("gateway.retain_plaintext", "Off", False),
         ],
     )
@@ -370,6 +374,7 @@ class TestBadConfigFailsSetup:
             "gateway.gps_perod_ms = 5",
             "vehicle.tick_ms = 0",
             "cloud.token_ttl_s = 0",
+            pytest.param("cloud.token_ttl_s = 1" + "0" * 400, id="cloud.token_ttl_s = 1e400"),
         ],
     )
     def test_run_fails_setup_naming_the_key(self, capsys, tmp_path, line):
