@@ -31,15 +31,6 @@ class LatencyStats:
     p50_ms: float
     p95_ms: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_ms": self.mean_ms,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-        }
-
 
 @dataclass
 class BenchReport:
@@ -54,12 +45,13 @@ class BenchReport:
     interrupted: bool = False
 
     def to_dict(self) -> dict:
+        """The report as ``bench-obd --json`` prints it, without ``window_counts``."""
         return {
             "duration_ms": self.duration_ms,
             "window_ms": self.window_ms,
             "replies": self.replies,
             "negatives": self.negatives,
-            "latency": self.latency.to_dict() if self.latency else None,
+            "latency": {**vars(self.latency)} if self.latency else None,
             "plateau": self.plateau,
             "ramp_updates": self.ramp_updates,
             "interrupted": self.interrupted,
@@ -82,7 +74,7 @@ class BenchReport:
         if self.latency:
             lines.append(
                 "latency ms: mean {mean_ms:.1f} min {min_ms:.1f} max {max_ms:.1f} "
-                "p50 {p50_ms:.1f} p95 {p95_ms:.1f}".format(**self.latency.to_dict())
+                "p50 {p50_ms:.1f} p95 {p95_ms:.1f}".format_map(vars(self.latency))
             )
         return "\n".join(lines)
 

@@ -189,8 +189,8 @@ def _make_clock(kind: str):
 
 
 def _resolve_key(args, cfg: Config) -> bytes | None:
-    """The key of the first source set: ``--key-hex``, ``gateway.key_hex``,
-    ``--key-file``, ``gateway.key_file``, then ``key.hex`` in ``--out``.
+    """The key of the first source set: ``--key-hex``, ``--key-file``,
+    ``gateway.key_hex``, ``gateway.key_file``, then ``key.hex`` in ``--out``.
 
     A key that is not 64 hex digits raises ``ValueError`` naming its
     source, so a bad key fails setup instead of the upload after the trip.
@@ -198,18 +198,24 @@ def _resolve_key(args, cfg: Config) -> bytes | None:
     from .gateway.envelope import KEY_LEN
 
     existing = Path(args.out) / "key.hex"
-    if args.key_hex or cfg["gateway.key_hex"]:
-        source, text = ("--key-hex", args.key_hex) if args.key_hex else ("gateway.key_hex", cfg["gateway.key_hex"])
-    elif args.key_file or cfg["gateway.key_file"]:
-        source, path = ("--key-file", args.key_file) if args.key_file else ("gateway.key_file", cfg["gateway.key_file"])
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ValueError(f"{source}: cannot read {path}: {exc.strerror}") from exc
-    elif existing.exists():
-        source, text = str(existing), existing.read_text()
+    sources = (
+        ("--key-hex", args.key_hex, False),
+        ("--key-file", args.key_file, True),
+        ("gateway.key_hex", cfg["gateway.key_hex"], False),
+        ("gateway.key_file", cfg["gateway.key_file"], True),
+        (str(existing), existing if existing.exists() else None, True),
+    )
+    for source, value, is_path in sources:
+        if value:
+            break
     else:
         return None
+    text = value
+    if is_path:
+        try:
+            text = Path(value).read_text()
+        except OSError as exc:
+            raise ValueError(f"{source}: cannot read {value}: {exc.strerror}") from exc
     try:
         key = bytes.fromhex(text.strip())
     except ValueError:
@@ -323,7 +329,6 @@ def cmd_run(args) -> int:
                 # leaves nothing behind.
                 key = os.urandom(32)
             gateway = Gateway(
-                gateway_id=cfg["gateway.id"],
                 clock=clock,
                 key=key,
                 outbox_dir=args.outbox_dir or out_dir / "outbox",

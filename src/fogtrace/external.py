@@ -56,17 +56,6 @@ class FlowSegment:
     segment_length_m: float
     matched_at: tuple[float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "current_speed_kmh": self.current_speed_kmh,
-            "free_flow_speed_kmh": self.free_flow_speed_kmh,
-            "current_travel_time_s": self.current_travel_time_s,
-            "free_flow_travel_time_s": self.free_flow_travel_time_s,
-            "confidence": self.confidence,
-            "segment_length_m": self.segment_length_m,
-            "matched_at": list(self.matched_at),
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "FlowSegment":
         return cls(
@@ -87,15 +76,6 @@ class WeatherObservation:
     precipitation_mm_h: float
     wind_ms: float
     observed_at: int
-
-    def to_dict(self) -> dict:
-        return {
-            "temp_c": self.temp_c,
-            "condition": self.condition,
-            "precipitation_mm_h": self.precipitation_mm_h,
-            "wind_ms": self.wind_ms,
-            "observed_at": self.observed_at,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeatherObservation":

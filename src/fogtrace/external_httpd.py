@@ -1,8 +1,9 @@
 """HTTP stub server mimicking the two third-party context services.
 
 Endpoints: ``GET /flow?lat=&lon=`` and ``GET /weather?lat=&lon=``, JSON
-bodies carrying exactly the typed fields. Each is answered by the local
-provider the simulated clock uses in-process, so responses are deterministic.
+bodies carrying exactly the typed fields, in the order the record declares
+them. Each is answered by the local provider the simulated clock uses
+in-process, so responses are deterministic.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             return send_json(self, 400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
         try:
             if url.path == "/flow":
-                return send_json(self, 200, owner.flow.fetch(lat, lon).to_dict())
+                return send_json(self, 200, vars(owner.flow.fetch(lat, lon)))
             if url.path == "/weather":
-                return send_json(self, 200, owner.weather.fetch(lat, lon).to_dict())
+                return send_json(self, 200, vars(owner.weather.fetch(lat, lon)))
         except InvalidCoordinatesError as exc:
             return send_json(self, 400, {"error": "invalid-coordinates", "detail": str(exc)})
         return send_json(self, 404, {"error": "not-found", "detail": self.path})

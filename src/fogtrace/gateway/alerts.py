@@ -6,6 +6,10 @@ from the first satisfying sample; any sample that breaks the condition
 resets the episode. Defaults: heart rate above 120 bpm for 10 s, tension
 respiration state for 30 s, and overspeed (immediate, once per episode).
 
+A rule's test sees the value as its channel reads: the number before any
+``@<device_ms>`` on a channel of ``NUMERIC_CHANNELS``, where a value that
+is not a number is skipped, and the state string on any other channel.
+
 With these defaults only overspeed fires on the built-in drive profiles:
 the simulated heart rate stays below about 100 bpm, and neither profile
 holds the driver in tension for 30 s. ``gateway.hr_limit_bpm`` and a
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..config import KEYS
-from .records import TraceRow, scalar_of, state_of
+from .records import NUMERIC_CHANNELS, TraceRow, scalar_of, state_of
 
 
 @dataclass(frozen=True)
@@ -34,7 +38,6 @@ class AlertRule:
     channel: str
     test: Callable[[object], bool]
     sustain_ms: float
-    numeric: bool = True
 
 
 HR_SUSTAIN_MS = 10_000.0
@@ -47,7 +50,7 @@ def default_rules(
 ) -> list[AlertRule]:
     return [
         AlertRule("hr-high", "bpm", lambda v: v > hr_limit_bpm, HR_SUSTAIN_MS),
-        AlertRule("stress", "resp_state", lambda v: v == "tension", STRESS_SUSTAIN_MS, numeric=False),
+        AlertRule("stress", "resp_state", lambda v: v == "tension", STRESS_SUSTAIN_MS),
         AlertRule("overspeed", "speed_kmh", lambda v: v > overspeed_kmh, 0.0),
     ]
 
@@ -60,28 +63,26 @@ class _EpisodeState:
 
 class AlertEngine:
     def __init__(self, rules: list[AlertRule]):
-        self._episodes: dict[str, _EpisodeState] = {r.name: _EpisodeState() for r in rules}
-        # The rules of each watched channel, in the order given.
-        self._rules_of: dict[str, list[AlertRule]] = {}
+        episodes = {r.name: _EpisodeState() for r in rules}
+        # Each watched channel: how its values read, and its rules in the
+        # order given, each with the episode of its name.
+        self._watch: dict[str, tuple[Callable[[str], object], list[tuple[AlertRule, _EpisodeState]]]] = {}
         for rule in rules:
-            self._rules_of.setdefault(rule.channel, []).append(rule)
+            read = scalar_of if rule.channel in NUMERIC_CHANNELS else state_of
+            self._watch.setdefault(rule.channel, (read, []))[1].append((rule, episodes[rule.name]))
         # A row of any other channel never fires a rule.
-        self.channels = frozenset(self._rules_of)
+        self.channels = frozenset(self._watch)
 
     def observe(self, row: TraceRow) -> list[AlertEvent]:
         events = []
-        rules = self._rules_of.get(row.channel)
-        if rules is None or row.interpolated:
+        watch = self._watch.get(row.channel)
+        if watch is None or row.interpolated:
             return events
-        for rule in rules:
-            value: object
-            if rule.numeric:
-                value = scalar_of(row.value)
-                if value is None:
-                    continue
-            else:
-                value = state_of(row.value)
-            episode = self._episodes[rule.name]
+        read, rules = watch
+        value = read(row.value)
+        if value is None:
+            return events
+        for rule, episode in rules:
             if rule.test(value):
                 if episode.started_at is None:
                     episode.started_at = row.timestamp_ms

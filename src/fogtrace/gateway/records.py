@@ -9,20 +9,24 @@ fixed (UTF-8, LF line endings, RFC 4180 quoting):
 The whole table renders with one ``%``; a field holding ``,``, ``"``, CR
 or LF is quoted, its quotes doubled, so a trace whose text needs no
 quoting (every trace the simulator makes) is that one render. Parsing
-splits on LF and ``,`` when the text has nothing to unquote, and goes
-through ``csv.reader`` otherwise. The split lines become rows in one tight
-loop that checks each row inline (six fields, a known channel, a flag of
-exactly ``0`` or ``1``); a trace with any other line is parsed again by the
-checked row loop, which builds the same rows or raises the same
-``ValueError``. ``validate_rows`` likewise checks the whole trace in bulk,
-the timestamps in one pass and each distinct numeric value once, and words
-its problems row by row only when the bulk check fails.
+splits on LF and ``,`` when the text has nothing to unquote. The split
+lines become rows in one tight loop that checks each row inline (six
+fields, a known channel, a flag of exactly ``0`` or ``1``). Any other
+trace, one with a line that loop refuses included, goes through
+``csv.reader`` and the checked row loop, which builds the same rows or
+words the fault one way. ``validate_rows`` likewise checks the whole trace
+in bulk, the timestamps in one pass and each distinct numeric value once,
+and words its problems row by row only when the bulk check fails.
 
 Timestamps are the gateway's arrival clock in Unix epoch milliseconds;
 device clocks are untrusted, but for physiological samples the device's
 own timestamp is preserved inside the value as ``<scalar>@<device_ms>``.
 Rows sort by (timestamp_ms, source, channel), stable, so any interleaving
 of the same source streams renders to identical bytes.
+
+A pairing and a manifest serialize from their own fields, in the order the
+dataclass declares them; ``from_dict`` reads them back from outside input,
+converting each field.
 """
 
 from __future__ import annotations
@@ -163,14 +167,17 @@ def csv_to_rows(data: bytes) -> list[TraceRow]:
     text = data.decode("utf-8")
     # A trace with nothing to unquote splits on LF and ",". A quote, a CR
     # or a NUL (which csv.reader refuses before Python 3.11) sends it to
-    # csv.reader, as does a line long enough to break its field limit.
+    # csv.reader, as does a line long enough to break its field limit or
+    # one the split loop refuses.
     if text.startswith(_HEADER_LINE) and '"' not in text and "\r" not in text and "\0" not in text:
         lines = text[len(_HEADER_LINE) :].split("\n")
         if lines[-1] == "":
             lines.pop()
         limit = csv.field_size_limit()
         if len(text) <= limit or max(map(len, lines)) <= limit:
-            return _split_rows(lines)
+            rows = _split_rows(lines)
+            if rows is not None:
+                return rows
     reader = csv.reader(io.StringIO(text))
     try:
         try:
@@ -179,24 +186,27 @@ def csv_to_rows(data: bytes) -> list[TraceRow]:
             raise ValueError("empty trace file") from exc
         if tuple(header) != CSV_HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
-        return _build_rows(reader)
+        rows = []
+        for fields in reader:
+            if len(fields) != 6:
+                raise ValueError(f"trace row must have 6 fields, got {fields!r}")
+            rows.append(TraceRow(int(fields[0]), fields[1], fields[2], fields[3], fields[4], int(fields[5])))
+        return rows
     except csv.Error as exc:
         raise ValueError(f"trace is not valid CSV: {exc}") from exc
 
 
-# The inline checks of ``_split_rows``: a lookup that fails is a line for
-# ``_build_rows``. The channel lookup also hands back the one shared string.
+# The inline checks of ``_split_rows``: a lookup that fails refuses the
+# trace. The channel lookup also hands back the one shared string.
 _FLAGS = {"0": 0, "1": 1}
 _CHANNEL_NAMES = {channel: channel for channel in CHANNELS}
 
 
-def _split_rows(lines: list[str]) -> list[TraceRow]:
-    """The rows of a trace's unquoted lines.
+def _split_rows(lines: list[str]) -> list[TraceRow] | None:
+    """The rows of a trace's unquoted lines, or None when a line is off the fast loop.
 
     Each line of six fields with a known channel and a flag of ``0`` or ``1``
     becomes its row without ``TraceRow``'s own checks, which it has passed.
-    On any other line the whole trace goes through ``_build_rows``, which
-    builds the rows the checked way or raises what that way raises.
     """
     new, flags, channels = tuple.__new__, _FLAGS, _CHANNEL_NAMES
     try:
@@ -205,16 +215,7 @@ def _split_rows(lines: list[str]) -> list[TraceRow]:
             for ts, source, channel, value, unit, flag in map(str.split, lines, repeat(","))
         ]
     except (ValueError, KeyError):
-        return _build_rows(line.split(",") for line in lines)
-
-
-def _build_rows(records) -> list[TraceRow]:
-    rows = []
-    for fields in records:
-        if len(fields) != 6:
-            raise ValueError(f"trace row must have 6 fields, got {fields!r}")
-        rows.append(TraceRow(int(fields[0]), fields[1], fields[2], fields[3], fields[4], int(fields[5])))
-    return rows
+        return None
 
 
 def validate_rows(rows: list[TraceRow]) -> list[str]:
@@ -252,14 +253,6 @@ class Pairing:
     locked_to: str
     paired_at: int
 
-    def to_dict(self) -> dict:
-        return {
-            "device_id": self.device_id,
-            "kind": self.kind,
-            "locked_to": self.locked_to,
-            "paired_at": self.paired_at,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "Pairing":
         return cls(
@@ -285,21 +278,12 @@ class SessionManifest:
     schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "driver_id": self.driver_id,
-            "vehicle_id": self.vehicle_id,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "devices": [d.to_dict() for d in self.devices],
-            "row_count": self.row_count,
-            "csv_sha256": self.csv_sha256,
-            "schema_version": self.schema_version,
-        }
+        """The fields in declared order, as new dicts the caller may change."""
+        return {**vars(self), "devices": [{**vars(d)} for d in self.devices]}
 
     def to_json(self) -> bytes:
-        # Compact separators and fixed field order: serialization must be
-        # byte-stable because these bytes authenticate the envelope.
+        # Compact separators and the declared field order: serialization must
+        # be byte-stable because these bytes authenticate the envelope.
         return json.dumps(self.to_dict(), separators=(",", ":")).encode("utf-8")
 
     @classmethod

@@ -81,7 +81,8 @@ class SessionRunner:
         session = self.gateway.start_session(driver_id, vehicle_id)
         # The loop owns the session: it makes every ingest and ends it, also
         # when setting up or running a producer raises, so the gateway is
-        # free for the next trip and every stream opened is closed.
+        # free for the next trip, every stream opened is closed and the rows
+        # ingested so far are written to the trace directory.
         obd = producers = None
         try:
             start = self.clock.now_ms()
@@ -102,7 +103,7 @@ class SessionRunner:
             if obd is not None:
                 obd.close()
             csv_bytes, manifest = self.gateway.end_session()
-        trace_path = self._persist_trace(csv_bytes, manifest)
+            trace_path = self._persist_trace(csv_bytes, manifest)
         receipt = None
         if upload and self.cloud_client is not None:
             receipt = self.upload(csv_bytes, manifest, trace_path)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..clock import SystemClock
-from ..config import KEYS, Config
+from ..config import Config
 from ..external import FlowSegment, WeatherObservation
 from ..obd import PID_TABLE, ObdResponse
 from ..wearables import HeartSample, MiBand, Polar, RespirationSample, Spire
@@ -50,6 +50,8 @@ KIND_GPS = "gps"
 SERVICE_TRAFFIC = "traffic"
 SERVICE_WEATHER = "weather"
 SERVICE_ALERTS = "alerts"
+# The gateway's own sources, which feed a session unpaired.
+SERVICES = frozenset({SERVICE_TRAFFIC, SERVICE_WEATHER, SERVICE_ALERTS})
 
 # Distinct (PID, value) pairs whose trace cell ``_obd_cell`` keeps; an hour
 # of aggressive driving has about 600.
@@ -105,14 +107,12 @@ class LocalSource:
 class Gateway:
     def __init__(
         self,
-        gateway_id: str = KEYS["gateway.id"].default,
         clock=None,
         key: bytes | None = None,
         outbox_dir: str | Path | None = None,
         trace_dir: str | Path | None = None,
         config: Config | None = None,
     ):
-        self.gateway_id = gateway_id
         self.clock = clock if clock is not None else SystemClock()
         self.key = key
         self.config = config or Config()
@@ -120,19 +120,19 @@ class Gateway:
         self.trace_dir = Path(trace_dir) if trace_dir else None
         self.pairings: dict[str, Pairing] = {}
         self.devices: dict[str, object] = {}
-        self.services: set[str] = {SERVICE_TRAFFIC, SERVICE_WEATHER, SERVICE_ALERTS}
         self.active: Session | None = None
 
     def pair_device(self, device) -> Pairing:
-        """Bond ``device`` (anything with device_id/kind/pair) and lock it here."""
-        device.pair(self.gateway_id)
+        """Bond ``device`` (anything with device_id/kind/pair) and lock it to ``gateway.id``."""
+        gateway_id = self.config["gateway.id"]
+        device.pair(gateway_id)
         existing = self.pairings.get(device.device_id)
         if existing is not None:
             return existing
         pairing = Pairing(
             device_id=device.device_id,
             kind=device.kind,
-            locked_to=self.gateway_id,
+            locked_to=gateway_id,
             paired_at=int(self.clock.now_ms()),
         )
         self.pairings[device.device_id] = pairing
@@ -213,9 +213,9 @@ class Session:
         self.alerts: list[AlertEvent] = []
         self._rows: list[TraceRow] = []
         self._engine = AlertEngine(alert_rules)
-        # Sources already checked. Pairings and services only grow while a
-        # session runs, so an admitted source stays valid; a refused one is
-        # never added and is checked again on its next sample.
+        # Sources already checked. Pairings only grow while a session runs
+        # and the services are fixed, so an admitted source stays valid; a
+        # refused one is never added and is checked again on its next sample.
         self._admitted: set[str] = set()
 
     def ingest(self, sample, source: str | None = None) -> list[TraceRow]:
@@ -252,7 +252,7 @@ class Session:
     def _check_source(self, source: str | None, sample) -> str:
         if source is None:
             raise UnknownSourceError(f"no source given for {type(sample).__name__}")
-        if source not in self.gateway.pairings and source not in self.gateway.services:
+        if source not in self.gateway.pairings and source not in SERVICES:
             raise UnknownSourceError(f"source {source!r} is neither paired nor registered")
         return source
 

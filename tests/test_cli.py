@@ -177,6 +177,25 @@ class TestKeyCheckedAtSetup:
         code, _, stderr = run_cli(capsys, *argv, "--key-hex", "ab" * 32)
         assert code == 0, stderr
 
+    def test_a_key_flag_beats_the_config_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        key_file = tmp_path / "k1.key"
+        key_file.write_text("ab" * 32 + "\n")
+        conf = tmp_path / "fogtrace.conf"
+        conf.write_text(f"gateway.key_hex = {'cd' * 32}\n")
+        code, stdout, stderr = run_cli(
+            capsys, "--config", str(conf), "--self-contained", "--json", "run", "--duration", "5",
+            "--key-file", str(key_file), "--out", str(out),
+        )
+        assert code == 0, stderr
+        trace_ref = json.loads(stdout)["trace_ref"]
+        code, stdout, _ = run_cli(
+            capsys, "--self-contained", "--json", "verify", "--trace-ref", trace_ref, "--store-dir", str(out / "store"),
+            "--key-file", str(key_file), "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads(stdout)["passed"]
+
     def test_unreadable_key_file_fails_setup_naming_its_source(self, tmp_path, capsys):
         missing = tmp_path / "missing.key"
         code, _, stderr = run_cli(capsys, "run", "--no-upload", "--key-file", str(missing), "--out", str(tmp_path / "out"))
@@ -406,6 +425,17 @@ class TestBenchCommand:
         )
         assert code == 0
         report = json.loads(stdout)
+        assert list(report) == [
+            "duration_ms",
+            "window_ms",
+            "replies",
+            "negatives",
+            "latency",
+            "plateau",
+            "ramp_updates",
+            "interrupted",
+        ]
+        assert list(report["latency"]) == ["mean_ms", "min_ms", "max_ms", "p50_ms", "p95_ms"]
         assert report["plateau"] == pytest.approx(600.0, rel=0.01)
         assert report["negatives"] == 0
         assert series.read_text().startswith("update_index,commands_in_window")

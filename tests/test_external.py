@@ -176,6 +176,23 @@ class TestHttpStub:
             assert flow == FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
             assert weather == WeatherService(seed=4).observation(52.52, 13.40, clock.now_ms())
 
+    def test_body_text_is_pinned(self):
+        with ContextStubServer(seed=4, clock=SimulatedClock(start_ms=1_700_000_000_000)) as stub:
+            with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
+                flow, weather = (
+                    session.request("GET", path, params={"lat": 52.52, "lon": 13.4}).text
+                    for path in ("/flow", "/weather")
+                )
+        assert flow == (
+            '{"current_speed_kmh": 21.3, "free_flow_speed_kmh": 39.4, "current_travel_time_s": 63.7, '
+            '"free_flow_travel_time_s": 34.4, "confidence": 0.9, "segment_length_m": 377.0, '
+            '"matched_at": [52.52, 13.4]}'
+        )
+        assert weather == (
+            '{"temp_c": 18.5, "condition": "fog", "precipitation_mm_h": 0.0, "wind_ms": 3.1, '
+            '"observed_at": 1699999200000}'
+        )
+
     def test_bad_coordinates_400(self):
         with ContextStubServer(seed=4) as stub:
             with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:

@@ -185,5 +185,40 @@ class TestManifest:
         }
         assert data["schema_version"] == "1"
 
+    def test_json_bytes_are_pinned(self):
+        # The envelope authenticates these bytes, so they must never drift:
+        # field order, compact separators and ASCII escapes included.
+        manifest = SessionManifest(
+            session_id="5f0c6a2e-0000-4000-8000-000000000001",
+            driver_id="Zoë 運転手",
+            vehicle_id="veh-1",
+            started_at=1_700_000_000_000,
+            ended_at=1_700_000_060_000,
+            devices=(
+                Pairing("polar-1", "polar-h7", "gw-1", 1_699_999_999_000),
+                Pairing("obd-1", "obd", "gw-1", 1_699_999_999_500),
+            ),
+            row_count=1634,
+            csv_sha256="0c" * 32,
+        )
+        assert manifest.to_json() == (
+            b'{"session_id":"5f0c6a2e-0000-4000-8000-000000000001",'
+            b'"driver_id":"Zo\\u00eb \\u904b\\u8ee2\\u624b","vehicle_id":"veh-1",'
+            b'"started_at":1700000000000,"ended_at":1700000060000,"devices":['
+            b'{"device_id":"polar-1","kind":"polar-h7","locked_to":"gw-1","paired_at":1699999999000},'
+            b'{"device_id":"obd-1","kind":"obd","locked_to":"gw-1","paired_at":1699999999500}],'
+            b'"row_count":1634,"csv_sha256":"' + b"0c" * 32 + b'","schema_version":"1"}'
+        )
+
+    def test_to_dict_is_a_copy(self):
+        manifest = self._manifest()
+        encoded = manifest.to_json()
+        data = manifest.to_dict()
+        data["devices"][0]["device_id"] = "changed"
+        data["devices"].append({})
+        data["row_count"] = 0
+        assert manifest.to_json() == encoded
+        assert manifest.devices[0].device_id == "polar-1"
+
     def test_sha256_helper(self):
         assert sha256_hex(b"") == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

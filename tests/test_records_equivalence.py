@@ -7,7 +7,8 @@ were except that a ``csv.Error`` is raised as the ``ValueError`` the
 verify path reports. The join render must give the writer's bytes, quoting
 included, for every row whose text the writer quotes correctly (no CR,
 which Python 3.10 and 3.11 leave bare); the split parse must give the
-reader's rows, or raise ``ValueError`` where it raises, on any text.
+reader's rows, or raise a ``ValueError`` worded as the reader's where it
+raises, on any text, a blank line included.
 
 NUL is left out of the rows: Python 3.10's ``csv.writer`` refuses it and
 its ``csv.reader`` refuses it on the way back, where 3.11's accept it. The
@@ -64,7 +65,7 @@ def _ref_csv_to_rows(data: bytes) -> list[TraceRow]:
     except StopIteration as exc:
         raise ValueError("empty trace file") from exc
     except csv.Error as exc:
-        raise ValueError(str(exc)) from exc
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
     rows = []
@@ -74,7 +75,7 @@ def _ref_csv_to_rows(data: bytes) -> list[TraceRow]:
                 raise ValueError(f"trace row must have 6 fields, got {fields!r}")
             rows.append(TraceRow(int(fields[0]), fields[1], fields[2], fields[3], fields[4], int(fields[5])))
     except csv.Error as exc:
-        raise ValueError(str(exc)) from exc
+        raise ValueError(f"trace is not valid CSV: {exc}") from exc
     return rows
 
 
@@ -189,7 +190,7 @@ def trace_texts(draw) -> bytes:
     """Trace-like text: mostly a header and comma-joined lines, sometimes anything."""
     if draw(st.integers(0, 9)) == 0:
         return draw(st.text()).encode("utf-8")
-    line = st.one_of(_ROW_LINE, st.lists(_FIELD, max_size=8).map(",".join))
+    line = st.one_of(_ROW_LINE, st.just(""), st.lists(_FIELD, max_size=8).map(",".join))
     lines = draw(st.lists(line, max_size=6))
     body = "\n".join(lines) + draw(st.sampled_from(("\n", "", "\n\n", "\r\n")))
     head = draw(st.sampled_from((_HEADER, _HEADER[:-1] + "\r\n", '"timestamp_ms"' + _HEADER[12:], "", "nope\n")))
@@ -220,12 +221,13 @@ def test_round_trip_is_identity(rows):
 @example(_HEADER.encode())
 @example((_HEADER + "1,gps-1,lat,52.5,deg,0").encode())
 @example((_HEADER + "1,gps-1,lat,52.5,deg,0\n\n").encode())
+@example((_HEADER + "1,gps-1,lat,52.5,deg,0\n\n2,gps-1,lat,52.5,deg,0\n").encode())
 @example((_HEADER + "1,gps-1,lat,52.5,deg,0,\n").encode())
 @example((_HEADER + "1,weather,weather_condition,light\rrain,,0\n").encode())
 @example((_HEADER + "1,x,alert,a\0b,,0\n").encode())
 @example(b"\xff")
 def test_split_parse_is_the_reader_parse(data):
-    assert _outcome(csv_to_rows, data) == _outcome(_ref_csv_to_rows, data)
+    assert _worded_outcome(csv_to_rows, data) == _worded_outcome(_ref_csv_to_rows, data)
 
 
 def test_a_line_beyond_the_field_limit_is_refused_as_the_reader_refuses_it():

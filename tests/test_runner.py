@@ -195,6 +195,37 @@ class TestDegenerateAndDegraded:
         # The Polar stream, opened before the Spire's failed, was closed.
         polar.subscribe(sim_clock.now_ms()).close()
 
+    def test_interrupted_trip_keeps_its_csv(self, sim_clock, key, tmp_path):
+        class InterruptedLink(InProcessObdLink):
+            exchanges = 0
+
+            def transact(self, raw_request):
+                InterruptedLink.exchanges += 1
+                if InterruptedLink.exchanges == 2_000:
+                    raise KeyboardInterrupt
+                return super().transact(raw_request)
+
+        sim = VehicleSimulator.from_config(Config({"seed": 7, "vehicle.profile": "aggressive"}), sim_clock.now_ms())
+        physio = PhysioModel()
+        gateway = Gateway(clock=sim_clock, key=key, trace_dir=tmp_path / "traces")
+        runner = SessionRunner(
+            gateway,
+            sim_clock,
+            simulator=sim,
+            obd_link_factory=lambda: InterruptedLink(sim, sim_clock),
+            wearables=(MiBand("miband-1", physio, 7), Polar("polar-1", physio, 7), Spire("spire-1", physio, 7)),
+            physio=physio,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            runner.run("d", "v", 600.0, upload=False)
+        assert gateway.active is None
+        [trace] = (tmp_path / "traces").glob("*.csv")
+        rows = csv_to_rows(trace.read_bytes())
+        assert validate_rows(rows) == []
+        # Every exchange before the interrupted one left its reading.
+        assert sum(counts_by(rows, "obd-1").values()) == 1_999
+        assert counts_by(rows, "polar-1")["bpm"] > 0
+
 
 class TestProducerSchedule:
     """Producers are serviced only when one is due; a link-less loop sleeps to that time."""

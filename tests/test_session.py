@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fogtrace.clock import SimulatedClock
+from fogtrace.config import Config
 from fogtrace.external import FlowSegment, WeatherObservation
 from fogtrace.gateway import Gateway
 from fogtrace.gateway.records import csv_to_rows, sha256_hex, sort_rows
@@ -25,7 +26,7 @@ from fogtrace.wearables import DeviceLockedError, HeartSample, MiBand, Polar, Re
 
 @pytest.fixture
 def gateway(sim_clock, key):
-    return Gateway(gateway_id="gw-1", clock=sim_clock, key=key)
+    return Gateway(clock=sim_clock, key=key, config=Config({"gateway.id": "gw-1"}))
 
 
 def heart(device="polar-1", bpm=72.0, rr=(820.0, 830.0), at=1000):
@@ -49,7 +50,7 @@ class TestPairing:
     def test_foreign_gateway_rejected(self, gateway, sim_clock, key):
         device = Polar("polar-1")
         gateway.pair_device(device)
-        other = Gateway(gateway_id="gw-2", clock=sim_clock, key=key)
+        other = Gateway(clock=sim_clock, key=key, config=Config({"gateway.id": "gw-2"}))
         with pytest.raises(DeviceLockedError):
             other.pair_device(device)
 
@@ -260,7 +261,7 @@ class TestOrderInsensitivity:
 
     def test_interleavings_render_identically(self, sim_clock, key):
         def factory():
-            return Gateway(gateway_id="gw-1", clock=SimulatedClock(), key=key)
+            return Gateway(clock=SimulatedClock(), key=key, config=Config({"gateway.id": "gw-1"}))
 
         def order_a(polar, miband):
             return [s for pair in zip(polar, miband) for s in pair]
