@@ -56,6 +56,26 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+class Terminated(Exception):
+    """SIGTERM, raised where the main thread is, so it unwinds like an error."""
+
+
+def _raise_terminated(signum, frame):
+    raise Terminated("terminated by SIGTERM")
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """Within the block, SIGTERM raises :class:`Terminated`; the previous handler is restored after it."""
+    import signal
+
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _seconds(text: str) -> float:
     """An argparse type: a finite number of seconds above 0."""
     try:
@@ -308,6 +328,7 @@ def _wire(served: bool, clock, simulator, stack: contextlib.ExitStack, context_s
 
 
 def cmd_run(args) -> int:
+    from .gateway.envelope import KEY_LEN
     from .gateway.runner import SessionRunner
     from .gateway.session import Gateway
     from .gateway.uploader import Outbox, flush_outbox
@@ -327,7 +348,7 @@ def cmd_run(args) -> int:
             if new_key:
                 # Kept in memory until setup has succeeded, so a failed setup
                 # leaves nothing behind.
-                key = os.urandom(32)
+                key = os.urandom(KEY_LEN)
             gateway = Gateway(
                 clock=clock,
                 key=key,
@@ -369,7 +390,9 @@ def cmd_run(args) -> int:
             weather=weather,
             cloud_client=cloud,
         )
-        with _stage("session"):
+        # A SIGTERM cuts the trip the way an error does: the loop ends its
+        # session and writes the CSV, and the stage fails.
+        with _stage("session"), _sigterm_unwinds():
             result = runner.run(args.driver, args.vehicle, args.duration, upload=False)
         if cloud is not None:
             with _stage("upload"):
@@ -543,6 +566,7 @@ def cmd_erase(args) -> int:
     with _stage("erase"):
         out_dir = Path(args.out)
         gateway = Gateway(
+            SystemClock(),
             outbox_dir=args.outbox_dir or out_dir / "outbox",
             trace_dir=args.trace_dir or out_dir / "traces",
         )

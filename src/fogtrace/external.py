@@ -16,7 +16,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from .clock import SystemClock
 from .httpclient import HttpSession, NoResponseError
 
 CONDITIONS = ("clear", "clouds", "rain", "snow", "fog")
@@ -169,8 +168,8 @@ class RateLimiter:
     ``QUOTA_CALLS`` prior grants lie strictly inside (T - QUOTA_WINDOW_MS, T].
     """
 
-    def __init__(self, clock=None):
-        self.clock = clock if clock is not None else SystemClock()
+    def __init__(self, clock):
+        self.clock = clock
         self._permits: deque[float] = deque()
         self._lock = threading.Lock()
 
@@ -236,8 +235,8 @@ class _ContextClient:
 
     def __init__(self, provider, limiter: RateLimiter | None, clock):
         self.provider = provider
-        self.clock = clock if clock is not None else SystemClock()
-        self.limiter = limiter if limiter is not None else RateLimiter(clock=self.clock)
+        self.clock = clock
+        self.limiter = limiter if limiter is not None else RateLimiter(clock)
 
     def _permit(self) -> None:
         if not self.limiter.try_acquire():

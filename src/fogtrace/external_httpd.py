@@ -11,7 +11,6 @@ from __future__ import annotations
 from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
-from .clock import SystemClock
 from .external import (
     FlowService,
     InvalidCoordinatesError,
@@ -49,8 +48,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 
 class ContextStubServer(ServedHttp):
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, clock=None, seed: int = 0):
-        clock = clock if clock is not None else SystemClock()
+    def __init__(self, host: str = "127.0.0.1", port: int = 0, *, clock, seed: int = 0):
         self.flow = LocalFlowProvider(FlowService(seed), clock)
         self.weather = LocalWeatherProvider(WeatherService(seed), clock)
         super().__init__(_StubHandler, host, port)

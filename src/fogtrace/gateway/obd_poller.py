@@ -91,12 +91,8 @@ class ObdPoller:
 
     def close(self) -> None:
         link, self.link = self.link, None
-        close = getattr(link, "close", None)
-        if close:
-            try:
-                close()
-            except OSError:
-                pass
+        if link is not None:
+            link.close()
 
 
 def _reconnect(link_factory, clock, deadline_ms):

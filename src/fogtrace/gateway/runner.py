@@ -25,7 +25,7 @@ from .alerts import AlertEvent
 from .obd_poller import ObdPoller, PollStats
 from .records import SessionManifest
 from .session import KIND_GPS, KIND_OBD, Gateway, GpsFix, LocalSource
-from .uploader import Outbox, UploadReceipt, finalize_and_upload
+from .uploader import Outbox, UploadError, UploadReceipt, finalize_and_upload
 
 log = logging.getLogger(__name__)
 
@@ -127,13 +127,15 @@ class SessionRunner:
         return path
 
     def upload(self, csv_bytes: bytes, manifest: SessionManifest, trace_path: Path | None = None) -> UploadReceipt:
-        outbox_dir = self.gateway.outbox_dir or (self.gateway.trace_dir or Path(".")) / "outbox"
+        """Seal the trace into the gateway's outbox and send it; without an outbox, raise ``UploadError``."""
+        if self.gateway.outbox_dir is None:
+            raise UploadError("the gateway has no outbox_dir to keep the sealed trace in")
         receipt = finalize_and_upload(
             csv_bytes,
             manifest,
             self.gateway.key,
             self.cloud_client,
-            Outbox(outbox_dir),
+            Outbox(self.gateway.outbox_dir),
             self.clock,
         )
         if not self.gateway.config["gateway.retain_plaintext"] and trace_path is not None:
@@ -149,19 +151,14 @@ class _ProducerState:
         self.session = session
         self.gps_source = gps_source
         self.streams = []
-        self.miband: list[MiBand] = []
-        self.miband_due: dict[str, float] = {}
-        self.miband_last: dict[str, int] = {}
-        for device in runner.wearables:
-            if isinstance(device, MiBand):
-                self.miband.append(device)
-                self.miband_due[device.device_id] = start_ms
-        self.gps_active = gps_source is not None and runner.simulator is not None
-        self.context_active = runner.traffic is not None or runner.weather is not None
+        # One [device, due, last measured_at] per MiBand; a repeat of the last is not ingested.
+        self.mibands = [[device, start_ms, None] for device in runner.wearables if isinstance(device, MiBand)]
         config = runner.gateway.config
         self.gps_period, self.context_period = config["gateway.gps_period_ms"], config["external.period_ms"]
-        self.gps_due = start_ms + self.gps_period
-        self.context_due = start_ms + self.context_period
+        # An absent producer is never due.
+        self.gps_due = start_ms + self.gps_period if gps_source is not None else math.inf
+        has_context = runner.traffic is not None or runner.weather is not None
+        self.context_due = start_ms + self.context_period if has_context else math.inf
         self.context_rounds = 0
         self.context_failures = 0
         self._phys_t = start_ms
@@ -173,7 +170,7 @@ class _ProducerState:
     def subscribe(self, start_ms: float) -> None:
         """Open the push streams one by one, so ``close`` ends those opened if one fails."""
         for device in self.runner.wearables:
-            if not isinstance(device, MiBand) and hasattr(device, "subscribe"):
+            if not isinstance(device, MiBand):
                 self.streams.append(device.subscribe(start_ms))
         self.next_due = self._earliest_due()
 
@@ -191,31 +188,29 @@ class _ProducerState:
         for stream in self.streams:
             while stream.next_due_ms <= now:
                 self.session.ingest(stream.take(now))
-        for device in self.miband:
-            if now >= self.miband_due[device.device_id]:
-                sample = device.poll(now)
-                if sample.measured_at != self.miband_last.get(device.device_id):
-                    self.miband_last[device.device_id] = sample.measured_at
+        for band in self.mibands:
+            if now >= band[1]:
+                sample = band[0].poll(now)
+                if sample.measured_at != band[2]:
+                    band[2] = sample.measured_at
                     self.session.ingest(sample)
-                self.miband_due[device.device_id] += MIBAND_POLL_MS
-        if self.gps_active:
-            while self.gps_due <= now:
-                self.session.ingest(GpsFix(*sim.position(), now), source=self.gps_source)
-                self.gps_due += self.gps_period
-        if self.context_active and now >= self.context_due:
+                band[1] += MIBAND_POLL_MS
+        while self.gps_due <= now:
+            self.session.ingest(GpsFix(*sim.position(), now), source=self.gps_source)
+            self.gps_due += self.gps_period
+        if now >= self.context_due:
             self._poll_context(now)
             self.context_due += self.context_period
         self.next_due = self._earliest_due()
 
     def _earliest_due(self) -> float:
         """When the first producer is next due; the due times move only in ``service``."""
-        dues = [*self.miband_due.values()]
-        dues.extend(stream.next_due_ms for stream in self.streams)
-        if self.gps_active:
-            dues.append(self.gps_due)
-        if self.context_active:
-            dues.append(self.context_due)
-        return min(dues, default=math.inf)
+        return min(
+            self.gps_due,
+            self.context_due,
+            *(band[1] for band in self.mibands),
+            *(stream.next_due_ms for stream in self.streams),
+        )
 
     def _poll_context(self, now: float) -> None:
         self.context_rounds += 1

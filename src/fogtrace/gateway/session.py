@@ -23,7 +23,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
-from ..clock import SystemClock
 from ..config import Config
 from ..external import FlowSegment, WeatherObservation
 from ..obd import PID_TABLE, ObdResponse
@@ -90,30 +89,29 @@ class GpsFix(NamedTuple):
     at: float
 
 
-class LocalSource:
-    """Pairing stand-in for coordinator-integrated endpoints (OBD link, GPS)."""
+class LocalSource(NamedTuple):
+    """Pairing stand-in for coordinator-integrated endpoints (OBD link, GPS).
 
-    def __init__(self, device_id: str, kind: str):
-        self.device_id = device_id
-        self.kind = kind
-        self.locked_to: str | None = None
+    The coordinator owns them, so pairing one locks nothing.
+    """
+
+    device_id: str
+    kind: str
 
     def pair(self, gateway_id: str) -> None:
-        if self.locked_to is not None and self.locked_to != gateway_id:
-            raise GatewayError(f"{self.device_id} already attached to {self.locked_to}")
-        self.locked_to = gateway_id
+        pass
 
 
 class Gateway:
     def __init__(
         self,
-        clock=None,
+        clock,
         key: bytes | None = None,
         outbox_dir: str | Path | None = None,
         trace_dir: str | Path | None = None,
         config: Config | None = None,
     ):
-        self.clock = clock if clock is not None else SystemClock()
+        self.clock = clock
         self.key = key
         self.config = config or Config()
         self.outbox_dir = Path(outbox_dir) if outbox_dir else None

@@ -34,7 +34,6 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
-from .clock import SystemClock
 from .config import KEYS, Config, ConfigError
 from .obd import (
     CORE_PIDS,
@@ -397,8 +396,8 @@ def _frames(sock: socket.socket):
 class TcpObdLink(_RequestHelper):
     """Client for the TCP framing server; one in-flight request at a time."""
 
-    def __init__(self, host: str, port: int, clock=None, timeout_s: float = MAX_REPLY_DELAY_MS / 1000.0):
-        self.clock = clock if clock is not None else SystemClock()
+    def __init__(self, host: str, port: int, clock, timeout_s: float = MAX_REPLY_DELAY_MS / 1000.0):
+        self.clock = clock
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._frames = _frames(self._sock)
 
@@ -436,7 +435,7 @@ class _VehicleHandler(socketserver.BaseRequestHandler):
 class VehicleTcpServer(ServedThread):
     """Serves the OBD framing over loopback TCP, one thread per connection."""
 
-    def __init__(self, simulator: VehicleSimulator, host: str = "127.0.0.1", port: int = 0, clock=None):
+    def __init__(self, simulator: VehicleSimulator, host: str = "127.0.0.1", port: int = 0, *, clock):
         self.simulator = simulator
-        self.clock = clock if clock is not None else SystemClock()
+        self.clock = clock
         super().__init__(_VehicleHandler, host, port)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from fogtrace.clock import SimulatedClock
+from fogtrace.clock import SimulatedClock, SystemClock
 from fogtrace.cloudstore import ClientAccount, CloudClient, CloudStoreHTTPServer, CloudStoreService
 from fogtrace.external import (
     FlowService,
@@ -28,6 +28,17 @@ def sim_clock() -> SimulatedClock:
 @pytest.fixture
 def key() -> bytes:
     return TEST_KEY
+
+
+@pytest.fixture
+def no_wall_clock(monkeypatch):
+    """Fail whatever reads or sleeps on the wall clock through ``SystemClock``, on any thread."""
+
+    def refuse(self, *args):
+        raise AssertionError("the wall clock was used")
+
+    monkeypatch.setattr(SystemClock, "now_ms", refuse)
+    monkeypatch.setattr(SystemClock, "sleep_ms", refuse)
 
 
 @pytest.fixture

@@ -3,13 +3,22 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import fogtrace
 from fogtrace.cli import build_parser, main
-from fogtrace.gateway import Outbox, Session
+from fogtrace.gateway import Outbox, Session, csv_to_rows, validate_rows
 from fogtrace.gateway.envelope import open_envelope
+
+SRC = str(Path(fogtrace.__file__).resolve().parent.parent)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -133,6 +142,14 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(stdout)["trace_ref"] is None
 
+    def test_simulated_run_never_reads_the_wall_clock(self, tmp_path, capsys, no_wall_clock):
+        before = signal.getsignal(signal.SIGTERM)
+        code, stdout, stderr = run_cli(capsys, "--json", "run", "--duration", "60", "--no-upload", "--out", str(tmp_path))
+        assert code == 0, stderr
+        assert json.loads(stdout)["obd_rows"] > 0
+        # The session's SIGTERM handler is gone with the command.
+        assert signal.getsignal(signal.SIGTERM) is before
+
     def test_missing_cloud_configuration_fails_setup(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "run", "--duration", "1", "--out", str(tmp_path / "o")
@@ -254,6 +271,54 @@ class TestRealClock:
         assert summary["obd_rows"] > 0
         assert len(ingest_threads) >= summary["obd_rows"]
         assert set(ingest_threads) == {threading.get_ident()}
+
+
+# Runs the CLI, and says on stderr when its session has started.
+_ANNOUNCING_CLI = """
+import sys
+from fogtrace import cli
+from fogtrace.gateway import session
+
+start_session = session.Gateway.start_session
+
+def announcing(self, *args):
+    started = start_session(self, *args)
+    print("session started", file=sys.stderr, flush=True)
+    return started
+
+session.Gateway.start_session = announcing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestSigterm:
+    """SIGTERM cuts a trip the way an error does: its CSV is written and the session stage fails."""
+
+    def test_sigterm_keeps_the_cut_trips_csv(self, tmp_path):
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        argv = ["run", "--clock", "real", "--no-upload", "--duration", "30", "--out", str(out)]
+        child = subprocess.Popen(
+            [sys.executable, "-c", _ANNOUNCING_CLI, *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            assert child.stderr.readline() == "session started\n"
+            time.sleep(1.0)
+            child.send_signal(signal.SIGTERM)
+            _, stderr = child.communicate(timeout=30)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 1, stderr
+        assert "stage 'session' failed: terminated by SIGTERM" in stderr
+        [trace] = (out / "traces").glob("*.csv")
+        rows = csv_to_rows(trace.read_bytes())
+        assert validate_rows(rows) == []
+        assert any(row.source == "obd-1" for row in rows)
 
 
 class TestVerifyCommand:

@@ -194,7 +194,7 @@ class TestHttpStub:
         )
 
     def test_bad_coordinates_400(self):
-        with ContextStubServer(seed=4) as stub:
+        with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
             with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
                 response = session.request("GET", "/flow", params={"lat": 95, "lon": 0})
             assert response.status == 400
@@ -203,7 +203,7 @@ class TestHttpStub:
                 HttpFlowProvider(stub.base_url).fetch(95.0, 0.0)
 
     def test_unknown_path_404(self):
-        with ContextStubServer(seed=4) as stub:
+        with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
             with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
                 assert session.request("GET", "/nope", params={"lat": 1, "lon": 1}).status == 404
 

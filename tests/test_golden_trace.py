@@ -9,7 +9,7 @@ rendering that alters a single byte fails here.
 
 One case runs again over the served wiring of ``--clock real`` (the
 vehicle over loopback TCP, the context over HTTP), still on the simulated
-clock, and must give the same bytes.
+clock, and must give the same bytes without reading the wall clock.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def test_trace_bytes_are_pinned(pipeline_factory, profile, seed):
     assert result.manifest.csv_sha256 == GOLDEN_SHA256[profile, seed]
 
 
-def test_served_wiring_on_the_simulated_clock_gives_the_pinned_bytes(pipeline_factory):
+def test_served_wiring_on_the_simulated_clock_gives_the_pinned_bytes(pipeline_factory, no_wall_clock):
     profile, seed = "aggressive", 7
     runner = pipeline_factory(profile=profile, seed=seed)
     with contextlib.ExitStack() as stack:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from fogtrace.external import (
     WeatherClient,
     WeatherService,
 )
-from fogtrace.gateway import Gateway, SessionRunner, UploadRejectedError
+from fogtrace.gateway import Gateway, SessionRunner, UploadError, UploadRejectedError
 from fogtrace.gateway.records import csv_to_rows, device_ts_of, sha256_hex, validate_rows
 from fogtrace.gateway.runner import _ProducerState
 from fogtrace.gateway.session import KIND_GPS, LocalSource
@@ -331,7 +332,12 @@ class TestRetainPlaintext:
     NO_PLAINTEXT = Config({"gateway.retain_plaintext": "false"})
 
     def test_deleted_after_verified_upload(self, pipeline_factory, tmp_path, cloud_client):
-        runner = pipeline_factory(cloud_client=cloud_client, trace_dir=tmp_path / "traces", config=self.NO_PLAINTEXT)
+        runner = pipeline_factory(
+            cloud_client=cloud_client,
+            outbox_dir=tmp_path / "outbox",
+            trace_dir=tmp_path / "traces",
+            config=self.NO_PLAINTEXT,
+        )
         result = runner.run("d", "v", 30.0)
         assert result.receipt is not None
         assert not result.trace_path.exists()
@@ -343,11 +349,40 @@ class TestRetainPlaintext:
     )
     def test_kept_when_upload_raises(self, pipeline_factory, tmp_path, client, error):
         traces = tmp_path / "traces"
-        runner = pipeline_factory(cloud_client=client, trace_dir=traces, config=self.NO_PLAINTEXT)
+        runner = pipeline_factory(
+            cloud_client=client, outbox_dir=tmp_path / "outbox", trace_dir=traces, config=self.NO_PLAINTEXT
+        )
         with pytest.raises(error):
             runner.run("d", "v", 30.0)
         [trace] = traces.glob("*.csv")
         assert validate_rows(csv_to_rows(trace.read_bytes())) == []
+
+
+class TestOneOutbox:
+    """A sealed trace has one home, ``gateway.outbox_dir``, which ``erase_data`` clears."""
+
+    def test_upload_without_an_outbox_raises_before_sealing(self, pipeline_factory, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        runner = pipeline_factory(cloud_client=_UnreachableClient(), trace_dir=tmp_path / "traces")
+        result = runner.run("d", "v", 30.0, upload=False)
+        with pytest.raises(UploadError):
+            runner.upload(result.csv_bytes, result.manifest, result.trace_path)
+        # Only the plaintext CSV of the trip: nothing was sealed anywhere.
+        assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*")) == [
+            Path("traces"),
+            Path("traces", f"{result.manifest.session_id}.csv"),
+        ]
+
+    def test_a_failed_upload_is_left_in_the_outbox_until_erased(self, pipeline_factory, tmp_path):
+        outbox = tmp_path / "outbox"
+        runner = pipeline_factory(cloud_client=_UnreachableClient(), outbox_dir=outbox, trace_dir=tmp_path / "traces")
+        with pytest.raises(CloudUnreachableError):
+            runner.run("d", "v", 30.0)
+        [entry] = outbox.iterdir()
+        assert entry.suffix == ".entry"
+        assert runner.gateway.erase_data("local") == {"device_samples": 0, "local_files": 2}
+        assert list(outbox.iterdir()) == []
+        assert list((tmp_path / "traces").iterdir()) == []
 
 
 class TestQuotaComposition:

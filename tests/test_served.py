@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from fogtrace.clock import SystemClock
 from fogtrace.cloudstore import CloudStoreHTTPServer, CloudStoreService
 from fogtrace.external_httpd import ContextStubServer
 from fogtrace.httpclient import HttpSession
@@ -18,11 +19,12 @@ from fogtrace.vehicle import LatencyModel, TcpObdLink, VehicleSimulator, Vehicle
 
 
 def _vehicle(_tmp_path):
-    return VehicleTcpServer(VehicleSimulator(latency=LatencyModel.fixed(5.0), start_ms=time.time() * 1000.0))
+    clock = SystemClock()
+    return VehicleTcpServer(VehicleSimulator(latency=LatencyModel.fixed(5.0), start_ms=clock.now_ms()), clock=clock)
 
 
 def _vehicle_request(server):
-    link = TcpObdLink(*server.address)
+    link = TcpObdLink(*server.address, server.clock)
     try:
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
     finally:
@@ -42,7 +44,7 @@ def _stub_request(server):
 SERVERS = {
     "vehicle": (_vehicle, _vehicle_request),
     "store": (lambda tmp_path: CloudStoreHTTPServer(CloudStoreService(tmp_path / "store")), _store_request),
-    "context-stub": (lambda _tmp_path: ContextStubServer(seed=4), _stub_request),
+    "context-stub": (lambda _tmp_path: ContextStubServer(clock=SystemClock(), seed=4), _stub_request),
 }
 
 

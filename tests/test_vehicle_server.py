@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from fogtrace.clock import SimulatedClock
+from fogtrace.clock import SimulatedClock, SystemClock
 from fogtrace.obd import (
     CORE_PIDS,
     PID_RPM,
@@ -32,12 +32,12 @@ def quick_server():
     import time
 
     sim = VehicleSimulator(latency=LatencyModel.fixed(10.0), start_ms=time.time() * 1000.0)
-    with VehicleTcpServer(sim) as server:
+    with VehicleTcpServer(sim, clock=SystemClock()) as server:
         yield server
 
 
 def test_frames_over_tcp(quick_server):
-    link = TcpObdLink(*quick_server.address)
+    link = TcpObdLink(*quick_server.address, SystemClock())
     try:
         for pid in (PID_RPM, PID_SPEED, PID_THROTTLE):
             resp = link.request(pid)
@@ -47,7 +47,7 @@ def test_frames_over_tcp(quick_server):
 
 
 def test_unsupported_pid_negative_over_tcp(quick_server):
-    link = TcpObdLink(*quick_server.address)
+    link = TcpObdLink(*quick_server.address, SystemClock())
     try:
         with pytest.raises(NegativeResponseError):
             link.request(PidId(0x99))
@@ -60,7 +60,7 @@ def test_concurrent_clients_fifo(quick_server):
     errors = []
 
     def worker():
-        link = TcpObdLink(*quick_server.address)
+        link = TcpObdLink(*quick_server.address, SystemClock())
         try:
             for i in range(6):
                 pid = (PID_RPM, PID_SPEED, PID_THROTTLE)[i % 3]
@@ -93,7 +93,7 @@ def test_malformed_frame_gets_negative_reply(quick_server):
 
 @pytest.mark.parametrize("frame", [b"01 +C\r", b"01 -1\r"])
 def test_signed_token_gets_negative_reply_and_keeps_the_connection(quick_server, frame):
-    link = TcpObdLink(*quick_server.address)
+    link = TcpObdLink(*quick_server.address, SystemClock())
     try:
         assert link.transact(frame) == b"7F 00 11\r"
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
@@ -144,7 +144,7 @@ def test_frame_without_cr_past_the_cap_is_refused_and_the_server_keeps_serving(q
             assert sock.recv(64) == b""  # then the server ends the connection
         except ConnectionResetError:
             pass  # unread bytes make the close a reset
-    link = TcpObdLink(*quick_server.address)
+    link = TcpObdLink(*quick_server.address, SystemClock())
     try:
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
     finally:
@@ -165,7 +165,7 @@ def test_reply_without_cr_past_the_cap_is_an_obd_error():
 
         server = threading.Thread(target=answer)
         server.start()
-        link = TcpObdLink(*listener.getsockname(), timeout_s=5.0)
+        link = TcpObdLink(*listener.getsockname(), SystemClock(), timeout_s=5.0)
         try:
             with pytest.raises(ObdError):
                 link.request(PID_RPM)
