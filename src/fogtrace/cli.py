@@ -246,20 +246,20 @@ def _resolve_key(args, cfg: Config) -> bytes | None:
 
 
 def _client_accounts(cfg: Config) -> dict[str, ClientAccount]:
-    """The ``cloud.client.<id>.*`` registry; with none set, the default client alone."""
-    accounts = {
-        client_id: ClientAccount(
-            client_id, cfg[f"cloud.client.{client_id}.secret"], cfg[f"cloud.client.{client_id}.scopes"]
-        )
-        for client_id in cfg.ids("cloud.client.<id>.secret")
+    """The ``cloud.client.<id>.*`` registry; with none set, the gateway's own client alone.
+
+    The gateway's client is ``cloud.client_id`` with ``cloud.client_secret``,
+    so a self-contained store accepts the credentials the gateway sends.
+    """
+    secret_of = {
+        client_id: cfg[f"cloud.client.{client_id}.secret"] for client_id in cfg.ids("cloud.client.<id>.secret")
     }
-    if not accounts:
-        default = Config()
-        client_id = default["cloud.client_id"]
-        accounts[client_id] = ClientAccount(
-            client_id, default["cloud.client_secret"], default[f"cloud.client.{client_id}.scopes"]
-        )
-    return accounts
+    if not secret_of:
+        secret_of = {cfg["cloud.client_id"]: cfg["cloud.client_secret"]}
+    return {
+        client_id: ClientAccount(client_id, secret, cfg[f"cloud.client.{client_id}.scopes"])
+        for client_id, secret in secret_of.items()
+    }
 
 
 def _cloud_client(args, cfg: Config, stack: contextlib.ExitStack) -> CloudClient:
@@ -291,27 +291,28 @@ def _wire(served: bool, clock, simulator, stack: contextlib.ExitStack, context_s
 
     if served:
         host, port = stack.enter_context(VehicleTcpServer(simulator, clock=clock)).address
-        link_factory = lambda: TcpObdLink(host, port, clock)  # noqa: E731
+        link_factory = lambda: TcpObdLink(host, port)  # noqa: E731
     else:
         link_factory = lambda: InProcessObdLink(simulator, clock)  # noqa: E731
     if context_seed is None:
         return link_factory, None, None
     from .external import (
+        FlowSegment,
         FlowService,
-        HttpFlowProvider,
-        HttpWeatherProvider,
+        HttpProvider,
         LocalFlowProvider,
         LocalWeatherProvider,
         RateLimiter,
         TrafficClient,
         WeatherClient,
+        WeatherObservation,
         WeatherService,
     )
     from .external_httpd import ContextStubServer
 
     if served:
         base_url = stack.enter_context(ContextStubServer(seed=context_seed, clock=clock)).base_url
-        flow, weather = HttpFlowProvider(base_url), HttpWeatherProvider(base_url)
+        flow, weather = HttpProvider(base_url, FlowSegment), HttpProvider(base_url, WeatherObservation)
         stack.callback(flow.session.close)
         stack.callback(weather.session.close)
     else:

@@ -3,7 +3,9 @@
 Maps the service's error bodies back onto the shared exception types and
 caches the bearer token. Only the store judges whether a token is still
 valid: a cached token it refuses as expired or unknown is replaced once and
-the request sent again.
+the request sent again. A reply below 400 whose JSON body is not the
+store's came from something else at the store's URL, such as a captive
+portal, and raises :class:`CloudUnreachableError`, as no reply does.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class CloudClient:
     def issue_token(self) -> dict:
         body = json.dumps({"client_id": self.client_id, "client_secret": self.client_secret}).encode("utf-8")
         response = self._request("POST", "/api/v1/token", body=body, headers={"Content-Type": "application/json"})
-        data = response.json()
+        data = _store_json(response, dict, "access_token")
         self._token = data["access_token"]
         return data
 
@@ -51,7 +53,7 @@ class CloudClient:
             }
         )
         response = self._request("POST", "/api/v1/traces", body=body, headers={"Content-Type": content_type}, auth=True)
-        return response.json()
+        return _store_json(response, dict)
 
     def get_trace(self, trace_ref: str) -> tuple[bytes, dict]:
         # Every reserved character escaped, so '?', '#' and '/' stay in the ref.
@@ -80,7 +82,7 @@ class CloudClient:
         if offset is not None:
             params["offset"] = int(offset)
         response = self._request("GET", "/api/v1/traces", params=params, auth=True)
-        return response.json()
+        return _store_json(response, list)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -106,6 +108,21 @@ class CloudClient:
                 raise error
             replace_refused = False
             self._token = None
+
+
+def _store_json(response: HttpResponse, kind: type, *fields: str):
+    """The body of a reply below 400: JSON of type ``kind`` that holds ``fields``.
+
+    Any other body is not the store's, so the store was not reached:
+    :class:`CloudUnreachableError`.
+    """
+    try:
+        body = response.json()
+    except (ValueError, RecursionError):
+        body = None
+    if type(body) is not kind or any(field not in body for field in fields):
+        raise CloudUnreachableError(f"a {response.status} reply that is not the store's: {response.text[:80]!r}")
+    return body
 
 
 def _error_from_response(response: HttpResponse) -> CloudError:

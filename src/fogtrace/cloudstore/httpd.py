@@ -136,11 +136,13 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_token(self, body: bytes):
         try:
             credentials = json.loads(body.decode("utf-8"))
-            client_id = credentials["client_id"]
-            client_secret = credentials["client_secret"]
-        except (ValueError, KeyError, UnicodeDecodeError):
-            raise BadRequestError("body must be JSON with client_id/client_secret") from None
-        token = self.service.issue_token(client_id, client_secret)
+        except (ValueError, RecursionError):
+            credentials = None
+        if type(credentials) is not dict or not all(
+            type(credentials.get(field)) is str for field in ("client_id", "client_secret")
+        ):
+            raise BadRequestError("body must be a JSON object with string client_id and client_secret")
+        token = self.service.issue_token(credentials["client_id"], credentials["client_secret"])
         ttl_s = (token.expires_at_ms - self.service.clock.now_ms()) / 1000.0
         send_json(
             self, 200, {"access_token": token.token, "token_type": "Bearer", "expires_in": int(round(ttl_s))}

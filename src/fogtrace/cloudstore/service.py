@@ -136,10 +136,6 @@ class TraceMetadata(NamedTuple):
     uploaded_at: int
     uploader: str
 
-    @property
-    def manifest(self) -> dict:
-        return json.loads(self.manifest_json)
-
     def to_json(self) -> str:
         """The metadata as one JSON object, the manifest spliced in as its stored text.
 
@@ -151,6 +147,11 @@ class TraceMetadata(NamedTuple):
             f'"size_bytes": {self.size_bytes}, "uploaded_at": {self.uploaded_at}, '
             f'"uploader": {encode_basestring_ascii(self.uploader)}}}'
         )
+
+
+def _utf8(text: str) -> bytes:
+    """``text`` as UTF-8; a lone surrogate, which JSON can carry, is kept as its three bytes."""
+    return text.encode("utf-8", "surrogatepass")
 
 
 def storage_key(trace_ref: str) -> str:
@@ -242,7 +243,8 @@ class CloudStoreService:
 
     def issue_token(self, client_id: str, client_secret: str) -> AuthToken:
         account = self.clients.get(client_id)
-        if account is None or not hmac.compare_digest(account.client_secret, client_secret):
+        # Compared as bytes: compare_digest refuses a str with a non-ASCII character.
+        if account is None or not hmac.compare_digest(_utf8(account.client_secret), _utf8(client_secret)):
             raise InvalidCredentialsError("unknown client or wrong secret")
         now = self.clock.now_ms()
         token = AuthToken(

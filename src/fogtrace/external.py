@@ -57,14 +57,15 @@ class FlowSegment:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FlowSegment":
+        lat, lon = data["matched_at"]
         return cls(
-            current_speed_kmh=float(data["current_speed_kmh"]),
-            free_flow_speed_kmh=float(data["free_flow_speed_kmh"]),
-            current_travel_time_s=float(data["current_travel_time_s"]),
-            free_flow_travel_time_s=float(data["free_flow_travel_time_s"]),
-            confidence=float(data["confidence"]),
-            segment_length_m=float(data["segment_length_m"]),
-            matched_at=(float(data["matched_at"][0]), float(data["matched_at"][1])),
+            current_speed_kmh=_number(data["current_speed_kmh"]),
+            free_flow_speed_kmh=_number(data["free_flow_speed_kmh"]),
+            current_travel_time_s=_number(data["current_travel_time_s"]),
+            free_flow_travel_time_s=_number(data["free_flow_travel_time_s"]),
+            confidence=_number(data["confidence"]),
+            segment_length_m=_number(data["segment_length_m"]),
+            matched_at=(_number(lat), _number(lon)),
         )
 
 
@@ -79,12 +80,30 @@ class WeatherObservation:
     @classmethod
     def from_dict(cls, data: dict) -> "WeatherObservation":
         return cls(
-            temp_c=float(data["temp_c"]),
-            condition=str(data["condition"]),
-            precipitation_mm_h=float(data["precipitation_mm_h"]),
-            wind_ms=float(data["wind_ms"]),
-            observed_at=int(data["observed_at"]),
+            temp_c=_number(data["temp_c"]),
+            condition=_typed(data["condition"], str),
+            precipitation_mm_h=_number(data["precipitation_mm_h"]),
+            wind_ms=_number(data["wind_ms"]),
+            observed_at=_typed(data["observed_at"], int),
         )
+
+
+# The path each record is served at, by the stubs and the real services alike.
+RECORD_PATHS = {FlowSegment: "/flow", WeatherObservation: "/weather"}
+
+
+def _typed(value, kind: type):
+    """``value``, when a JSON decoder gives it as exactly ``kind``; else ``TypeError``."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float; anything else, ``true`` and ``false`` included, raises ``TypeError``."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def check_coordinates(lat: float, lon: float) -> None:
@@ -202,32 +221,34 @@ class LocalWeatherProvider:
         return self.service.observation(lat, lon, self.clock.now_ms())
 
 
-class HttpFlowProvider:
-    def __init__(self, base_url: str, timeout_s: float = 10.0):
+class HttpProvider:
+    """Fetches ``record`` from a context service at ``base_url``, over one keep-alive connection.
+
+    A reply that is not a ``200`` with ``record``'s fields, each of its type,
+    raises :class:`ServiceUnavailableError`, as no reply does; a ``400``
+    raises :class:`InvalidCoordinatesError`.
+    """
+
+    def __init__(self, base_url: str, record: type, timeout_s: float = 10.0):
         self.session = HttpSession(base_url, timeout_s)
+        self.record = record
+        self.path = RECORD_PATHS[record]
 
-    def fetch(self, lat: float, lon: float) -> FlowSegment:
-        return FlowSegment.from_dict(_http_get_json(self.session, "/flow", lat, lon))
-
-
-class HttpWeatherProvider:
-    def __init__(self, base_url: str, timeout_s: float = 10.0):
-        self.session = HttpSession(base_url, timeout_s)
-
-    def fetch(self, lat: float, lon: float) -> WeatherObservation:
-        return WeatherObservation.from_dict(_http_get_json(self.session, "/weather", lat, lon))
-
-
-def _http_get_json(session: HttpSession, path: str, lat: float, lon: float) -> dict:
-    try:
-        response = session.request("GET", path, params={"lat": lat, "lon": lon})
-    except NoResponseError as exc:
-        raise ServiceUnavailableError(str(exc)) from exc
-    if response.status == 400:
-        raise InvalidCoordinatesError(response.text)
-    if response.status != 200:
-        raise ServiceUnavailableError(f"{session.base_url}{path} returned {response.status}")
-    return response.json()
+    def fetch(self, lat: float, lon: float):
+        try:
+            response = self.session.request("GET", self.path, params={"lat": lat, "lon": lon})
+        except NoResponseError as exc:
+            raise ServiceUnavailableError(str(exc)) from exc
+        if response.status == 400:
+            raise InvalidCoordinatesError(response.text)
+        if response.status != 200:
+            raise ServiceUnavailableError(f"{self.session.base_url}{self.path} returned {response.status}")
+        try:
+            return self.record.from_dict(response.json())
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ServiceUnavailableError(
+                f"{self.session.base_url}{self.path} sent no {self.record.__name__}: {exc!r}"
+            ) from exc
 
 
 class _ContextClient:

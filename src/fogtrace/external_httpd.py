@@ -12,10 +12,13 @@ from http.server import BaseHTTPRequestHandler
 from urllib.parse import parse_qs, urlparse
 
 from .external import (
+    RECORD_PATHS,
+    FlowSegment,
     FlowService,
     InvalidCoordinatesError,
     LocalFlowProvider,
     LocalWeatherProvider,
+    WeatherObservation,
     WeatherService,
 )
 from .served import ServedHttp, send_error, send_json
@@ -34,14 +37,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             lon = float(query.get("lon", ["nan"])[0])
         except ValueError:
             return send_json(self, 400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
+        provider = owner.routes.get(url.path)
+        if provider is None:
+            return send_json(self, 404, {"error": "not-found", "detail": self.path})
         try:
-            if url.path == "/flow":
-                return send_json(self, 200, vars(owner.flow.fetch(lat, lon)))
-            if url.path == "/weather":
-                return send_json(self, 200, vars(owner.weather.fetch(lat, lon)))
+            return send_json(self, 200, vars(provider.fetch(lat, lon)))
         except InvalidCoordinatesError as exc:
             return send_json(self, 400, {"error": "invalid-coordinates", "detail": str(exc)})
-        return send_json(self, 404, {"error": "not-found", "detail": self.path})
 
     def log_message(self, fmt, *args):  # noqa: A002 - quiet by default
         pass
@@ -49,6 +51,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 
 class ContextStubServer(ServedHttp):
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *, clock, seed: int = 0):
-        self.flow = LocalFlowProvider(FlowService(seed), clock)
-        self.weather = LocalWeatherProvider(WeatherService(seed), clock)
+        # Each record's local provider, at the path HttpProvider asks for it.
+        self.routes = {
+            RECORD_PATHS[FlowSegment]: LocalFlowProvider(FlowService(seed), clock),
+            RECORD_PATHS[WeatherObservation]: LocalWeatherProvider(WeatherService(seed), clock),
+        }
         super().__init__(_StubHandler, host, port)

@@ -29,7 +29,6 @@ from .records import NUMERIC_CHANNELS, TraceRow, scalar_of, state_of
 class AlertEvent:
     at: int
     rule: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,7 @@ class AlertEngine:
                 held_ms = row.timestamp_ms - episode.started_at
                 if not episode.fired and held_ms >= rule.sustain_ms:
                     episode.fired = True
-                    events.append(
-                        AlertEvent(
-                            at=row.timestamp_ms,
-                            rule=rule.name,
-                            detail=f"{rule.channel}={row.value} held {held_ms / 1000.0:.1f}s",
-                        )
-                    )
+                    events.append(AlertEvent(at=row.timestamp_ms, rule=rule.name))
             else:
                 episode.started_at = None
                 episode.fired = False

@@ -67,13 +67,7 @@ class ObdPoller:
                 stats.reconnects += 1
                 gap_ms = self.clock.now_ms() - outage_started
                 stats.dropped_ms += gap_ms
-                self.session.ingest(
-                    AlertEvent(
-                        at=int(self.clock.now_ms()),
-                        rule="obd-reconnect",
-                        detail=f"link re-established after {gap_ms:.0f}ms",
-                    )
-                )
+                self.session.ingest(AlertEvent(at=int(self.clock.now_ms()), rule="obd-reconnect"))
         try:
             response = self.link.request(CORE_PIDS[self.index % len(CORE_PIDS)])
         except NegativeResponseError:

@@ -187,7 +187,7 @@ class _ProducerState:
             return
         for stream in self.streams:
             while stream.next_due_ms <= now:
-                self.session.ingest(stream.take(now))
+                self.session.ingest(stream.take())
         for band in self.mibands:
             if now >= band[1]:
                 sample = band[0].poll(now)

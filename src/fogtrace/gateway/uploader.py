@@ -164,17 +164,22 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
 def _send(outbox, ref, envelope, manifest_json, client, clock, retries: int) -> UploadReceipt:
     """Upload outbox entry ``ref``, check its receipt, then remove the entry.
 
-    Only an unreachable store is retried. A receipt that does not name
-    exactly ``ref`` and ``len(envelope)`` raises :class:`UploadRejectedError`.
+    Only an unreachable store is retried. A receipt that cannot be read, or
+    does not name exactly ``ref`` and ``len(envelope)``, raises
+    :class:`UploadRejectedError`.
     """
     for attempt in range(retries + 1):
         try:
-            receipt = UploadReceipt.from_dict(client.upload_trace(manifest_json, envelope))
+            answer = client.upload_trace(manifest_json, envelope)
             break
         except CloudUnreachableError:
             if attempt == retries:
                 raise
             clock.sleep_ms(BACKOFF_MS * (2**attempt))
+    try:
+        receipt = UploadReceipt.from_dict(answer)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UploadRejectedError(f"unreadable receipt for {ref}: {exc!r}") from exc
     if receipt.trace_ref != ref or receipt.size_bytes != len(envelope):
         raise UploadRejectedError(
             f"receipt mismatch: stored {receipt.trace_ref} ({receipt.size_bytes} B), "

@@ -166,7 +166,6 @@ class ObdResponse(NamedTuple):
     data: bytes
     value: float
     unit: str
-    received_at: float  # monotonic ms
 
 
 def encode_request(pid_id: PidId) -> bytes:
@@ -239,7 +238,7 @@ def _parse_request(line: bytes) -> PidId:
     return PidId(pid=pid, mode=mode)
 
 
-def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> ObdResponse:
+def parse_response(line: bytes, expected: PidId) -> ObdResponse:
     """Parse a reply frame, verifying the mode and PID echoes.
 
     Raises :class:`NegativeResponseError` for ``7F`` frames,
@@ -249,7 +248,7 @@ def parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> Ob
     parse = _parse_reply if type(line) is bytes else _parse_reply.__wrapped__
     data, value, unit = parse(line, expected.mode, expected.pid)
     # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per reply.
-    return tuple.__new__(ObdResponse, (expected, data, value, unit, received_at))
+    return tuple.__new__(ObdResponse, (expected, data, value, unit))
 
 
 @lru_cache(maxsize=CODEC_CACHE_SIZE)

@@ -63,10 +63,6 @@ class ServedThread:
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
     def start(self):
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()

@@ -327,8 +327,6 @@ class VehicleSimulator:
 class _RequestHelper:
     """Shared encode/transact/parse cycle for OBD links."""
 
-    clock: object
-
     def transact(self, raw_request: bytes) -> bytes:  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -338,8 +336,7 @@ class _RequestHelper:
             pid_id = pid if isinstance(pid, PidId) else PidId(pid=pid)
             core = pid_id, encode_request(pid_id)
         pid_id, raw_request = core
-        reply = self.transact(raw_request)
-        return parse_response(reply, pid_id, received_at=self.clock.now_ms())
+        return parse_response(self.transact(raw_request), pid_id)
 
 
 class InProcessObdLink(_RequestHelper):
@@ -396,8 +393,7 @@ def _frames(sock: socket.socket):
 class TcpObdLink(_RequestHelper):
     """Client for the TCP framing server; one in-flight request at a time."""
 
-    def __init__(self, host: str, port: int, clock, timeout_s: float = MAX_REPLY_DELAY_MS / 1000.0):
-        self.clock = clock
+    def __init__(self, host: str, port: int, timeout_s: float = MAX_REPLY_DELAY_MS / 1000.0):
         self._sock = socket.create_connection((host, port), timeout=timeout_s)
         self._frames = _frames(self._sock)
 

@@ -183,7 +183,7 @@ class SampleStream:
         device = self.device
         return device.period_ms + device._rng.uniform(-device.jitter_ms, device.jitter_ms)
 
-    def take(self, now_ms: float):
+    def take(self):
         if self.closed:
             raise DeviceError("stream is closed")
         sample = self.device.measure(int(self.next_due_ms))

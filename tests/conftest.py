@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+from http.server import BaseHTTPRequestHandler
+
 import pytest
 
 from fogtrace.clock import SimulatedClock, SystemClock
@@ -14,6 +17,7 @@ from fogtrace.external import (
     WeatherService,
 )
 from fogtrace.gateway import Gateway, SessionRunner
+from fogtrace.served import ServedHttp, send_reply
 from fogtrace.vehicle import PROFILES, InProcessObdLink, LatencyModel, VehicleSimulator
 from fogtrace.wearables import MiBand, PhysioModel, Polar, Spire
 
@@ -39,6 +43,34 @@ def no_wall_clock(monkeypatch):
 
     monkeypatch.setattr(SystemClock, "now_ms", refuse)
     monkeypatch.setattr(SystemClock, "sleep_ms", refuse)
+
+
+class _CannedHandler(BaseHTTPRequestHandler):
+    """Answers every GET and POST ``200`` with its server's ``body``, as a captive portal would."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        send_reply(self, 200, self.server.owner.body, {"Content-Type": "text/html"})
+
+    do_POST = do_GET
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+class CannedServer(ServedHttp):
+    def __init__(self, body: bytes):
+        self.body = body
+        super().__init__(_CannedHandler)
+
+
+@pytest.fixture
+def canned_server():
+    """Start a loopback server that answers every request ``200`` with the body given; stopped after the test."""
+    with contextlib.ExitStack() as stack:
+        yield lambda body: stack.enter_context(CannedServer(body))
 
 
 @pytest.fixture

@@ -134,6 +134,34 @@ class TestRunCommand:
         assert "flushed pending upload" in stderr
         assert not list((out / "outbox").glob("*.entry"))
 
+    def test_a_captive_portal_at_the_store_url_fails_the_upload_after_the_trip(self, tmp_path, capsys, canned_server):
+        # An entry left by an earlier run, so the flush before the trip asks the portal too.
+        out = tmp_path / "out"
+        earlier = Outbox(out / "outbox").put(b"sealed earlier", b"{}")
+        portal = canned_server(b"<html>captive portal</html>")
+        code, _, stderr = run_cli(capsys, "run", "--duration", "5", "--cloud-url", portal.base_url, "--out", str(out))
+        assert code == 1
+        assert "stage 'upload' failed" in stderr
+        assert "captive portal" in stderr
+        pending = Outbox(out / "outbox").pending()
+        assert len(pending) == 2 and earlier in pending
+        assert len(list((out / "traces").glob("*.csv"))) == 1
+
+    def test_self_contained_store_registers_the_configured_client(self, tmp_path, capsys):
+        conf = tmp_path / "fogtrace.conf"
+        conf.write_text("cloud.client_id = foo\ncloud.client_secret = bar\n")
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            capsys, "--config", str(conf), "--self-contained", "--json", "run", "--duration", "5", "--out", str(out)
+        )
+        assert code == 0, stderr
+        trace_ref = json.loads(stdout)["trace_ref"]
+        code, stdout, stderr = run_cli(
+            capsys, "--config", str(conf), "--self-contained", "--json", "verify", "--trace-ref", trace_ref, "--out", str(out)
+        )
+        assert code == 0, stderr
+        assert json.loads(stdout)["passed"]
+
     def test_no_upload_mode(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout, _ = run_cli(

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import hashlib
 import json
+import logging
 import os
 import socket
 import sqlite3
@@ -252,7 +253,7 @@ class TestGetAndList:
         receipt = service.upload_trace(token, MANIFEST, blob)
         data, metadata = service.get_trace(token, receipt["trace_ref"])
         assert data == blob
-        assert metadata.manifest == json.loads(MANIFEST)
+        assert json.loads(metadata.manifest_json) == json.loads(MANIFEST)
         assert metadata.uploader == "gw"
         assert metadata.size_bytes == len(blob)
 
@@ -474,6 +475,33 @@ class TestHttpSurface:
         assert response.status == 401
         assert response.json()["error"] == "invalid-credentials"
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[1, 2]",
+            b'"x"',
+            b'{"client_id": "gw", "client_secret": 5}',
+            b'{"client_id": ["gw"], "client_secret": "s"}',
+            b"[" * 100_000,
+        ],
+        ids=["array", "string", "number-secret", "list-id", "deep"],
+    )
+    def test_a_token_request_that_is_not_credentials_is_a_bad_request(self, store_http, caplog, body):
+        response = store_http.request("POST", "/api/v1/token", body=body, headers={"Content-Type": "application/json"})
+        assert response.status == 400
+        assert response.json() == {
+            "error": "bad-request",
+            "detail": "body must be a JSON object with string client_id and client_secret",
+        }
+        assert post_json(store_http, "/api/v1/token", {"client_id": "gw", "client_secret": "gw-secret"}).status == 200
+        assert not [record for record in caplog.records if record.levelno >= logging.ERROR]
+
+    @pytest.mark.parametrize("secret", ["g\u00e9-secret", "\ud800"], ids=["non-ascii", "lone-surrogate"])
+    def test_a_secret_compare_digest_cannot_take_is_a_wrong_secret(self, store_http, secret):
+        response = post_json(store_http, "/api/v1/token", {"client_id": "gw", "client_secret": secret})
+        assert response.status == 401
+        assert response.json()["error"] == "invalid-credentials"
+
     def test_multipart_upload_and_download(self, store_server, cloud_client):
         blob = os.urandom(2048)
         receipt = cloud_client.upload_trace(MANIFEST, blob)
@@ -660,7 +688,7 @@ class TestClientTokens:
                 server.stop()
                 fresh = CloudStoreService(tmp_path / "new", clients=accounts)
                 ref = fresh.upload_trace(upload_token(fresh), MANIFEST, b"held by the new store")["trace_ref"]
-                with CloudStoreHTTPServer(fresh, port=server.port):
+                with CloudStoreHTTPServer(fresh, port=server.address[1]):
                     assert [m["trace_ref"] for m in client.list_traces()] == [ref]
 
     def test_token_refused_on_first_use_is_raised(self, tmp_path, accounts, monkeypatch):

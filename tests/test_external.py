@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import threading
 
 import pytest
@@ -11,15 +12,16 @@ from fogtrace.clock import SimulatedClock
 from fogtrace.external import (
     DAY_MS,
     HOUR_MS,
+    FlowSegment,
     FlowService,
-    HttpFlowProvider,
-    HttpWeatherProvider,
+    HttpProvider,
     InvalidCoordinatesError,
     LocalWeatherProvider,
     RateLimitedError,
     RateLimiter,
     ServiceUnavailableError,
     WeatherClient,
+    WeatherObservation,
     WeatherService,
     travel_time_s,
 )
@@ -171,8 +173,8 @@ class TestHttpStub:
     def test_flow_and_weather_round_trip(self):
         clock = SimulatedClock()
         with ContextStubServer(seed=4, clock=clock) as stub:
-            flow = HttpFlowProvider(stub.base_url).fetch(52.52, 13.40)
-            weather = HttpWeatherProvider(stub.base_url).fetch(52.52, 13.40)
+            flow = HttpProvider(stub.base_url, FlowSegment).fetch(52.52, 13.40)
+            weather = HttpProvider(stub.base_url, WeatherObservation).fetch(52.52, 13.40)
             assert flow == FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
             assert weather == WeatherService(seed=4).observation(52.52, 13.40, clock.now_ms())
 
@@ -200,7 +202,7 @@ class TestHttpStub:
             assert response.status == 400
             assert response.json()["error"] == "invalid-coordinates"
             with pytest.raises(InvalidCoordinatesError):
-                HttpFlowProvider(stub.base_url).fetch(95.0, 0.0)
+                HttpProvider(stub.base_url, FlowSegment).fetch(95.0, 0.0)
 
     def test_unknown_path_404(self):
         with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
@@ -208,6 +210,57 @@ class TestHttpStub:
                 assert session.request("GET", "/nope", params={"lat": 1, "lon": 1}).status == 404
 
     def test_unreachable_service(self):
-        provider = HttpWeatherProvider("http://127.0.0.1:9", timeout_s=0.5)
+        provider = HttpProvider("http://127.0.0.1:9", WeatherObservation, timeout_s=0.5)
         with pytest.raises(ServiceUnavailableError):
             provider.fetch(52.0, 13.0)
+
+
+FLOW = {
+    "current_speed_kmh": 21.3,
+    "free_flow_speed_kmh": 39.4,
+    "current_travel_time_s": 63.7,
+    "free_flow_travel_time_s": 34.4,
+    "confidence": 0.9,
+    "segment_length_m": 377,
+    "matched_at": [52.52, 13.4],
+}
+WEATHER = {"temp_c": 18.5, "condition": "fog", "precipitation_mm_h": 0, "wind_ms": 3.1, "observed_at": 1699999200000}
+
+# 200 replies that do not carry the record asked for.
+NOT_THE_RECORD = {
+    "html": (WeatherObservation, b"<html>maintenance</html>"),
+    "empty": (FlowSegment, b""),
+    "other-record": (FlowSegment, b'{"temp_c": 1}'),
+    "array": (WeatherObservation, b"[1, 2]"),
+    "string": (FlowSegment, b'"x"'),
+    "text-number": (WeatherObservation, {**WEATHER, "temp_c": "18.5"}),
+    "bool-number": (FlowSegment, {**FLOW, "confidence": True}),
+    "number-condition": (WeatherObservation, {**WEATHER, "condition": 5}),
+    "fractional-time": (WeatherObservation, {**WEATHER, "observed_at": 1.5}),
+    "one-coordinate": (FlowSegment, {**FLOW, "matched_at": [52.52]}),
+    "null-field": (FlowSegment, {**FLOW, "segment_length_m": None}),
+    "float-overflow": (WeatherObservation, {**WEATHER, "wind_ms": 10**400}),
+    "deep": (FlowSegment, b"[" * 100_000),
+}
+
+
+class TestHttpProviderReplies:
+    def test_a_reply_with_the_records_fields_is_read(self, canned_server):
+        # Integers where the record has floats are numbers too.
+        fetched = []
+        for record, body in ((FlowSegment, FLOW), (WeatherObservation, WEATHER)):
+            provider = HttpProvider(canned_server(json.dumps(body).encode()).base_url, record)
+            with contextlib.closing(provider.session):
+                fetched.append(provider.fetch(52.52, 13.40))
+        assert fetched == [
+            FlowSegment(21.3, 39.4, 63.7, 34.4, 0.9, 377.0, (52.52, 13.4)),
+            WeatherObservation(18.5, "fog", 0.0, 3.1, 1699999200000),
+        ]
+
+    @pytest.mark.parametrize("record,body", NOT_THE_RECORD.values(), ids=NOT_THE_RECORD)
+    def test_a_200_that_is_not_the_record_is_an_unavailable_service(self, canned_server, record, body):
+        if isinstance(body, dict):
+            body = json.dumps(body).encode()
+        provider = HttpProvider(canned_server(body).base_url, record)
+        with contextlib.closing(provider.session), pytest.raises(ServiceUnavailableError, match=record.__name__):
+            provider.fetch(52.52, 13.40)

@@ -19,7 +19,7 @@ import contextlib
 import pytest
 
 from fogtrace.cli import _wire
-from fogtrace.external import HttpFlowProvider, HttpWeatherProvider
+from fogtrace.external import HttpProvider
 from fogtrace.gateway.records import sha256_hex
 from fogtrace.vehicle import TcpObdLink
 
@@ -52,6 +52,6 @@ def test_served_wiring_on_the_simulated_clock_gives_the_pinned_bytes(pipeline_fa
         runner.obd_link_factory = lambda: links.append(link_factory()) or links[-1]
         result = runner.run("driver-1", "vehicle-1", DURATION_S, upload=False)
     assert [type(link) for link in links] == [TcpObdLink]
-    assert isinstance(runner.traffic.provider, HttpFlowProvider)
-    assert isinstance(runner.weather.provider, HttpWeatherProvider)
+    assert isinstance(runner.traffic.provider, HttpProvider)
+    assert isinstance(runner.weather.provider, HttpProvider)
     assert result.manifest.csv_sha256 == GOLDEN_SHA256[profile, seed]

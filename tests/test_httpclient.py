@@ -18,7 +18,7 @@ import fogtrace
 from fogtrace.clock import SimulatedClock
 from fogtrace.cloudstore import CloudClient, CloudUnreachableError, NotFoundError
 from fogtrace.cloudstore.httpd import parse_multipart
-from fogtrace.external import FlowService, HttpFlowProvider, HttpWeatherProvider, ServiceUnavailableError
+from fogtrace.external import FlowSegment, FlowService, HttpProvider, ServiceUnavailableError, WeatherObservation
 from fogtrace.external_httpd import ContextStubServer
 from fogtrace.httpclient import HttpSession, NoResponseError, encode_multipart
 
@@ -60,7 +60,7 @@ def test_http10_stub_connection_is_replaced():
     # The context stub answers HTTP/1.0 and closes after every reply.
     clock = SimulatedClock()
     with ContextStubServer(seed=4, clock=clock) as stub:
-        provider = HttpFlowProvider(stub.base_url)
+        provider = HttpProvider(stub.base_url, FlowSegment)
         expected = FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
         assert provider.fetch(52.52, 13.40) == expected
         assert provider.fetch(52.52, 13.40) == expected
@@ -128,7 +128,7 @@ def test_connection_closed_while_idle_is_replaced():
     "fail",
     [
         lambda t: CloudClient(DEAD_URL, "gw", "gw-secret", timeout_s=t).issue_token(),
-        lambda t: HttpWeatherProvider(DEAD_URL, timeout_s=t).fetch(52.0, 13.0),
+        lambda t: HttpProvider(DEAD_URL, WeatherObservation, timeout_s=t).fetch(52.0, 13.0),
     ],
     ids=["store", "context"],
 )

@@ -88,7 +88,7 @@ def _ref_decode_pid(pid_id: PidId, data: bytes) -> tuple[float, str]:
     return value, definition.unit
 
 
-def _ref_parse_response(line: bytes, expected: PidId, received_at: float = 0.0) -> ObdResponse:
+def _ref_parse_response(line: bytes, expected: PidId) -> ObdResponse:
     values = _ref_tokenize(line)
     if values[0] == NEGATIVE_REPLY_MODE:
         if len(values) != 3:
@@ -102,7 +102,7 @@ def _ref_parse_response(line: bytes, expected: PidId, received_at: float = 0.0) 
         raise PidMismatchError("pid echo")
     data = bytes(values[2:])
     value, unit = _ref_decode_pid(expected, data)
-    return ObdResponse(pid_id=expected, data=data, value=value, unit=unit, received_at=received_at)
+    return ObdResponse(pid_id=expected, data=data, value=value, unit=unit)
 
 
 # -- comparison -------------------------------------------------------------------
@@ -161,18 +161,16 @@ def test_parse_request_matches_reference(line):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ANY_LINE, _PID_IDS, st.floats(0, 1e12))
-@example(b"41 0C 1A F0\r", PidId(0x0C), 5.0)
-@example(b"41 0C 1a f0\r>", PidId(0x0C), 5.0)
-@example(b"7F 01 12\r", PidId(0x0C), 0.0)
-@example(b"7F 01\r", PidId(0x0C), 0.0)
-@example(b"41 0D -1\r", PidId(0x0D), 0.0)
-@example(b"41 0D FF\r", PidId(0x11), 0.0)
-@example(b"41\r", PidId(0x0C), 0.0)
-def test_parse_response_matches_reference(line, expected, received_at):
-    assert outcome(parse_response, line, expected, received_at) == outcome(
-        _ref_parse_response, line, expected, received_at
-    )
+@given(_ANY_LINE, _PID_IDS)
+@example(b"41 0C 1A F0\r", PidId(0x0C))
+@example(b"41 0C 1a f0\r>", PidId(0x0C))
+@example(b"7F 01 12\r", PidId(0x0C))
+@example(b"7F 01\r", PidId(0x0C))
+@example(b"41 0D -1\r", PidId(0x0D))
+@example(b"41 0D FF\r", PidId(0x11))
+@example(b"41\r", PidId(0x0C))
+def test_parse_response_matches_reference(line, expected):
+    assert outcome(parse_response, line, expected) == outcome(_ref_parse_response, line, expected)
 
 
 @settings(max_examples=200, deadline=None)

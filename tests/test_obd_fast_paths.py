@@ -98,4 +98,4 @@ def test_reply_frame_matches_the_general_path(state, raw_request):
     ],
 )
 def test_parse_response_edges_match_reference(line, expected):
-    assert outcome(parse_response, line, expected, 3.0) == outcome(_ref_parse_response, line, expected, 3.0)
+    assert outcome(parse_response, line, expected) == outcome(_ref_parse_response, line, expected)

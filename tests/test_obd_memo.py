@@ -51,14 +51,7 @@ def test_a_repeated_frame_parses_as_the_reference(line, expected, other):
     assume(other != expected)
     # Cold or warm, and against another PID in between, each answer is the reference's.
     for pid_id in (expected, other, expected, other):
-        assert outcome(parse_response, line, pid_id, 7.0) == outcome(_ref_parse_response, line, pid_id, 7.0)
-
-
-def test_the_callers_receive_time_is_kept_on_a_cached_reply():
-    first = parse_response(b"41 0D 3C\r", PidId(0x0D), 1.0)
-    second = parse_response(b"41 0D 3C\r", PidId(0x0D), 2.0)
-    assert (first.received_at, second.received_at) == (1.0, 2.0)
-    assert first._replace(received_at=2.0) == second
+        assert outcome(parse_response, line, pid_id) == outcome(_ref_parse_response, line, pid_id)
 
 
 @pytest.mark.parametrize(
@@ -90,7 +83,7 @@ def test_an_error_is_raised_on_every_repeat(line, expected, error):
 )
 def test_a_lower_case_or_prompted_reply_parses_as_its_canonical_form(variant, canonical, pid):
     for _ in range(2):
-        assert parse_response(variant, PidId(pid), 4.0) == parse_response(canonical, PidId(pid), 4.0)
+        assert parse_response(variant, PidId(pid)) == parse_response(canonical, PidId(pid))
 
 
 def test_no_error_enters_a_memo():
@@ -107,11 +100,11 @@ def test_no_error_enters_a_memo():
 
 
 def test_frames_that_are_not_bytes_are_answered_without_the_memo():
-    want = parse_response(b"41 0C 1A F0\r", PidId(0x0C), 3.0)
+    want = parse_response(b"41 0C 1A F0\r", PidId(0x0C))
     memos = (_render, _parse_reply, _parse_request)
     before = [memo.cache_info() for memo in memos]
     assert render_response(PidId(0x0C), bytearray(b"\x1a\xf0")) == b"41 0C 1A F0\r"
-    assert parse_response(bytearray(b"41 0C 1A F0\r"), PidId(0x0C), 3.0) == want
+    assert parse_response(bytearray(b"41 0C 1A F0\r"), PidId(0x0C)) == want
     assert parse_request(bytearray(b"01 0C\r")) == PidId(0x0C)
     assert [memo.cache_info() for memo in memos] == before
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from collections import Counter
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from fogtrace.cloudstore import CloudUnreachableError
 from fogtrace.config import Config
 from fogtrace.external import (
     FlowSegment,
+    HttpProvider,
     LocalWeatherProvider,
     RateLimiter,
     ServiceUnavailableError,
     WeatherClient,
+    WeatherObservation,
     WeatherService,
 )
 from fogtrace.gateway import Gateway, SessionRunner, UploadError, UploadRejectedError
@@ -140,6 +143,16 @@ class TestDegenerateAndDegraded:
         assert result.context_failures > 0
         assert not [r for r in rows if r.channel.startswith("weather")]
         assert result.manifest.row_count == len(rows) > 0
+
+    def test_a_weather_service_answering_html_fails_each_poll_not_the_trip(self, pipeline_factory, canned_server):
+        runner = pipeline_factory()
+        provider = HttpProvider(canned_server(b"<html>maintenance</html>").base_url, WeatherObservation)
+        runner.weather = WeatherClient(provider, RateLimiter(clock=runner.clock), runner.clock)
+        with contextlib.closing(provider.session):
+            result = runner.run("d", "v", 120.0, upload=False)
+        channels = Counter(row.channel for row in csv_to_rows(result.csv_bytes))
+        assert result.context_failures == result.context_rounds == channels["traffic_current_speed"] == 4
+        assert not [channel for channel in channels if channel.startswith("weather_")]
 
     def test_wearables_only_session(self, sim_clock, key):
         physio = PhysioModel()

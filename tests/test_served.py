@@ -24,7 +24,7 @@ def _vehicle(_tmp_path):
 
 
 def _vehicle_request(server):
-    link = TcpObdLink(*server.address, server.clock)
+    link = TcpObdLink(*server.address)
     try:
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
     finally:

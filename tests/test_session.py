@@ -34,7 +34,7 @@ def heart(device="polar-1", bpm=72.0, rr=(820.0, 830.0), at=1000):
 
 
 def reading(pid=PID_SPEED, value=42.0):
-    return ObdResponse(PidId(pid), b"", value, "", 0.0)
+    return ObdResponse(PidId(pid), b"", value, "")
 
 
 class _TaggedHeart(HeartSample):
@@ -291,7 +291,7 @@ class TestErase:
         gateway.pair_device(device)
         stream = device.subscribe(0.0)
         for _ in range(3):
-            stream.take(stream.next_due_ms)
+            stream.take()
         erased = gateway.erase_data("device")
         assert erased["device_samples"] == 3
         assert len(device.buffer) == 0

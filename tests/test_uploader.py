@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from pathlib import Path
 
@@ -115,6 +116,33 @@ class TestFlushOutbox:
         assert receipts == []
         assert len(remaining) == 1
         assert len(outbox.pending()) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"<html>captive portal</html>", b"[]", b"[" * 100_000, b'{"ok": true}', b'{"access_token": "t"}'],
+        ids=["html", "array", "deep", "no-token", "no-receipt"],
+    )
+    def test_flush_against_something_else_at_the_store_url_keeps_pending(
+        self, sim_clock, key, tmp_path, canned_server, body
+    ):
+        # The last body passes for a token, then for the upload's receipt, which it is not.
+        outbox = Outbox(tmp_path / "outbox")
+        ref = outbox.put(seal(CSV, b"{}", key), b"{}")
+        client = CloudClient(canned_server(body).base_url, "gw", "gw-secret")
+        with contextlib.closing(client.session):
+            assert flush_outbox(outbox, client, sim_clock) == ([], [ref])
+        assert outbox.pending() == [ref]
+
+    def test_flush_with_a_receipt_size_that_is_no_count_keeps_pending(self, sim_clock, key, tmp_path):
+        class InfiniteClient:
+            def upload_trace(self, manifest_json, blob):
+                ref = hashlib.sha256(blob).hexdigest()
+                return {"trace_ref": ref, "size_bytes": float("inf"), "sha256": ref}
+
+        outbox = Outbox(tmp_path / "outbox")
+        ref = outbox.put(seal(CSV, b"{}", key), b"{}")
+        assert flush_outbox(outbox, InfiniteClient(), sim_clock) == ([], [ref])
+        assert outbox.pending() == [ref]
 
     def test_flush_with_wrong_receipt_size_keeps_pending(self, sim_clock, key, tmp_path):
         class ShortClient:

@@ -37,7 +37,7 @@ def quick_server():
 
 
 def test_frames_over_tcp(quick_server):
-    link = TcpObdLink(*quick_server.address, SystemClock())
+    link = TcpObdLink(*quick_server.address)
     try:
         for pid in (PID_RPM, PID_SPEED, PID_THROTTLE):
             resp = link.request(pid)
@@ -47,7 +47,7 @@ def test_frames_over_tcp(quick_server):
 
 
 def test_unsupported_pid_negative_over_tcp(quick_server):
-    link = TcpObdLink(*quick_server.address, SystemClock())
+    link = TcpObdLink(*quick_server.address)
     try:
         with pytest.raises(NegativeResponseError):
             link.request(PidId(0x99))
@@ -60,7 +60,7 @@ def test_concurrent_clients_fifo(quick_server):
     errors = []
 
     def worker():
-        link = TcpObdLink(*quick_server.address, SystemClock())
+        link = TcpObdLink(*quick_server.address)
         try:
             for i in range(6):
                 pid = (PID_RPM, PID_SPEED, PID_THROTTLE)[i % 3]
@@ -93,7 +93,7 @@ def test_malformed_frame_gets_negative_reply(quick_server):
 
 @pytest.mark.parametrize("frame", [b"01 +C\r", b"01 -1\r"])
 def test_signed_token_gets_negative_reply_and_keeps_the_connection(quick_server, frame):
-    link = TcpObdLink(*quick_server.address, SystemClock())
+    link = TcpObdLink(*quick_server.address)
     try:
         assert link.transact(frame) == b"7F 00 11\r"
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
@@ -101,13 +101,13 @@ def test_signed_token_gets_negative_reply_and_keeps_the_connection(quick_server,
         link.close()
 
 
-def _exchanges(link, count=30):
-    """Reply frames and the receive times ``request`` would stamp on them."""
+def _exchanges(link, clock, count=30):
+    """Reply frames and the time on ``clock`` when each arrived."""
     pids = (*CORE_PIDS, 0x99)
     seen = []
     for i in range(count):
         frame = link.transact(encode_request(PidId(pids[i % len(pids)])))
-        seen.append((frame, link.clock.now_ms()))
+        seen.append((frame, clock.now_ms()))
     return seen
 
 
@@ -117,12 +117,12 @@ def test_served_vehicle_replies_as_the_in_process_link():
     served_sim = VehicleSimulator(seed=7, start_ms=served_clock.now_ms())
     local_sim = VehicleSimulator(seed=7, start_ms=local_clock.now_ms())
     with VehicleTcpServer(served_sim, clock=served_clock) as server:
-        link = TcpObdLink(*server.address, clock=served_clock)
+        link = TcpObdLink(*server.address)
         try:
-            served = _exchanges(link)
+            served = _exchanges(link, served_clock)
         finally:
             link.close()
-    local = _exchanges(InProcessObdLink(local_sim, local_clock))
+    local = _exchanges(InProcessObdLink(local_sim, local_clock), local_clock)
     assert served == local
     assert local[3][0].startswith(b"7F 01 12")  # the unsupported PID's negative reply
 
@@ -144,7 +144,7 @@ def test_frame_without_cr_past_the_cap_is_refused_and_the_server_keeps_serving(q
             assert sock.recv(64) == b""  # then the server ends the connection
         except ConnectionResetError:
             pass  # unread bytes make the close a reset
-    link = TcpObdLink(*quick_server.address, SystemClock())
+    link = TcpObdLink(*quick_server.address)
     try:
         assert link.request(PID_RPM).pid_id.pid == PID_RPM
     finally:
@@ -165,7 +165,7 @@ def test_reply_without_cr_past_the_cap_is_an_obd_error():
 
         server = threading.Thread(target=answer)
         server.start()
-        link = TcpObdLink(*listener.getsockname(), SystemClock(), timeout_s=5.0)
+        link = TcpObdLink(*listener.getsockname(), timeout_s=5.0)
         try:
             with pytest.raises(ObdError):
                 link.request(PID_RPM)

@@ -78,7 +78,7 @@ class TestPolar:
         stream = device.subscribe(0.0)
         count = 0
         while stream.next_due_ms <= 60_000.0:
-            stream.take(stream.next_due_ms)
+            stream.take()
             count += 1
         assert abs(count - 30) <= 1
 
@@ -86,7 +86,7 @@ class TestPolar:
         device = paired(Polar(seed=3))
         stream = device.subscribe(0.0)
         for _ in range(200):
-            sample = stream.take(stream.next_due_ms)
+            sample = stream.take()
             assert 1 <= len(sample.rr_intervals_ms) <= 4
             mean_rr = sum(sample.rr_intervals_ms) / len(sample.rr_intervals_ms)
             assert abs(sample.bpm - 60_000.0 / mean_rr) / sample.bpm <= 0.02
@@ -111,7 +111,7 @@ class TestPolar:
     def test_measured_at_strictly_increasing(self):
         device = paired(Polar(seed=4))
         stream = device.subscribe(0.0)
-        stamps = [stream.take(stream.next_due_ms).measured_at for _ in range(300)]
+        stamps = [stream.take().measured_at for _ in range(300)]
         assert all(b > a for a, b in zip(stamps, stamps[1:]))
 
 
@@ -121,7 +121,7 @@ class TestSpire:
         stream = device.subscribe(0.0)
         count = 0
         while stream.next_due_ms <= 60_000.0:
-            stream.take(stream.next_due_ms)
+            stream.take()
             count += 1
         assert abs(count - 12) <= 1
 
@@ -129,7 +129,7 @@ class TestSpire:
         device = paired(Spire(seed=2))
         stream = device.subscribe(0.0)
         for _ in range(100):
-            sample = stream.take(stream.next_due_ms)
+            sample = stream.take()
             assert sample.state == respiration_state(sample.breaths_per_min)
 
 
@@ -181,7 +181,7 @@ class TestPhysioModel:
             physio = PhysioModel()
             device = paired(Polar("p", physio, seed=9))
             stream = device.subscribe(0.0)
-            return [stream.take(stream.next_due_ms) for _ in range(50)]
+            return [stream.take() for _ in range(50)]
 
         assert collect() == collect()
 
@@ -191,7 +191,7 @@ class TestHousekeeping:
         device = paired(Polar(seed=1))
         stream = device.subscribe(0.0)
         for _ in range(5):
-            stream.take(stream.next_due_ms)
+            stream.take()
         assert len(device.buffer) == 5
         assert device.erase() == 5
         assert len(device.buffer) == 0
