@@ -1,11 +1,10 @@
 """HTTP client for the trace repository, used by the gateway and the CLI.
 
-Maps the service's error bodies back onto the shared exception types and
-caches the bearer token. Only the store judges whether a token is still
-valid: a cached token it refuses as expired or unknown is replaced once and
-the request sent again. A reply below 400 whose JSON body is not the
-store's came from something else at the store's URL, such as a captive
-portal, and raises :class:`CloudUnreachableError`, as no reply does.
+A reply body, or a download's ``X-Trace-Manifest`` header, that is not the
+store's JSON (a captive portal's page, a proxy's error) raises
+:class:`CloudUnreachableError`, as no reply does, and so does a 500
+``internal``; any other ``{error, detail}`` maps onto its exception type.
+Only the store judges a token: a cached one it refuses is replaced once.
 """
 
 from __future__ import annotations
@@ -21,6 +20,10 @@ from .service import ERROR_TYPES, CloudError, TokenExpiredError, UnauthorizedErr
 class CloudUnreachableError(CloudError):
     code = "unreachable"
     http_status = 503
+
+
+# An ``internal`` fault is retried as an unreachable store is.
+_ERROR_TYPES = {**ERROR_TYPES, CloudError.code: CloudUnreachableError}
 
 
 class CloudClient:
@@ -41,7 +44,7 @@ class CloudClient:
     def issue_token(self) -> dict:
         body = json.dumps({"client_id": self.client_id, "client_secret": self.client_secret}).encode("utf-8")
         response = self._request("POST", "/api/v1/token", body=body, headers={"Content-Type": "application/json"})
-        data = _store_json(response, dict, "access_token")
+        data = _store_json(response.body, f"a {response.status} reply", dict, access_token=str)
         self._token = data["access_token"]
         return data
 
@@ -53,14 +56,16 @@ class CloudClient:
             }
         )
         response = self._request("POST", "/api/v1/traces", body=body, headers={"Content-Type": content_type}, auth=True)
-        return _store_json(response, dict)
+        return _store_json(response.body, f"a {response.status} reply", dict)
 
     def get_trace(self, trace_ref: str) -> tuple[bytes, dict]:
         # Every reserved character escaped, so '?', '#' and '/' stay in the ref.
         response = self._request("GET", f"/api/v1/traces/{quote(trace_ref, safe='')}", auth=True)
-        header = response.headers.get("X-Trace-Manifest", "")
-        metadata = json.loads(base64.b64decode(header)) if header else {}
-        return response.body, metadata
+        try:
+            header = base64.b64decode(response.headers.get("X-Trace-Manifest", ""), validate=True)
+        except ValueError:
+            header = b""
+        return response.body, _store_json(header, "an X-Trace-Manifest header", dict, manifest=dict)
 
     def list_traces(
         self,
@@ -82,7 +87,7 @@ class CloudClient:
         if offset is not None:
             params["offset"] = int(offset)
         response = self._request("GET", "/api/v1/traces", params=params, auth=True)
-        return _store_json(response, list)
+        return _store_json(response.body, f"a {response.status} reply", list)
 
     # -- plumbing -------------------------------------------------------------
 
@@ -110,26 +115,25 @@ class CloudClient:
             self._token = None
 
 
-def _store_json(response: HttpResponse, kind: type, *fields: str):
-    """The body of a reply below 400: JSON of type ``kind`` that holds ``fields``.
+def _store_json(raw: bytes, what: str, kind: type, **fields: type):
+    """``raw`` as the store sends it: JSON of type ``kind`` whose ``fields`` are each of their type.
 
-    Any other body is not the store's, so the store was not reached:
+    Anything else is not the store's, so the store was not reached:
     :class:`CloudUnreachableError`.
     """
     try:
-        body = response.json()
+        value = json.loads(raw)
     except (ValueError, RecursionError):
-        body = None
-    if type(body) is not kind or any(field not in body for field in fields):
-        raise CloudUnreachableError(f"a {response.status} reply that is not the store's: {response.text[:80]!r}")
-    return body
+        value = None
+    if type(value) is not kind or any(type(value.get(name)) is not t for name, t in fields.items()):
+        raise CloudUnreachableError(f"{what} that is not the store's: {raw[:80]!r}")
+    return value
 
 
 def _error_from_response(response: HttpResponse) -> CloudError:
+    """The error a reply of 400 and up stands for: the store's ``{error, detail}``, or else unreachable."""
     try:
-        body = response.json()
-        code = body.get("error", "internal")
-        detail = body.get("detail", response.text)
-    except ValueError:
-        code, detail = "internal", response.text
-    return ERROR_TYPES.get(code, CloudError)(detail)
+        body = _store_json(response.body, f"a {response.status} reply", dict, error=str, detail=str)
+    except CloudUnreachableError as exc:
+        return exc
+    return _ERROR_TYPES.get(body["error"], CloudError)(body["detail"])

@@ -7,13 +7,15 @@
 
 Both carry each manifest as the text it was uploaded as (see ``service``).
 
-Every reply is one write. Errors are ``{error, detail}`` with matching
-status codes, those ``http.server`` answers itself (an unknown method, a
-request line it cannot parse) included. Any other exception a request
-raises is logged and answered 500 ``internal``, and the connection is
-closed. A body whose
-``Content-Length`` is not a count of bytes answers 400, one above
-``MAX_BODY_BYTES`` 413; neither body is read, and the connection is closed.
+Every request, GET or POST, takes one dispatch: its body is read first,
+then it is routed on its method and path. Every reply is one write.
+Errors are ``{error, detail}`` with matching status codes, those
+``http.server`` answers itself (an unknown method, a request line it
+cannot parse) included. Any other exception a request raises is logged
+and answered 500 ``internal``, and the connection is closed. A body whose
+``Content-Length`` is not a count of bytes, or that comes with a
+``Transfer-Encoding``, answers 400, one above ``MAX_BODY_BYTES`` 413; no
+such body is read, and the connection is closed.
 """
 
 from __future__ import annotations
@@ -95,41 +97,30 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> CloudStoreService:
         return self.server.owner.service  # type: ignore[attr-defined]
 
-    def do_POST(self):
-        path = urlparse(self.path).path
-        try:
-            # Read before any check: an unread body would be parsed as the next request.
-            body = self._read_body()
-            if path == _TOKEN_PATH:
-                self._handle_token(body)
-            elif path == _TRACES_PATH:
-                self._handle_upload(body)
-            else:
-                send_json(self, 404, {"error": "not-found", "detail": path})
-        except CloudError as exc:
-            send_json(self, exc.http_status, exc.to_body())
-        except Exception as exc:  # noqa: BLE001 - every request gets an answer
-            self._internal_error(exc)
-
-    def do_GET(self):
+    def _dispatch(self):
         url = urlparse(self.path)
         try:
-            if url.path == _TRACES_PATH:
+            # Read before any check, whatever the method: an unread body would be parsed as the next request.
+            body = self._read_body()
+            route = (self.command, url.path)
+            if route == ("POST", _TOKEN_PATH):
+                self._handle_token(body)
+            elif route == ("POST", _TRACES_PATH):
+                self._handle_upload(body)
+            elif route == ("GET", _TRACES_PATH):
                 self._handle_list(parse_qs(url.query))
-            elif url.path.startswith(_TRACES_PATH + "/"):
+            elif self.command == "GET" and url.path.startswith(_TRACES_PATH + "/"):
                 self._handle_get(unquote(url.path[len(_TRACES_PATH) + 1 :]))
             else:
                 send_json(self, 404, {"error": "not-found", "detail": url.path})
         except CloudError as exc:
             send_json(self, exc.http_status, exc.to_body())
         except Exception as exc:  # noqa: BLE001 - every request gets an answer
-            self._internal_error(exc)
+            log.exception("%s %s failed", self.command, self.path)
+            self.close_connection = True
+            send_json(self, 500, CloudError(f"{type(exc).__name__}: {exc}").to_body())
 
-    def _internal_error(self, exc: Exception) -> None:
-        """Log a fault that is not a store error, and answer it 500 ``internal`` on a closing connection."""
-        log.exception("%s %s failed", self.command, self.path)
-        self.close_connection = True
-        send_json(self, 500, CloudError(f"{type(exc).__name__}: {exc}").to_body())
+    do_GET = do_POST = _dispatch
 
     # -- endpoint bodies ----------------------------------------------------
 
@@ -199,8 +190,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         raw = self.headers.get("Content-Length", "0").strip()
+        # A body framed in any other way has no known end, so the connection cannot carry another request.
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise BadRequestError("Transfer-Encoding is not supported; send a Content-Length")
         if not (raw.isascii() and raw.isdigit()):
-            # The body's end is unknown, so the connection cannot carry another request.
             self.close_connection = True
             raise BadRequestError(f"Content-Length must be a count of bytes, got {raw!r}")
         length = int(raw)

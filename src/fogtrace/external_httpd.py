@@ -3,7 +3,8 @@
 Endpoints: ``GET /flow?lat=&lon=`` and ``GET /weather?lat=&lon=``, JSON
 bodies carrying exactly the typed fields, in the order the record declares
 them. Each is answered by the local provider the simulated clock uses
-in-process, so responses are deterministic.
+in-process, so responses are deterministic. Other paths answer 404, bad
+coordinates 400 ``invalid-coordinates``; connections stay open (HTTP/1.1).
 """
 
 from __future__ import annotations
@@ -26,24 +27,24 @@ from .served import ServedHttp, send_error, send_json
 
 class _StubHandler(BaseHTTPRequestHandler):
     server_version = "ContextStub/1"
+    # Keep-alive, as the store: a provider's session sends all its fetches on one connection.
+    protocol_version = "HTTP/1.1"
     send_error = send_error
 
     def do_GET(self):
-        owner: ContextStubServer = self.server.owner  # type: ignore[attr-defined]
+        if "Content-Length" in self.headers or "Transfer-Encoding" in self.headers:
+            # A GET's body is never read, so this reply ends the connection rather than parse it as a request.
+            self.close_connection = True
         url = urlparse(self.path)
-        query = parse_qs(url.query)
-        try:
-            lat = float(query.get("lat", ["nan"])[0])
-            lon = float(query.get("lon", ["nan"])[0])
-        except ValueError:
-            return send_json(self, 400, {"error": "invalid-coordinates", "detail": "lat/lon not numeric"})
-        provider = owner.routes.get(url.path)
+        provider = self.server.owner.routes.get(url.path)  # type: ignore[attr-defined]
         if provider is None:
             return send_json(self, 404, {"error": "not-found", "detail": self.path})
+        query = parse_qs(url.query)
         try:
-            return send_json(self, 200, vars(provider.fetch(lat, lon)))
-        except InvalidCoordinatesError as exc:
+            record = provider.fetch(float(query.get("lat", ["nan"])[0]), float(query.get("lon", ["nan"])[0]))
+        except (ValueError, InvalidCoordinatesError) as exc:
             return send_json(self, 400, {"error": "invalid-coordinates", "detail": str(exc)})
+        return send_json(self, 200, vars(record))
 
     def log_message(self, fmt, *args):  # noqa: A002 - quiet by default
         pass

@@ -137,11 +137,11 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
     """Upload everything pending; returns (receipts, refs still pending).
 
     ``Outbox.discard_leftovers`` runs first. An entry that cannot be read or
-    does not hash to its ref, that the store cannot be reached for, whose
-    receipt does not match or that the store refuses (``ENTRY_REFUSALS``) is
-    logged, left in place and reported among the refs still pending. Any
-    other store error, such as refused credentials or a full store, stops
-    the flush.
+    does not hash to its ref, that the store cannot be reached for (a 500
+    ``internal`` included), whose receipt does not match or that the store
+    refuses (``ENTRY_REFUSALS``) is logged, left in place and reported among
+    the refs still pending. Any other store error, such as refused
+    credentials or a full store, stops the flush.
     """
     outbox.discard_leftovers()
     receipts = []
@@ -164,9 +164,9 @@ def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[Uploa
 def _send(outbox, ref, envelope, manifest_json, client, clock, retries: int) -> UploadReceipt:
     """Upload outbox entry ``ref``, check its receipt, then remove the entry.
 
-    Only an unreachable store is retried. A receipt that cannot be read, or
-    does not name exactly ``ref`` and ``len(envelope)``, raises
-    :class:`UploadRejectedError`.
+    Only an unreachable store, or one that answers 500 ``internal``, is
+    retried. A receipt that cannot be read, or does not name exactly ``ref``
+    and ``len(envelope)``, raises :class:`UploadRejectedError`.
     """
     for attempt in range(retries + 1):
         try:

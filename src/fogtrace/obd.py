@@ -16,16 +16,16 @@ Decode formulas for the three collected channels:
 PIDs outside the table decode to the raw big-endian integer with unit
 ``raw`` so the table stays extensible.
 
-Each frame function has one implementation, and only ``_tokenize`` turns
-a frame's bytes into values. The codec is pure, so a repeated frame is a
-lookup: ``render_response``, ``parse_request`` and ``parse_response`` each
-memoize that one implementation in a ``functools.lru_cache`` of at most
+Frames and payloads are ``bytes``. Each frame function has one
+implementation, and only ``_tokenize`` turns a frame's bytes into values.
+The codec is pure, so a repeated frame is a lookup: ``render_response``,
+``parse_request`` and ``parse_response`` each memoize that one
+implementation in a ``functools.lru_cache`` of at most
 ``CODEC_CACHE_SIZE`` entries, whatever a peer sends. A reply is keyed by
 its bytes and the expected mode and PID, so a mismatched echo is never
-served from another PID's entry. Only exact ``bytes`` are keys (a
-``bytearray`` is unhashable); any other buffer is worked out afresh by the
-same code. Errors are never cached: a ``7F``, malformed or out-of-range
-frame raises on every call.
+served from another PID's entry. A buffer that is not hashable, such as a
+``bytearray``, raises ``TypeError``. Errors are never cached: a ``7F``,
+malformed or out-of-range frame raises on every call.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ def render_response(pid_id: PidId, data: bytes) -> bytes:
     Raises ``ValueError`` for modes from 0xC0 up, whose reply mode does
     not fit one byte.
     """
-    render = _render if type(data) is bytes else _render.__wrapped__
-    return render(pid_id.mode, pid_id.pid, data)
+    return _render(pid_id.mode, pid_id.pid, data)
 
 
 @lru_cache(maxsize=CODEC_CACHE_SIZE)
@@ -223,8 +222,7 @@ def _tokenize(line: bytes) -> list[int]:
 
 def parse_request(line: bytes) -> PidId:
     """Parse a query frame (responder side)."""
-    parse = _parse_request if type(line) is bytes else _parse_request.__wrapped__
-    return parse(line)
+    return _parse_request(line)
 
 
 @lru_cache(maxsize=CODEC_CACHE_SIZE)
@@ -245,8 +243,7 @@ def parse_response(line: bytes, expected: PidId) -> ObdResponse:
     :class:`PidMismatchError` when the echoed PID differs from ``expected``
     and :class:`MalformedFrameError` for anything that is not a frame.
     """
-    parse = _parse_reply if type(line) is bytes else _parse_reply.__wrapped__
-    data, value, unit = parse(line, expected.mode, expected.pid)
+    data, value, unit = _parse_reply(line, expected.mode, expected.pid)
     # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per reply.
     return tuple.__new__(ObdResponse, (expected, data, value, unit))
 

@@ -46,13 +46,13 @@ def no_wall_clock(monkeypatch):
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
-    """Answers every GET and POST ``200`` with its server's ``body``, as a captive portal would."""
+    """Answers every GET and POST with its server's ``status`` and ``body``, as a captive portal or a proxy would."""
 
     protocol_version = "HTTP/1.1"
 
     def do_GET(self):
         self.rfile.read(int(self.headers.get("Content-Length", "0")))
-        send_reply(self, 200, self.server.owner.body, {"Content-Type": "text/html"})
+        send_reply(self, self.server.owner.status, self.server.owner.body, {"Content-Type": "text/html"})
 
     do_POST = do_GET
 
@@ -61,16 +61,17 @@ class _CannedHandler(BaseHTTPRequestHandler):
 
 
 class CannedServer(ServedHttp):
-    def __init__(self, body: bytes):
+    def __init__(self, body: bytes, status: int = 200):
         self.body = body
+        self.status = status
         super().__init__(_CannedHandler)
 
 
 @pytest.fixture
 def canned_server():
-    """Start a loopback server that answers every request ``200`` with the body given; stopped after the test."""
+    """Start a loopback server that answers every request with the body (and status) given; stopped after the test."""
     with contextlib.ExitStack() as stack:
-        yield lambda body: stack.enter_context(CannedServer(body))
+        yield lambda body, status=200: stack.enter_context(CannedServer(body, status))
 
 
 @pytest.fixture

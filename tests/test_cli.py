@@ -5,6 +5,7 @@ import contextlib
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ import fogtrace
 from fogtrace.cli import build_parser, main
 from fogtrace.gateway import Outbox, Session, csv_to_rows, validate_rows
 from fogtrace.gateway.envelope import open_envelope
+from test_cloudstore import _FailingInsert
 
 SRC = str(Path(fogtrace.__file__).resolve().parent.parent)
 
@@ -134,15 +136,42 @@ class TestRunCommand:
         assert "flushed pending upload" in stderr
         assert not list((out / "outbox").glob("*.entry"))
 
-    def test_a_captive_portal_at_the_store_url_fails_the_upload_after_the_trip(self, tmp_path, capsys, canned_server):
+    @pytest.mark.parametrize(
+        "status,body",
+        [(200, b"<html>captive portal</html>"), (502, b"<html>502 Bad Gateway</html>")],
+        ids=["captive-portal", "proxy-error-page"],
+    )
+    def test_a_captive_portal_at_the_store_url_fails_the_upload_after_the_trip(
+        self, tmp_path, capsys, canned_server, status, body
+    ):
         # An entry left by an earlier run, so the flush before the trip asks the portal too.
         out = tmp_path / "out"
         earlier = Outbox(out / "outbox").put(b"sealed earlier", b"{}")
-        portal = canned_server(b"<html>captive portal</html>")
+        portal = canned_server(body, status)
         code, _, stderr = run_cli(capsys, "run", "--duration", "5", "--cloud-url", portal.base_url, "--out", str(out))
         assert code == 1
         assert "stage 'upload' failed" in stderr
-        assert "captive portal" in stderr
+        assert f"a {status} reply that is not the store's: {body!r}" in stderr
+        pending = Outbox(out / "outbox").pending()
+        assert len(pending) == 2 and earlier in pending
+        assert len(list((out / "traces").glob("*.csv"))) == 1
+
+    def test_a_store_fault_leaves_the_entries_pending_and_the_trip_runs(
+        self, tmp_path, capsys, store_service, store_server, monkeypatch
+    ):
+        conf = tmp_path / "fogtrace.conf"
+        conf.write_text("cloud.client_id = gw\ncloud.client_secret = gw-secret\n")
+        out = tmp_path / "out"
+        # A manifest the store takes, so the flush before the trip reaches the failing insert.
+        earlier = Outbox(out / "outbox").put(b"sealed earlier", b'{"session_id": "s0", "driver_id": "drv"}')
+        locked = sqlite3.OperationalError("database is locked")
+        monkeypatch.setattr(store_service, "_db", _FailingInsert(store_service._db, locked))
+        code, _, stderr = run_cli(
+            capsys, "--config", str(conf), "run", "--duration", "5", "--cloud-url", store_server.base_url, "--out", str(out)
+        )
+        assert code == 1
+        assert "stage 'upload' failed" in stderr
+        assert "database is locked" in stderr
         pending = Outbox(out / "outbox").pending()
         assert len(pending) == 2 and earlier in pending
         assert len(list((out / "traces").glob("*.csv"))) == 1

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import base64
 import contextlib
 import errno
 import hashlib
+import http.client
 import json
 import logging
 import os
 import socket
 import sqlite3
+import string
 import sys
 import threading
 
 from http.server import BaseHTTPRequestHandler
+from urllib.parse import urlparse
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fogtrace.clock import SimulatedClock
@@ -23,6 +27,7 @@ from fogtrace.cloudstore import (
     ClientAccount,
     CloudClient,
     CloudError,
+    CloudUnreachableError,
     CloudStoreHTTPServer,
     CloudStoreService,
     CorruptObjectError,
@@ -40,9 +45,14 @@ from fogtrace.cloudstore import (
 from fogtrace.cloudstore import httpd
 from fogtrace.cloudstore import service as service_module
 from fogtrace.cloudstore.httpd import MAX_BODY_BYTES
+from fogtrace.cloudstore.client import _error_from_response
 from fogtrace.cloudstore.service import ERROR_TYPES
-from fogtrace.httpclient import HttpSession, encode_multipart
-from fogtrace.served import ServedHttp, send_json
+from fogtrace.gateway import Outbox, finalize_and_upload, flush_outbox
+from fogtrace.gateway.envelope import seal
+from fogtrace.gateway.uploader import BACKOFF_MS, FLUSH_RETRIES, SESSION_RETRIES
+from fogtrace.httpclient import HttpResponse, HttpSession, encode_multipart
+from fogtrace.served import ServedHttp, send_json, send_reply
+from test_uploader import make_manifest
 
 MANIFEST = json.dumps({"session_id": "s1", "driver_id": "drv"}).encode()
 
@@ -613,7 +623,10 @@ def _objects_without_rows(service) -> set[str]:
 
 
 class TestInternalFaults:
-    """A fault that is not a store error is answered 500 ``internal``, and a failed upload leaves no object."""
+    """A fault that is not a store error is answered 500 ``internal``, and a failed upload leaves no object.
+
+    The client raises it as :class:`CloudUnreachableError`, so it is retried and its outbox entry stays pending.
+    """
 
     @pytest.mark.parametrize("fault", ["insert-locked", "dedup-insert-locked", "object-write-eio"])
     def test_failed_upload_is_answered_and_leaves_no_object_without_a_row(
@@ -633,10 +646,8 @@ class TestInternalFaults:
             locked = sqlite3.OperationalError("database is locked")
             monkeypatch.setattr(store_service, "_db", _FailingInsert(store_service._db, locked))
 
-        with pytest.raises(CloudError) as raised:
+        with pytest.raises(CloudUnreachableError, match="Error: "):
             cloud_client.upload_trace(MANIFEST, blob)
-        assert type(raised.value) is CloudError and raised.value.code == "internal"
-        assert "Error" in str(raised.value)
         # The reply said Connection: close, so the client dropped its connection.
         assert cloud_client.session._conn.sock is None
         monkeypatch.undo()
@@ -656,11 +667,42 @@ class TestInternalFaults:
             raise locked
 
         monkeypatch.setattr(store_service, "_metadata", locked_metadata)
-        with pytest.raises(CloudError, match="database is locked") as raised:
+        with pytest.raises(CloudUnreachableError, match="database is locked"):
             cloud_client.get_trace(ref)
-        assert type(raised.value) is CloudError and raised.value.code == "internal"
         monkeypatch.undo()
         assert cloud_client.get_trace(ref)[0] == b"stored"
+
+    def test_the_store_answers_500_internal_on_the_wire(self, store_service, store_http, monkeypatch):
+        monkeypatch.setattr(store_service, "issue_token", lambda *args: 1 / 0)
+        response = post_json(store_http, "/api/v1/token", {"client_id": "gw", "client_secret": "gw-secret"})
+        assert response.status == 500
+        assert response.json() == {"error": "internal", "detail": "ZeroDivisionError: division by zero"}
+        assert response.headers["Connection"] == "close"
+
+    def test_a_locked_insert_is_retried_and_its_entry_left_pending(self, store_service, cloud_client, monkeypatch, key):
+        outbox = Outbox(store_service.root.parent / "outbox")
+        ref = outbox.put(seal(b"rows", MANIFEST, key), MANIFEST)
+        inserts = []
+
+        class CountingInsert(_FailingInsert):
+            def execute(self, sql, *args):
+                inserts.append(sql.startswith("INSERT"))
+                return super().execute(sql, *args)
+
+        locked = sqlite3.OperationalError("database is locked")
+        monkeypatch.setattr(store_service, "_db", CountingInsert(store_service._db, locked))
+        clock = SimulatedClock()
+        assert flush_outbox(outbox, cloud_client, clock) == ([], [ref])
+        assert outbox.pending() == [ref] and inserts.count(True) == 1 + FLUSH_RETRIES
+        # A session's own send backs off on its clock between tries, as for an unreachable store.
+        start = clock.now_ms()
+        with pytest.raises(CloudUnreachableError, match="database is locked"):
+            finalize_and_upload(b"rows", make_manifest(), key, cloud_client, outbox, clock)
+        assert inserts.count(True) == 1 + FLUSH_RETRIES + 1 + SESSION_RETRIES
+        assert clock.now_ms() - start == BACKOFF_MS * (2**SESSION_RETRIES - 1)
+        monkeypatch.undo()
+        receipts, remaining = flush_outbox(outbox, cloud_client, clock)
+        assert remaining == [] and ref in {r.trace_ref for r in receipts}
 
 
 class TestClientTokens:
@@ -730,6 +772,62 @@ def test_client_raises_each_registered_error(code):
     assert type(caught.value) is ERROR_TYPES[code]
 
 
+@pytest.mark.parametrize(
+    "status,body",
+    [
+        (502, b"[1]"),
+        (502, b'"x"'),
+        (502, b'{"error": ["x"], "detail": "d"}'),
+        (502, b"<html>502 Bad Gateway</html>"),
+        (404, b'{"error": "not-found"}'),
+        (401, b'{"error": "unauthorized", "detail": 3}'),
+        (400, b"[" * 100_000),
+        (500, b""),
+    ],
+)
+def test_an_error_reply_that_is_not_a_store_error_is_an_unreachable_store(status, body):
+    error = _error_from_response(HttpResponse(status, http.client.HTTPMessage(), body))
+    assert type(error) is CloudUnreachableError
+    assert str(error).startswith(f"a {status} reply that is not the store's")
+
+
+class _ManifestHeaderHandler(BaseHTTPRequestHandler):
+    """Issues a token, and answers every GET with a blob and its server's ``X-Trace-Manifest`` header, if any."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        send_json(self, 200, {"access_token": "t", "token_type": "Bearer", "expires_in": 60})
+
+    def do_GET(self):
+        header = self.server.owner.header
+        send_reply(self, 200, b"blob", {} if header is None else {"X-Trace-Manifest": header})
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+@pytest.mark.parametrize(
+    "header",
+    [None, "", "not base64!", _b64(b"\xff\xfe"), _b64(b"[1]"), _b64(b'{"ref": "r"}'), _b64(b'{"manifest": "text"}')],
+    ids=["missing", "empty", "not-base64", "not-utf8", "array", "no-manifest", "manifest-not-an-object"],
+)
+def test_a_download_whose_manifest_header_is_not_the_stores_is_an_unreachable_store(header):
+    with ServedHttp(_ManifestHeaderHandler) as server:
+        server.header = header
+        client = CloudClient(server.base_url, "gw", "gw-secret")
+        with contextlib.closing(client.session):
+            with pytest.raises(CloudUnreachableError, match="X-Trace-Manifest header"):
+                client.get_trace("ref")
+            server.header = _b64(b'{"manifest": {"session_id": "s1"}}')
+            assert client.get_trace("ref") == (b"blob", {"manifest": {"session_id": "s1"}})
+
+
 def test_registry_holds_the_store_errors_only():
     assert sorted(ERROR_TYPES) == sorted(
         cls.code
@@ -750,9 +848,10 @@ def test_registry_holds_the_store_errors_only():
 
 
 def raw_exchange(server, request: bytes) -> bytes:
-    """Send ``request`` on a fresh connection and read until the server closes it."""
+    """Send ``request`` on a fresh connection, end the sending side, and read until the server closes it."""
     with socket.create_connection(server.address, timeout=5) as sock:
         sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
         chunks = []
         while chunk := sock.recv(65536):
             chunks.append(chunk)
@@ -760,8 +859,12 @@ def raw_exchange(server, request: bytes) -> bytes:
 
 
 class TestBodyLength:
-    """A bad or oversized ``Content-Length`` is refused unread; any other body is read before a refusal."""
+    """A bad or oversized ``Content-Length`` is refused unread; any other body is read before a refusal.
 
+    Both methods take the one dispatch, so each case holds for a GET as for a POST.
+    """
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
     @pytest.mark.parametrize(
         "path,length,status,error",
         [
@@ -771,9 +874,9 @@ class TestBodyLength:
             ("/api/v1/traces", str(MAX_BODY_BYTES + 1), 413, "payload-too-large"),
         ],
     )
-    def test_rejected_and_connection_closed(self, store_server, cloud_client, path, length, status, error):
+    def test_rejected_and_connection_closed(self, store_server, cloud_client, method, path, length, status, error):
         request = (
-            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: multipart/form-data; boundary=b\r\n"
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Type: multipart/form-data; boundary=b\r\n"
             f"Content-Length: {length}\r\n\r\n"
         ).encode()
         head, _, body = raw_exchange(store_server, request).partition(b"\r\n\r\n")
@@ -783,28 +886,119 @@ class TestBodyLength:
         # The handler is free again and the server takes new connections.
         assert cloud_client.list_traces() == []
 
-    def test_refusal_that_closes_says_so(self, store_server):
-        request = b"POST /api/v1/token HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n"
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_refusal_that_closes_says_so(self, store_server, method):
+        request = f"{method} /api/v1/token HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n".encode()
         head = raw_exchange(store_server, request).partition(b"\r\n\r\n")[0]
         assert b"\r\nConnection: close\r\n" in head + b"\r\n"
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
     @pytest.mark.parametrize("length,error", [("abc", BadRequestError), (str(MAX_BODY_BYTES + 1), PayloadTooLargeError)])
-    def test_client_raises_the_mapped_error(self, cloud_client, length, error):
+    def test_client_raises_the_mapped_error(self, cloud_client, method, length, error):
         with pytest.raises(error):
-            cloud_client._request("POST", "/api/v1/token", body=b"", headers={"Content-Length": length})
+            cloud_client._request(method, "/api/v1/token", body=b"", headers={"Content-Length": length})
         assert cloud_client.list_traces() == []
 
+    @pytest.mark.parametrize("method", ["GET", "POST"])
     @pytest.mark.parametrize("path", ["/api/v1/traces", "/api/v1/elsewhere"])
-    def test_refused_body_is_not_read_as_the_next_request(self, store_server, path):
+    def test_refused_body_is_not_read_as_the_next_request(self, store_server, method, path):
         smuggled = b"GET /smuggled HTTP/1.1\r\nHost: x\r\n\r\n"
         request = (
-            f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Type: text/plain\r\n"
+            f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Type: text/plain\r\n"
             f"Content-Length: {len(smuggled)}\r\n\r\n"
         ).encode() + smuggled + b"GET /api/v1/next HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
         reply = raw_exchange(store_server, request)
         assert reply.count(b"HTTP/1.1 ") == 2
         assert b"/smuggled" not in reply
         assert b"/api/v1/next" in reply
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_a_chunked_body_is_refused_unread(self, store_server, method):
+        request = f"{method} /api/v1/nope HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n".encode()
+        replies = _replies(raw_exchange(store_server, request + TOKEN_REQUEST))
+        detail = "Transfer-Encoding is not supported; send a Content-Length"
+        assert replies == [(400, {"error": "bad-request", "detail": detail})]
+
+
+CREDENTIALS = json.dumps({"client_id": "gw", "client_secret": "gw-secret"}).encode()
+TOKEN_REQUEST = (
+    b"POST /api/v1/token HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\n\r\n%b" % (len(CREDENTIALS), CREDENTIALS)
+)
+
+
+def _replies(stream: bytes) -> list[tuple[int, object]]:
+    """The ``(status, JSON body)`` of each reply in ``stream``, framed by their ``Content-Length``."""
+    replies = []
+    while stream:
+        head, blank, rest = stream.partition(b"\r\n\r\n")
+        assert blank, stream
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers["Content-Length"])
+        replies.append((int(status_line.split(" ")[1]), json.loads(rest[:length])))
+        stream = rest[length:]
+    return replies
+
+
+_PATHS = st.one_of(
+    st.sampled_from(
+        [
+            "/api/v1/token",
+            "/api/v1/traces",
+            "/api/v1/traces?limit=2&driver_id=drv",
+            "/api/v1/traces?offset=-1",
+            "/api/v1/traces/" + "ab" * 32,
+            "/api/v1/traces/a%2Fb%3Fc",
+            "/api/v1/token/extra",
+        ]
+    ),
+    st.text(string.ascii_letters + string.digits + "/%?=&.-_~", max_size=24).map("/".__add__),
+)
+# How the request states its body's length: absent, right, too long for what is sent, chunked, not a count,
+# over the cap.
+_LENGTHS = st.sampled_from(
+    ["absent", "right", "long", "chunked", "abc", "-1", "+5", "1e3", " ", "\xb2", str(MAX_BODY_BYTES + 1)]
+)
+_BODIES = st.one_of(st.binary(max_size=48), st.just(CREDENTIALS), st.just(TOKEN_REQUEST))
+
+
+def _request(method: str, path: str, length: str, body: bytes) -> bytes:
+    head = f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+    if length == "absent":
+        body = b""
+    elif length == "right":
+        head += f"Content-Length: {len(body)}\r\n"
+    elif length == "long":
+        head += f"Content-Length: {len(body) + 7}\r\n"
+    elif length == "chunked":
+        head += "Transfer-Encoding: chunked\r\n"
+        body = b""
+    else:
+        # Refused unread and the connection closed: a body would be unread bytes at the close.
+        head += f"Content-Length: {length}\r\n"
+        body = b""
+    return (head + "\r\n").encode("latin-1") + body
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(method=st.sampled_from(["GET", "POST"]), path=_PATHS, length=_LENGTHS, body=_BODIES)
+@example(method="GET", path="/api/v1/nope", length="right", body=TOKEN_REQUEST)
+@example(method="POST", path="/api/v1/nope", length="right", body=TOKEN_REQUEST)
+def test_every_request_gets_exactly_one_reply(store_server, method, path, length, body):
+    replies = _replies(raw_exchange(store_server, _request(method, path, length, body)))
+    assert len(replies) == 1, replies
+    [(status, reply)] = replies
+    if status < 300:
+        assert (method, urlparse(path).path, status) == ("POST", "/api/v1/token", 200)
+        assert type(reply["access_token"]) is str
+    else:
+        assert set(reply) == {"error", "detail"} and type(reply["detail"]) is str
+        assert ERROR_TYPES[reply["error"]].http_status == status
+    # The server is whole: a new connection is answered a token.
+    assert _replies(raw_exchange(store_server, TOKEN_REQUEST))[0][0] == 200
 
 
 def test_client_reports_a_framework_error_from_its_json_body(cloud_client):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import socket
 import threading
 
 import pytest
@@ -172,9 +173,13 @@ class TestClients:
 class TestHttpStub:
     def test_flow_and_weather_round_trip(self):
         clock = SimulatedClock()
-        with ContextStubServer(seed=4, clock=clock) as stub:
-            flow = HttpProvider(stub.base_url, FlowSegment).fetch(52.52, 13.40)
-            weather = HttpProvider(stub.base_url, WeatherObservation).fetch(52.52, 13.40)
+        with ContextStubServer(seed=4, clock=clock) as stub, contextlib.ExitStack() as stack:
+            flow_provider = HttpProvider(stub.base_url, FlowSegment)
+            weather_provider = HttpProvider(stub.base_url, WeatherObservation)
+            stack.callback(flow_provider.session.close)
+            stack.callback(weather_provider.session.close)
+            flow = flow_provider.fetch(52.52, 13.40)
+            weather = weather_provider.fetch(52.52, 13.40)
             assert flow == FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
             assert weather == WeatherService(seed=4).observation(52.52, 13.40, clock.now_ms())
 
@@ -195,19 +200,39 @@ class TestHttpStub:
             '"observed_at": 1699999200000}'
         )
 
-    def test_bad_coordinates_400(self):
+    @pytest.mark.parametrize(
+        "query,detail",
+        [
+            ({"lat": 95, "lon": 0}, "coordinates out of range: (95.0, 0.0)"),
+            ({"lat": "x", "lon": 0}, "could not convert string to float: 'x'"),
+            ({"lat": 1}, "coordinates out of range: (1.0, nan)"),
+        ],
+    )
+    def test_bad_coordinates_400(self, query, detail):
         with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
             with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
-                response = session.request("GET", "/flow", params={"lat": 95, "lon": 0})
+                response = session.request("GET", "/flow", params=query)
             assert response.status == 400
-            assert response.json()["error"] == "invalid-coordinates"
-            with pytest.raises(InvalidCoordinatesError):
-                HttpProvider(stub.base_url, FlowSegment).fetch(95.0, 0.0)
+            assert response.json() == {"error": "invalid-coordinates", "detail": detail}
+            provider = HttpProvider(stub.base_url, FlowSegment)
+            with contextlib.closing(provider.session), pytest.raises(InvalidCoordinatesError):
+                provider.fetch(95.0, 0.0)
 
-    def test_unknown_path_404(self):
+    @pytest.mark.parametrize("query", [{"lat": 1, "lon": 1}, {"lat": "x"}, {}])
+    def test_unknown_path_404_whatever_the_coordinates(self, query):
         with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
             with contextlib.closing(HttpSession(stub.base_url, timeout_s=10)) as session:
-                assert session.request("GET", "/nope", params={"lat": 1, "lon": 1}).status == 404
+                assert session.request("GET", "/nope", params=query).status == 404
+
+    def test_a_get_with_a_body_ends_its_connection(self):
+        smuggled = b"GET /weather?lat=1&lon=1 HTTP/1.1\r\nHost: x\r\n\r\n"
+        request = b"GET /nope HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%b" % (len(smuggled), smuggled)
+        with ContextStubServer(clock=SimulatedClock(), seed=4) as stub:
+            with socket.create_connection(stub.address, timeout=5) as sock:
+                sock.sendall(request)
+                reply = b"".join(iter(lambda: sock.recv(65536), b""))
+        assert reply.startswith(b"HTTP/1.1 404 ") and b"\r\nConnection: close\r\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
 
     def test_unreachable_service(self):
         provider = HttpProvider("http://127.0.0.1:9", WeatherObservation, timeout_s=0.5)

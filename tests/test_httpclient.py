@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import socket
 import subprocess
 import sys
 import threading
 import time
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from fogtrace.cloudstore.httpd import parse_multipart
 from fogtrace.external import FlowSegment, FlowService, HttpProvider, ServiceUnavailableError, WeatherObservation
 from fogtrace.external_httpd import ContextStubServer
 from fogtrace.httpclient import HttpSession, NoResponseError, encode_multipart
+from fogtrace.served import ServedHttp, send_json
 
 MANIFEST = b'{"session_id": "s1", "driver_id": "drv"}'
 DEAD_URL = "http://127.0.0.1:9"
@@ -56,15 +59,35 @@ def test_a_request_that_fails_part_way_does_not_poison_the_next(store_server):
         session.close()
 
 
-def test_http10_stub_connection_is_replaced():
-    # The context stub answers HTTP/1.0 and closes after every reply.
+class _Http10Handler(BaseHTTPRequestHandler):
+    """Answers every GET in HTTP/1.0, closing the connection after each reply."""
+
+    def do_GET(self):
+        send_json(self, 200, {"path": self.path})
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_http10_server_connection_is_replaced():
+    with ServedHttp(_Http10Handler) as server:
+        with contextlib.closing(HttpSession(server.base_url, timeout_s=10)) as session:
+            for n in range(3):
+                assert session.request("GET", f"/{n}").json() == {"path": f"/{n}"}
+                assert session._conn.sock is None
+
+
+def test_stub_fetches_share_one_connection():
     clock = SimulatedClock()
     with ContextStubServer(seed=4, clock=clock) as stub:
         provider = HttpProvider(stub.base_url, FlowSegment)
-        expected = FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
-        assert provider.fetch(52.52, 13.40) == expected
-        assert provider.fetch(52.52, 13.40) == expected
-        provider.session.close()
+        with contextlib.closing(provider.session):
+            expected = FlowService(seed=4).segment(52.52, 13.40, clock.now_ms())
+            assert provider.fetch(52.52, 13.40) == expected
+            sock = provider.session._conn.sock
+            for _ in range(4):
+                assert provider.fetch(52.52, 13.40) == expected
+            assert provider.session._conn.sock is sock is not None
 
 
 def test_threads_take_turns_on_one_session(cloud_client):

@@ -99,16 +99,6 @@ def test_no_error_enters_a_memo():
     assert _parse_reply.cache_info().currsize == _parse_request.cache_info().currsize == 0
 
 
-def test_frames_that_are_not_bytes_are_answered_without_the_memo():
-    want = parse_response(b"41 0C 1A F0\r", PidId(0x0C))
-    memos = (_render, _parse_reply, _parse_request)
-    before = [memo.cache_info() for memo in memos]
-    assert render_response(PidId(0x0C), bytearray(b"\x1a\xf0")) == b"41 0C 1A F0\r"
-    assert parse_response(bytearray(b"41 0C 1A F0\r"), PidId(0x0C)) == want
-    assert parse_request(bytearray(b"01 0C\r")) == PidId(0x0C)
-    assert [memo.cache_info() for memo in memos] == before
-
-
 def test_the_memos_hold_at_most_the_bound():
     for n in range(CODEC_CACHE_SIZE + 100):
         data = n.to_bytes(2, "big")

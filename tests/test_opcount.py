@@ -24,8 +24,16 @@ def _count(duration_s: str) -> dict:
 def test_two_fresh_processes_count_the_same():
     first, second = _count("30"), _count("30")
     assert first == second
-    assert first["total"] == sum(first["modules"].values()) == sum(first["functions"].values())
+    assert sorted(first) == ["obd_bench", "trip"]
+    for counted in first.values():
+        assert counted["total"] == sum(counted["modules"].values()) == sum(counted["functions"].values())
+        assert all(not module.startswith("..") for module in counted["modules"])
     # The trip, the parse and the validation are all counted, and nothing outside src/fogtrace is.
+    trip = first["trip"]["functions"]
     for name in ("vehicle.py:step", "gateway/session.py:Session.ingest", "gateway/records.py:validate_rows"):
-        assert first["functions"][name] > 0
-    assert all(not module.startswith("..") for module in first["modules"])
+        assert trip[name] > 0
+    # The bench polls the vehicle through the codec, with no session.
+    bench = first["obd_bench"]["functions"]
+    for name in ("bench.py:run_obd_bench", "vehicle.py:InProcessObdLink.transact", "obd.py:parse_response"):
+        assert bench[name] > 0
+    assert not any(name.startswith("gateway/") for name in bench)
