@@ -12,10 +12,11 @@ carries no reading: it is counted as a negative and adds no update.
 from __future__ import annotations
 
 import io
-import itertools
 import statistics
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate, compress, cycle, repeat
+from operator import le
 
 from .obd import CORE_PIDS, NegativeResponseError, ObdError
 
@@ -99,7 +100,7 @@ def run_obd_bench(
     latencies: list[float] = []
     t_start = clock.now_ms()
     deadline = t_start + duration_ms
-    pids = itertools.cycle(CORE_PIDS)
+    pids = cycle(CORE_PIDS)
     negatives = 0
     interrupted = False
     # One clock read per turn: the time a reply lands is when the next request is issued.
@@ -149,15 +150,13 @@ def run_obd_bench(
 
 
 def _estimate_plateau(window_counts, latencies, window_ms) -> float | None:
-    """Mean window count over updates whose window was already full."""
-    if not window_counts:
-        return None
-    elapsed = 0.0
-    stable = []
-    for count, latency in zip(window_counts, latencies):
-        elapsed += latency
-        if elapsed >= window_ms:
-            stable.append(count)
+    """Mean window count over updates whose window was already full.
+
+    An update's window is full once the running sum of the latencies up to
+    it reaches ``window_ms``. Each update is judged on its own sum, so a
+    negative latency (a wall clock stepped back) can empty the window again.
+    """
+    stable = list(compress(window_counts, map(le, repeat(window_ms), accumulate(latencies))))
     if not stable:
         return None
     return statistics.fmean(stable)

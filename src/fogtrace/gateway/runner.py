@@ -25,7 +25,7 @@ from .alerts import AlertEvent
 from .obd_poller import ObdPoller, PollStats
 from .records import SessionManifest
 from .session import KIND_GPS, KIND_OBD, Gateway, GpsFix, LocalSource
-from .uploader import Outbox, UploadError, UploadReceipt, finalize_and_upload
+from .uploader import Outbox, UploadError, UploadReceipt, finalize_and_upload, seal_into
 
 log = logging.getLogger(__name__)
 
@@ -68,6 +68,8 @@ class SessionRunner:
         self.traffic = traffic
         self.weather = weather
         self.cloud_client = cloud_client
+        # The outbox ref of the last trip, if it was cut short and sealed.
+        self.cut_ref: str | None = None
 
     def run(self, driver_id: str, vehicle_id: str, duration_s: float, upload: bool = True) -> RunResult:
         for device in self.wearables:
@@ -82,8 +84,12 @@ class SessionRunner:
         # The loop owns the session: it makes every ingest and ends it, also
         # when setting up or running a producer raises, so the gateway is
         # free for the next trip, every stream opened is closed and the rows
-        # ingested so far are written to the trace directory.
+        # ingested so far are written to the trace directory. A trip that
+        # the loop cuts short is also sealed into the outbox, unsent, when the
+        # gateway has a key and an outbox, for the next flush to send.
         obd = producers = None
+        self.cut_ref = None
+        cut = False
         try:
             start = self.clock.now_ms()
             t_end = start + duration_s * 1000.0
@@ -94,9 +100,13 @@ class SessionRunner:
             # its exchanges set the pace; without one, the loop sleeps until
             # the next producer is due. The others are serviced after each step.
             pace = obd.step if obd is not None else lambda: producers.wait_until_due(t_end)
-            while self.clock.now_ms() < t_end:
-                if pace():
-                    producers.service(self.clock.now_ms())
+            try:
+                while self.clock.now_ms() < t_end:
+                    if pace():
+                        producers.service(self.clock.now_ms())
+            except BaseException:
+                cut = True
+                raise
         finally:
             if producers is not None:
                 producers.close()
@@ -104,6 +114,9 @@ class SessionRunner:
                 obd.close()
             csv_bytes, manifest = self.gateway.end_session()
             trace_path = self._persist_trace(csv_bytes, manifest)
+            gateway = self.gateway
+            if cut and gateway.key is not None and gateway.outbox_dir is not None:
+                self.cut_ref = seal_into(Outbox(gateway.outbox_dir), csv_bytes, manifest, gateway.key)[0]
         receipt = None
         if upload and self.cloud_client is not None:
             receipt = self.upload(csv_bytes, manifest, trace_path)

@@ -125,12 +125,19 @@ def finalize_and_upload(
     Raises :class:`CloudUnreachableError` after exhausting retries; the
     envelope stays in the outbox for a later flush.
     """
+    ref, envelope, manifest_json = seal_into(outbox, csv_bytes, manifest, key)
+    return _send(outbox, ref, envelope, manifest_json, client, clock, SESSION_RETRIES)
+
+
+def seal_into(
+    outbox: Outbox, csv_bytes: bytes, manifest: SessionManifest, key: bytes | None
+) -> tuple[str, bytes, bytes]:
+    """Seal the trace and put it in ``outbox`` unsent: its ref, envelope and manifest JSON."""
     if key is None:
         raise KeyMissingError("no envelope key configured")
     manifest_json = manifest.to_json()
     envelope = seal(csv_bytes, manifest_json, key)
-    ref = outbox.put(envelope, manifest_json)
-    return _send(outbox, ref, envelope, manifest_json, client, clock, SESSION_RETRIES)
+    return outbox.put(envelope, manifest_json), envelope, manifest_json
 
 
 def flush_outbox(outbox: Outbox, client: CloudClient, clock) -> tuple[list[UploadReceipt], list[str]]:

@@ -23,7 +23,7 @@ from collections import Counter
 
 import pytest
 
-from fogtrace import obd
+from fogtrace import obd, vehicle
 from fogtrace.clock import DEFAULT_SIM_EPOCH_MS, SimulatedClock
 from fogtrace.config import Config
 from fogtrace.external import (
@@ -314,8 +314,16 @@ def test_weather_condition_that_needs_quoting():
     _pinned("weather-condition-quoted", result)
 
 
-# Every memo on the trip path: the codec's three and the session's OBD cell.
-MEMOS = ((obd, "_render"), (obd, "_parse_request"), (obd, "_parse_reply"), (session, "_obd_cell"))
+# Every memo on the trip path: the codec's three, the session's OBD cell, and
+# the simulator's tick and payload (``vehicle`` binds ``encode_measurement`` by name).
+MEMOS = (
+    (obd, "_render"),
+    (obd, "_parse_request"),
+    (obd, "_parse_reply"),
+    (session, "_obd_cell"),
+    (vehicle, "_kinematics"),
+    (vehicle, "encode_measurement"),
+)
 
 CASES = (
     test_link_lost_then_refused,
