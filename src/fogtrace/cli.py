@@ -40,8 +40,8 @@ from .files import write_atomic
 
 
 class StageError(Exception):
-    def __init__(self, stage_name: str, cause: Exception, detail: str = ""):
-        super().__init__(f"stage '{stage_name}' failed: {cause}{detail}")
+    def __init__(self, stage_name: str, cause: Exception):
+        super().__init__(f"stage '{stage_name}' failed: {cause}")
         self.stage_name = stage_name
         self.cause = cause
 
@@ -392,14 +392,15 @@ def cmd_run(args) -> int:
             cloud_client=cloud,
         )
         # A SIGTERM cuts the trip the way an error does: the loop ends its
-        # session, writes the CSV and seals it into the outbox, and the stage
-        # fails naming the sealed entry.
+        # session, writes the CSV and, if this run uploads, seals it into the
+        # outbox, and the stage fails. Whatever cut it, Ctrl-C too, the sealed
+        # entry is named.
         try:
-            with _sigterm_unwinds():
+            with _stage("session"), _sigterm_unwinds():
                 result = runner.run(args.driver, args.vehicle, args.duration, upload=False)
-        except Exception as exc:
-            sealed = f"; the trip so far is sealed in the outbox as {runner.cut_ref}" if runner.cut_ref else ""
-            raise StageError("session", exc, sealed) from exc
+        finally:
+            if runner.cut_ref is not None:
+                print(f"fogtrace: run: the trip so far is sealed in the outbox as {runner.cut_ref}", file=sys.stderr)
         if cloud is not None:
             with _stage("upload"):
                 result.receipt = runner.upload(result.csv_bytes, result.manifest, result.trace_path)

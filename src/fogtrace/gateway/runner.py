@@ -85,8 +85,9 @@ class SessionRunner:
         # when setting up or running a producer raises, so the gateway is
         # free for the next trip, every stream opened is closed and the rows
         # ingested so far are written to the trace directory. A trip that
-        # the loop cuts short is also sealed into the outbox, unsent, when the
-        # gateway has a key and an outbox, for the next flush to send.
+        # the loop cuts short is also sealed into the outbox, unsent, for the
+        # next flush to send, when this runner uploads and the gateway has a
+        # key and an outbox: a trip kept off the store stays off it.
         obd = producers = None
         self.cut_ref = None
         cut = False
@@ -115,7 +116,7 @@ class SessionRunner:
             csv_bytes, manifest = self.gateway.end_session()
             trace_path = self._persist_trace(csv_bytes, manifest)
             gateway = self.gateway
-            if cut and gateway.key is not None and gateway.outbox_dir is not None:
+            if cut and self.cloud_client is not None and gateway.key is not None and gateway.outbox_dir is not None:
                 self.cut_ref = seal_into(Outbox(gateway.outbox_dir), csv_bytes, manifest, gateway.key)[0]
         receipt = None
         if upload and self.cloud_client is not None:

@@ -13,12 +13,8 @@ commit, the git tree ids of its ``src`` and ``perfbench`` as measured
 matched to it by ``git rev-parse <commit>:src``), the seeds, the outcome of
 every run, the median and quartiles of every end-to-end metric and detail
 line over the untraced runs, and each per-layer metric as its median over
-the traced runs, with the three values. Beside the timings it writes
-``bytecodes``: the total of each operation that the checkout's
-``tools/opcount.py`` counts (``trip`` and ``obd_bench``, with the
-operation it ran), exact in every fresh process, so two files compare
-without the CPU's drift; it is null for a checkout without that tool. The
-exit status is 1 when any run failed a check or an operation.
+the traced runs, with the three values. The exit status is 1 when any run
+failed a check or an operation.
 """
 
 from __future__ import annotations
@@ -85,20 +81,6 @@ def run_once(
     }
 
 
-def bytecode_totals(checkout: Path) -> dict | None:
-    """Each operation ``tools/opcount.py`` counts in ``checkout``, with its total; None without the tool."""
-    tool = checkout / "tools" / "opcount.py"
-    if not tool.exists():
-        return None
-    # The tool imports its own checkout's src; an inherited path must not win over it.
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    done = subprocess.run([sys.executable, str(tool)], cwd=checkout, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{tool} exited {done.returncode}:\n{done.stdout}{done.stderr}")
-    counted = json.loads(done.stdout)
-    return {name: {"operation": c["operation"], "total": c["total"]} for name, c in counted.items()}
-
-
 def summary(values: list[float], unit: str) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"unit": unit, "median": median, "q1": q1, "q3": q3, "values": values}
@@ -146,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "seconds": seconds,
-        "bytecodes": bytecode_totals(checkout),
         "workloads": {w["name"]: record_workload(checkout, w["name"], seconds) for w in declared["workloads"]},
     }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
