@@ -190,7 +190,7 @@ class _ProducerState:
 
     def service(self, now: float) -> None:
         sim, physio = self.runner.simulator, self.runner.physio
-        speed = sim.advance_to(now).speed_kmh if sim is not None else 0.0
+        speed = sim.advance_to(now)[0] if sim is not None else 0.0
         dt = now - self._phys_t
         if physio is not None and dt > 0:
             # The driver's stress follows the acceleration since the last service.

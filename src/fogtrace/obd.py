@@ -23,7 +23,9 @@ The codec is pure, so a repeated frame is a lookup: ``render_response``,
 implementation in a ``functools.lru_cache`` of at most
 ``CODEC_CACHE_SIZE`` entries, whatever a peer sends. A reply is keyed by
 its bytes and the expected mode and PID, so a mismatched echo is never
-served from another PID's entry. A buffer that is not hashable, such as a
+served from another PID's entry. Its entry is the whole ``ObdResponse``,
+which is immutable, so every parse of a repeated reply hands back that one
+object and allocates none. A buffer that is not hashable, such as a
 ``bytearray``, raises ``TypeError``. Errors are never cached: a ``7F``,
 malformed or out-of-range frame raises on every call.
 
@@ -251,14 +253,12 @@ def parse_response(line: bytes, expected: PidId) -> ObdResponse:
     :class:`PidMismatchError` when the echoed PID differs from ``expected``
     and :class:`MalformedFrameError` for anything that is not a frame.
     """
-    data, value, unit = _parse_reply(line, expected.mode, expected.pid)
-    # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per reply.
-    return tuple.__new__(ObdResponse, (expected, data, value, unit))
+    return _parse_reply(line, expected.mode, expected.pid)
 
 
 @lru_cache(maxsize=CODEC_CACHE_SIZE)
-def _parse_reply(line: bytes, mode: int, pid: int) -> tuple[bytes, float, str]:
-    """``(data, value, unit)`` of a positive reply to ``mode`` and ``pid``."""
+def _parse_reply(line: bytes, mode: int, pid: int) -> ObdResponse:
+    """The response a positive reply to ``mode`` and ``pid`` carries."""
     values = _tokenize(line)
     if values[0] == NEGATIVE_REPLY_MODE:
         if len(values) != 3:
@@ -270,8 +270,9 @@ def _parse_reply(line: bytes, mode: int, pid: int) -> tuple[bytes, float, str]:
         raise MalformedFrameError(f"mode echo 0x{values[0]:02X} does not match request mode 0x{mode:02X}")
     if values[1] != pid:
         raise PidMismatchError(f"expected PID 0x{pid:02X}, reply echoed 0x{values[1]:02X}")
+    pid_id = PidId(pid, mode)
     data = bytes(values[2:])
-    return (data, *decode_pid(PidId(pid, mode), data))
+    return ObdResponse(pid_id, data, *decode_pid(pid_id, data))
 
 
 # The address and query frame of each core PID, the frame exactly as

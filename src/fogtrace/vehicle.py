@@ -29,6 +29,15 @@ in steps of one fixed size, for most of a segment: an hour's trip meets a
 few hundred distinct keys in its 36,000 ticks (552 on ``aggressive``, 398
 on ``calm``). The reply payload is memoized the same way, by
 ``obd.encode_measurement``.
+
+On the tick path the state is a plain ``tuple`` in ``VehicleState``'s
+field order, read by index: ``step`` returns one, the simulator holds one,
+and ``advance_to`` hands it back. CPython builds an exact tuple from a free
+list and its cyclic GC stops tracking it, but allocates a tuple subclass
+such as a ``NamedTuple`` on its slow generic path and tracks it for good;
+on the tick that is about a quarter of the time. ``VehicleState`` still
+names the fields, and ``snapshot`` returns one for a caller that reads
+them by name.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .config import KEYS, Config, ConfigError
@@ -88,6 +97,8 @@ DEFAULT_ROUTE = (
 
 
 class VehicleState(NamedTuple):
+    """The state's field order; the tick path holds a plain tuple and reads it by index."""
+
     speed_kmh: float = 0.0
     rpm: float = IDLE_RPM
     throttle_pct: float = 0.0
@@ -237,19 +248,19 @@ class LatencyModel:
         return low + (high - low) * math.sqrt(u * c)
 
 
-def step(state: VehicleState, profile: DriveProfile, dt_ms: float) -> VehicleState:
-    """Advance the kinematic state by one tick. Inputs are clamped, never rejected."""
+def step(state: tuple, profile: DriveProfile, dt_ms: float) -> tuple:
+    """Advance the kinematic state by one tick. Inputs are clamped, never rejected.
+
+    ``state`` is read by index, so a ``VehicleState`` or a plain tuple in its
+    field order will do; the next state is a plain tuple in that order.
+    """
     if dt_ms <= 0:
         raise ValueError("dt must be positive")
-    elapsed = state.elapsed_ms
+    elapsed = state[6]
     speed, rpm, throttle, gear, metres = _kinematics(
-        state.speed_kmh, profile.target_speed_at(elapsed / 1000.0), profile.accel_limit_mps2, dt_ms
+        state[0], profile.target_speed_at(elapsed / 1000.0), profile.accel_limit_mps2, dt_ms
     )
-    # tuple.__new__ skips the NamedTuple's own __new__, a Python frame per tick.
-    return tuple.__new__(
-        VehicleState,
-        (speed, rpm, throttle, gear, state.odometer_m + metres, state.sim_time_ms + dt_ms, elapsed + dt_ms),
-    )
+    return speed, rpm, throttle, gear, state[4] + metres, state[5] + dt_ms, elapsed + dt_ms
 
 
 @lru_cache(maxsize=KINEMATICS_CACHE_SIZE)
@@ -283,8 +294,8 @@ def _kinematics(
     return speed, rpm, throttle, gear, (previous + speed) / 2.0 / 3.6 * dt_s
 
 
-# The state field each core PID reports.
-_CHANNEL_OF = {pid: attrgetter(PID_TABLE[pid].channel) for pid in CORE_PIDS}
+# The state field each core PID reports, by its index in the plain state.
+_CHANNEL_OF = {pid: itemgetter(VehicleState._fields.index(PID_TABLE[pid].channel)) for pid in CORE_PIDS}
 
 
 class VehicleSimulator:
@@ -306,7 +317,8 @@ class VehicleSimulator:
         self.profile = profile
         self.latency = latency if latency is not None else LatencyModel(seed=seed)
         self.tick_ms = float(tick_ms)
-        self._state = VehicleState(sim_time_ms=float(start_ms))
+        # A plain tuple in VehicleState's field order, replaced whole by each tick.
+        self._state = tuple(VehicleState(sim_time_ms=float(start_ms)))
         self._lock = threading.Lock()
 
     @classmethod
@@ -324,27 +336,30 @@ class VehicleSimulator:
         return cls(profile=PROFILES[name], latency=latency, tick_ms=config["vehicle.tick_ms"], start_ms=start_ms)
 
     def snapshot(self) -> VehicleState:
+        """The current state with its fields named."""
         with self._lock:
-            return self._state
+            return VehicleState._make(self._state)
 
     def position(self) -> tuple[float, float]:
         """(lat, lon) of the current state: the route point at its odometer."""
-        return ROUTE.point_at(self.snapshot().odometer_m)
+        # The state is immutable and replaced whole, so it is read without the lock.
+        return ROUTE.point_at(self._state[4])
 
-    def advance_to(self, t_ms: float) -> VehicleState:
+    def advance_to(self, t_ms: float) -> tuple:
+        """The state at ``t_ms``, a plain tuple in ``VehicleState``'s field order."""
         # No tick due, as for a second call at the same time: the state is
         # immutable and replaced whole, so it is read without the lock.
         state = self._state
-        if state.sim_time_ms + self.tick_ms > t_ms:
+        if state[5] + self.tick_ms > t_ms:
             return state
         with self._lock:
             state, profile, tick_ms = self._state, self.profile, self.tick_ms
-            while state.sim_time_ms + tick_ms <= t_ms:
+            while state[5] + tick_ms <= t_ms:
                 state = step(state, profile, tick_ms)
             self._state = state
             return state
 
-    def _reply(self, state: VehicleState, raw_request: bytes) -> bytes:
+    def _reply(self, state: tuple, raw_request: bytes) -> bytes:
         """The reply frame to ``raw_request`` from ``state``; unsupported or broken requests get a 7F frame."""
         try:
             pid_id = parse_request(raw_request)

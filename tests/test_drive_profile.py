@@ -39,12 +39,12 @@ def test_the_shipped_profiles_drive(name):
     profile = PROFILES[name]
     state = VehicleState()
     for _ in range(600):
-        state = step(state, profile, 100.0)
+        state = VehicleState._make(step(state, profile, 100.0))
     assert state.speed_kmh > 0.0
     assert state.odometer_m > 0.0
 
 
 def test_the_smallest_valid_script_drives_toward_its_target():
     profile = DriveProfile("x", ((1, 10),), 0.5)
-    state = step(VehicleState(), profile, 1000.0)
+    state = VehicleState._make(step(VehicleState(), profile, 1000.0))
     assert state.speed_kmh == pytest.approx(0.5 * 3.6)

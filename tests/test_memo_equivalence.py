@@ -1,11 +1,13 @@
 """The simulator's tick and payload memos, and the plateau pipeline, against the code they replace.
 
-``vehicle.step`` looks its arithmetic up in ``_kinematics``,
-``obd.encode_measurement`` is memoized on ``(pid, value)``, and
+``vehicle.step`` looks its arithmetic up in ``_kinematics`` and returns a
+plain tuple, ``VehicleSimulator.advance_to`` steps and returns one,
+``obd.encode_measurement`` is memoized on ``(pid, value)``,
+``obd.parse_response`` hands back the response its memo holds, and
 ``bench._estimate_plateau`` runs as one pipeline of C iterators. Each is
 pinned here, bit for bit, to the plain Python it replaced, on arbitrary
-input and on the edges: a speed of ``-0.0``, the clamps, NaN, and a
-latency that is negative or NaN.
+input and on the edges: a speed of ``-0.0``, the clamps, NaN, a latency
+that is negative or NaN, and every way a reply frame can be wrong.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fogtrace import obd
 from fogtrace.bench import _estimate_plateau
-from fogtrace.obd import CORE_PIDS, PID_TABLE, WrongLengthError, encode_measurement
+from fogtrace.obd import CORE_PIDS, PID_TABLE, PidId, WrongLengthError, encode_measurement, parse_response
 from fogtrace.vehicle import (
     GEAR_SHIFT_KMH,
     IDLE_RPM,
@@ -28,6 +31,7 @@ from fogtrace.vehicle import (
     MAX_RPM,
     PROFILES,
     DriveProfile,
+    VehicleSimulator,
     VehicleState,
     _kinematics,
     step,
@@ -97,9 +101,35 @@ _DT_MS = st.one_of(st.sampled_from([1.0, 100.0, 250.0, 30_000.0]), st.floats(1.0
 def test_step_is_the_unmemoized_step_bit_for_bit(speed, target, limit, dt_ms, odometer, elapsed):
     profile = DriveProfile("drawn", ((60, target),), limit)
     state = VehicleState(speed_kmh=speed, odometer_m=odometer, sim_time_ms=elapsed, elapsed_ms=elapsed)
-    # Twice: the second call may be served from the entry the first one made.
-    for _ in range(2):
-        assert _bits(step(state, profile, dt_ms)) == _bits(_reference_step(state, profile, dt_ms))
+    expected = _bits(_reference_step(state, profile, dt_ms))
+    # A named or a plain state, each twice: the second call may be served from
+    # the entry the first one made. The next state is a plain tuple either way.
+    for given_state in (state, state, tuple(state), tuple(state)):
+        ticked = step(given_state, profile, dt_ms)
+        assert type(ticked) is tuple
+        assert _bits(ticked) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    profile=st.sampled_from(sorted(PROFILES.values(), key=lambda p: p.name)),
+    tick_ms=st.sampled_from([50.0, 100.0, 250.0, 1000.0]),
+    start_ms=st.sampled_from([0.0, 1_234.5, 1.7e12]),
+    # Reply delays: repeats (no tick due), sub-tick steps and long gaps.
+    delays=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 400.0), st.floats(400.0, 5_000.0)), max_size=40),
+)
+def test_advance_to_is_a_loop_of_the_unmemoized_step(profile, tick_ms, start_ms, delays):
+    sim = VehicleSimulator(profile=profile, tick_ms=tick_ms, start_ms=start_ms)
+    reference = VehicleState(sim_time_ms=start_ms)
+    t_ms = start_ms
+    for delay in delays:
+        t_ms += delay
+        while reference.sim_time_ms + tick_ms <= t_ms:
+            reference = _reference_step(reference, profile, tick_ms)
+        state = sim.advance_to(t_ms)
+        assert type(state) is tuple
+        assert _bits(state) == _bits(reference)
+        assert sim.snapshot() == reference
 
 
 @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
@@ -170,6 +200,61 @@ def test_an_unknown_pid_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(WrongLengthError):
             encode_measurement(0x05, 1.0)
+
+
+_REPLY_PIDS = st.one_of(st.sampled_from(CORE_PIDS), st.integers(0, 255))
+
+
+def _hex(values: list[int]) -> str:
+    return " ".join(f"{value:02X}" for value in values)
+
+
+@st.composite
+def _reply_frames(draw) -> tuple[bytes, PidId]:
+    """A reply frame and the request it answers: valid or wrong in each way a peer gets it wrong."""
+    expected = PidId(draw(_REPLY_PIDS))
+    width = PID_TABLE[expected.pid].data_length if expected.pid in PID_TABLE else draw(st.integers(0, 4))
+    data = draw(st.lists(st.integers(0, 255), min_size=width, max_size=width))
+    reply = [expected.mode + 0x40, expected.pid, *data]
+    kind = draw(st.sampled_from(["valid", "lowercase", "prompted", "negative", "wrong_pid", "malformed"]))
+    if kind == "lowercase":
+        text = _hex(reply).lower() + "\r"
+    elif kind == "prompted":
+        text = _hex(reply) + "\r" + ">" * draw(st.integers(1, 2))
+    elif kind == "negative":
+        text = _hex([0x7F, expected.mode, draw(st.sampled_from([0x11, 0x12, 0x31]))]) + "\r"
+    elif kind == "wrong_pid":
+        reply[1] = draw(st.integers(0, 255).filter(lambda pid: pid != expected.pid))
+        text = _hex(reply) + "\r"
+    elif kind == "malformed":
+        text = draw(
+            st.sampled_from(
+                [_hex(reply), _hex(reply) + " +1\r", _hex(reply[:1]) + "\r", "\r", "7F 01\r", _hex(reply)[:-1] + "\r"]
+            )
+        )
+    else:
+        text = _hex(reply) + "\r"
+    return text.encode("ascii"), expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(frame=_reply_frames())
+def test_parse_response_is_a_fresh_parse_of_the_reply(frame):
+    line, expected = frame
+    fresh = outcome(obd._parse_reply.__wrapped__, line, expected.mode, expected.pid)
+    first = outcome(parse_response, line, expected)
+    # Twice: the second call may be served from the entry the first one made.
+    assert first == outcome(parse_response, line, expected) == fresh
+    if fresh[0] == "ok":
+        assert first[1].pid_id == expected
+        assert parse_response(line, expected) is first[1]
+    else:
+        # An error is never cached: each call parses the frame and raises again.
+        before = obd._parse_reply.cache_info()
+        for _ in range(2):
+            assert outcome(parse_response, line, expected) == fresh
+        after = obd._parse_reply.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses + 2, before.currsize)
 
 
 def _reference_plateau(window_counts, latencies, window_ms) -> float | None:

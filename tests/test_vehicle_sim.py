@@ -31,7 +31,7 @@ from fogtrace.vehicle import (
 def gear_at(speed_kmh: float) -> int:
     """The gear ``step`` picks for a vehicle holding ``speed_kmh``."""
     hold = DriveProfile("hold", ((60.0, speed_kmh),), 2.0)
-    return step(VehicleState(speed_kmh=speed_kmh), hold, 100.0).gear
+    return VehicleState._make(step(VehicleState(speed_kmh=speed_kmh), hold, 100.0)).gear
 
 
 class TestStep:
@@ -39,7 +39,7 @@ class TestStep:
         profile = DriveProfile("stopped", ((60.0, 0.0),), 1.5)
         state = VehicleState()
         for _ in range(50):
-            state = step(state, profile, 100.0)
+            state = VehicleState._make(step(state, profile, 100.0))
         assert state.speed_kmh == 0.0
         assert state.rpm == 800.0
         assert state.throttle_pct == 0.0
@@ -52,7 +52,7 @@ class TestStep:
         profile = DriveProfile("cruise", ((600.0, 59.9),), 2.0)
         state = VehicleState()
         for _ in range(600):
-            state = step(state, profile, 100.0)
+            state = VehicleState._make(step(state, profile, 100.0))
         assert state.gear == 3
         assert state.rpm == pytest.approx(800 + state.speed_kmh * 120 / 3, abs=1e-6)
 
@@ -61,7 +61,7 @@ class TestStep:
         profile = DriveProfile("ramp", ((60.0, 50.0),), 2.0)
         state = VehicleState()
         for _ in range(70):
-            state = step(state, profile, 100.0)
+            state = VehicleState._make(step(state, profile, 100.0))
         assert abs(state.speed_kmh - 50.0) <= 0.5
 
     def test_gear_shift_table(self):
@@ -73,14 +73,14 @@ class TestStep:
         profile = DriveProfile("flatout", ((600.0, 255.0),), 10.0)
         state = VehicleState()
         for _ in range(600):
-            state = step(state, profile, 100.0)
+            state = VehicleState._make(step(state, profile, 100.0))
         assert state.rpm <= 6500.0
 
     def test_speed_zero_implies_idle(self):
         profile = DriveProfile("brake", ((10.0, 80.0), (60.0, 0.0)), 5.0)
         state = VehicleState()
         for _ in range(400):
-            state = step(state, profile, 100.0)
+            state = VehicleState._make(step(state, profile, 100.0))
         assert state.speed_kmh == 0.0
         assert state.gear == 1
         assert state.rpm == 800.0
@@ -89,9 +89,21 @@ class TestStep:
         sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
         assert sim.position() == ROUTE.point_at(0.0) == ROUTE.points[0]
         for t_ms in range(0, 300_000, 7_300):
-            odometer = sim.advance_to(float(t_ms)).odometer_m
+            odometer = VehicleState._make(sim.advance_to(float(t_ms))).odometer_m
             assert sim.position() == ROUTE.point_at(odometer)
         assert sim.snapshot().odometer_m > ROUTE._cum[-1]  # the loop was driven past its end
+
+
+def test_snapshot_names_the_plain_state_and_position_reads_its_odometer():
+    sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE, start_ms=500.0)
+    for t_ms in (500.0, 12_345.0, 12_345.0, 80_000.0, 250_000.0):
+        state = sim.advance_to(t_ms)
+        snapshot = sim.snapshot()
+        assert type(state) is tuple
+        assert type(snapshot) is VehicleState
+        assert snapshot == state
+        assert snapshot.sim_time_ms <= t_ms < snapshot.sim_time_ms + sim.tick_ms
+        assert sim.position() == ROUTE.point_at(snapshot.odometer_m)
 
 
 def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[VehicleState]:
@@ -99,7 +111,7 @@ def tick_log(profile: DriveProfile, duration_s: float, seed: int = 0) -> list[Ve
     sim = VehicleSimulator(profile=profile, seed=seed)
     log = []
     while sim.snapshot().sim_time_ms + sim.tick_ms <= duration_s * 1000.0:
-        log.append(sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms))
+        log.append(VehicleState._make(sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms)))
     return log
 
 
@@ -120,7 +132,7 @@ class TestRunTrip:
         sim = VehicleSimulator(profile=AGGRESSIVE_PROFILE)
         last = 0.0
         for _ in range(2000):
-            state = sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms)
+            state = VehicleState._make(sim.advance_to(sim.snapshot().sim_time_ms + sim.tick_ms))
             assert state.odometer_m >= last
             last = state.odometer_m
 

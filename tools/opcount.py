@@ -24,7 +24,9 @@ the same in every fresh process, since both operations run on the
 simulated clock and the tool re-runs itself with ``PYTHONHASHSEED=0`` when
 the variable is not already 0. Work done in C (sorting, hashing, ``csv``,
 ``lru_cache`` hits, string and tuple builtins) is invisible to it, so a
-count never replaces timed pairs for a speed claim.
+count never replaces timed pairs for a speed claim. So is the cost of
+allocating instances of a tuple subclass, such as a ``NamedTuple``, and of
+reading their named fields: time that no bytecode count shows.
 
 It prints one JSON object with a report per operation, ``trip`` and
 ``obd_bench``: the operation, the total, and the counts per module (path
